@@ -59,8 +59,8 @@ class PruneConfig:
 
 def frobenius_norms(filters: FilterBank) -> np.ndarray:
     """Per-filter sqrt of the sum of squared weights; biases excluded."""
-    w = filters.weights.astype(np.float64)
-    return np.sqrt((w * w).sum(axis=(0, 1, 2)))
+    w2d = filters.weights.reshape(-1, filters.num_filters)
+    return np.sqrt(np.einsum("kf,kf->f", w2d, w2d, dtype=np.float64))
 
 
 def filter_sparsity(filters: FilterBank, eps: float) -> np.ndarray:
@@ -136,7 +136,8 @@ def prune_below(model: Model, metrics: FilterMetricTable, threshold: float,
             else:
                 removed_idx = _select_removals(metrics[layer.id], threshold,
                                                config.min_filters_per_layer)
-            keep_f = [i for i in range(fb.num_filters) if i not in set(removed_idx)]
+            dropped = set(removed_idx)
+            keep_f = [i for i in range(fb.num_filters) if i not in dropped]
             new_fb = FilterBank(fb.weights[:, :, kept_in, :][:, :, :, keep_f],
                                 fb.biases[keep_f])
             params[layer.id] = ConvParams(new_fb, None)

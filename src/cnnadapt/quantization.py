@@ -34,14 +34,15 @@ from .tensor import (
     INT16_MIN,
     INT32_MAX,
     INT32_MIN,
+    MAX_EXACT_INT_DEPTH,
     FeatureMap,
     FilterBank,
     IntFeatureMap,
     concat_int,
-    conv_output_shape,
+    conv_gemm,
+    conv_input,
     maxpool_int,
     upsample_nearest_int,
-    _same_padding,
 )
 
 MAX_SCALE_EXPONENT = 14  # values in [-1, 1] keep int16 headroom
@@ -208,41 +209,44 @@ def quantize_input(input: FeatureMap, config: QuantConfig = QuantConfig()) -> In
 def int_conv_forward(input: IntFeatureMap, weights: np.ndarray, biases: np.ndarray,
                      stride: int, padding: str,
                      config: QuantConfig) -> tuple[IntFeatureMap, int, int]:
-    """Quantized convolution: conv (64-bit acc) -> sat int32 -> rshift P -> sat int16 -> bias.
+    """Quantized convolution: conv -> sat int32 -> rshift P -> sat int16 -> bias (saturating).
 
-    Returns (output, acc32 saturation count, int16 saturation count).
+    The convolution is a float64 GEMM over int16 operands (``conv_gemm``).
+    Each product is an integer of magnitude at most 2^30, so with
+    K = kh*kw*c_in <= 2^23 every partial sum stays below 2^53 and the sums
+    are exact; larger K raises ValueError. Returns (output, acc32 saturation
+    count, int16 saturation count).
     """
-    if stride < 1:
-        raise ValueError(f"stride must be positive, got {stride}")
-    kh, kw, c_in, nf = weights.shape
-    if input.channels != c_in:
-        raise ShapeError(f"input has {input.channels} channels but filters expect {c_in}")
-    out_h, out_w = conv_output_shape(input.height, input.width, kh, kw, stride, padding)
-    if padding == "same":
-        pt, pb = _same_padding(input.height, kh, stride)
-        pl, pr = _same_padding(input.width, kw, stride)
-    else:
-        pt = pb = pl = pr = 0
-    padded = np.zeros((input.height + pt + pb, input.width + pl + pr, c_in), dtype=np.int64)
-    padded[pt:pt + input.height, pl:pl + input.width, :] = input.data
+    if input.width_bits != 16 or weights.dtype != np.int16:
+        raise ValueError("integer convolution consumes int16 activations and weights")
+    kh, kw, c_in, _ = weights.shape
+    if kh * kw * c_in > MAX_EXACT_INT_DEPTH:
+        raise ValueError(f"conv depth kh*kw*c_in = {kh * kw * c_in} exceeds "
+                         f"{MAX_EXACT_INT_DEPTH}, beyond which float64 sums are not exact")
+    padded, out_h, out_w = conv_input(input.data, weights, stride, padding, np.int16)
+    scale = 2.0 ** -config.p
+    counts = [0, 0]  # acc32, int16 saturations
 
-    w64 = weights.astype(np.int64)
-    acc = np.zeros((out_h, out_w, nf), dtype=np.int64)
-    for c in range(c_in):
-        for r in range(kh):
-            for s in range(kw):
-                patch = padded[r:r + out_h * stride:stride, s:s + out_w * stride:stride, c]
-                acc += patch[:, :, None] * w64[r, s, c, :]
+    def requantize(acc, dst, f0, f1):
+        # every step is exact: acc holds integers below 2^53, scale is a power of two
+        counts[0] += _saturate(acc, INT32_MIN, INT32_MAX)
+        acc *= scale
+        np.floor(acc, out=acc)
+        counts[1] += _saturate(acc, INT16_MIN, INT16_MAX)
+        acc += biases[f0:f1]
+        counts[1] += _saturate(acc, INT16_MIN, INT16_MAX)
+        np.copyto(dst, acc, casting="unsafe")
 
-    sat32 = np.clip(acc, INT32_MIN, INT32_MAX)
-    n_acc = int(np.count_nonzero(sat32 != acc))
-    shifted = sat32 >> config.p
-    narrowed = np.clip(shifted, INT16_MIN, INT16_MAX)
-    n16 = int(np.count_nonzero(narrowed != shifted))
-    summed = narrowed + biases.astype(np.int64)
-    out = np.clip(summed, INT16_MIN, INT16_MAX)
-    n16 += int(np.count_nonzero(out != summed))
-    return IntFeatureMap(out, 16), n_acc, n16
+    out = np.empty((out_h, out_w, weights.shape[3]), dtype=np.int16)
+    conv_gemm(padded, weights, stride, out_h, out_w, requantize, out)
+    return IntFeatureMap(out, 16), counts[0], counts[1]
+
+
+def _saturate(a: np.ndarray, lo: int, hi: int) -> int:
+    """Clip ``a`` to [lo, hi] in place; returns how many entries were clipped."""
+    n = int(np.count_nonzero(a < lo)) + int(np.count_nonzero(a > hi))
+    np.clip(a, lo, hi, out=a)
+    return n
 
 
 def quant_leaky_relu(z: IntFeatureMap, p_alpha: int) -> IntFeatureMap:

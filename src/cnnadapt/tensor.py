@@ -3,6 +3,14 @@
 Layout is (height, width, channels) row-major everywhere. All types are
 immutable after construction; every operation is a pure function, so
 results are bit-reproducible run to run.
+
+Both engines convolve through ``conv_gemm``: the input windows are lowered
+to rows of a (pixels, kh*kw*c) matrix (im2col) and multiplied with the
+(kh*kw*c, filters) weight matrix in float64. Float products of float32
+operands are exact in float64 and each output is rounded to float32 once,
+after its bias is added. Integer products of int16 operands are integers of
+at most 2^30 in magnitude, so every partial sum of K <= 2^23 of them stays
+below 2^53 and the float64 GEMM computes the integer result exactly.
 """
 from __future__ import annotations
 
@@ -10,6 +18,7 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ModelFormatError, ShapeError
 
@@ -192,6 +201,15 @@ class BatchNormParams:
         return self.mu.shape[0]
 
 
+# Budget for conv_gemm's float64 scratch per call (window rows, weight block
+# and products); only a layer whose single window row exceeds it goes over.
+# At 8 MiB TinyYOLOv3's deepest layers (K = 4608, 1024 filters at 13x13) run
+# in two pixel tiles; at 4 MiB they take four, each re-casting the weights.
+GEMM_SCRATCH_BYTES = 8 << 20
+# Largest exact integer GEMM depth: K * 2^30 <= 2^53 (see module docstring).
+MAX_EXACT_INT_DEPTH = 2**23
+
+
 def _same_padding(in_dim: int, kernel: int, stride: int) -> tuple[int, int]:
     """Zero-pad amounts (begin, end) so that out = ceil(in / stride)."""
     out_dim = -(-in_dim // stride)
@@ -214,46 +232,90 @@ def conv_output_shape(in_h: int, in_w: int, kernel_h: int, kernel_w: int,
     raise ValueError(f"padding must be 'same' or 'valid', got {padding!r}")
 
 
-def _conv_accumulate(padded: np.ndarray, weights: np.ndarray, stride: int,
-                     out_h: int, out_w: int, acc: np.ndarray) -> np.ndarray:
-    # Fixed (c, kh, kw) accumulation order keeps float results bit-reproducible.
-    kernel_h, kernel_w, in_c, _ = weights.shape
-    for c in range(in_c):
-        for r in range(kernel_h):
-            for s in range(kernel_w):
-                patch = padded[r:r + out_h * stride:stride,
-                               s:s + out_w * stride:stride, c]
-                acc += patch[:, :, None] * weights[r, s, c, :]
-    return acc
+def conv_input(data: np.ndarray, weights: np.ndarray, stride: int, padding: str,
+               dtype) -> tuple[np.ndarray, int, int]:
+    """Validate a convolution and zero-pad its input: (padded, out_h, out_w)."""
+    if stride < 1:
+        raise ValueError(f"stride must be positive, got {stride}")
+    in_h, in_w, c_in = data.shape
+    kh, kw = weights.shape[0], weights.shape[1]
+    if c_in != weights.shape[2]:
+        raise ShapeError(
+            f"input has {c_in} channels but filters expect {weights.shape[2]}")
+    out_h, out_w = conv_output_shape(in_h, in_w, kh, kw, stride, padding)
+    if padding == "same":
+        pt, pb = _same_padding(in_h, kh, stride)
+        pl, pr = _same_padding(in_w, kw, stride)
+    else:
+        pt = pb = pl = pr = 0
+    padded = np.zeros((in_h + pt + pb, in_w + pl + pr, c_in), dtype=dtype)
+    padded[pt:pt + in_h, pl:pl + in_w, :] = data
+    return padded, out_h, out_w
+
+
+def conv_gemm(padded: np.ndarray, weights: np.ndarray, stride: int, out_h: int, out_w: int,
+              epilogue, out: np.ndarray) -> np.ndarray:
+    """Convolve a padded (h, w, c) map with (kh, kw, c, nf) weights as float64 GEMMs.
+
+    The output is tiled into pixel blocks (outer loop) and filter blocks
+    (inner loop) sized so that the scratch stays within GEMM_SCRATCH_BYTES.
+    For each tile, ``epilogue(acc, dst, f0, f1)`` receives the float64 sums
+    ``acc`` of shape (rows, cols, f1 - f0), which it may overwrite, and must
+    write the finished values into ``dst = out[rows, cols, f0:f1]``.
+    """
+    kh, kw, c_in, nf = weights.shape
+    depth = kh * kw * c_in
+    # (out_h, out_w, kh, kw, c): window element order matches weights.reshape(depth, nf)
+    windows = sliding_window_view(padded, (kh, kw), axis=(0, 1))
+    windows = windows[::stride, ::stride][:out_h, :out_w].transpose(0, 1, 3, 4, 2)
+    w2d = weights.reshape(depth, nf)
+
+    budget = GEMM_SCRATCH_BYTES // 8
+    fb = nf if depth * nf <= budget // 2 else max(1, budget // 2 // depth)
+    pixels = max(1, (budget - depth * fb) // (depth + fb))
+    tile_w = min(out_w, pixels)
+    tile_h = max(1, min(out_h, pixels // tile_w))
+    cols = np.empty(tile_h * tile_w * depth)
+    acc = np.empty(tile_h * tile_w * fb)
+    wblk = w2d.astype(np.float64) if fb == nf else np.empty((depth, fb))
+
+    for i0 in range(0, out_h, tile_h):
+        i1 = min(i0 + tile_h, out_h)
+        for j0 in range(0, out_w, tile_w):
+            j1 = min(j0 + tile_w, out_w)
+            n = (i1 - i0) * (j1 - j0)
+            a = cols[:n * depth].reshape(i1 - i0, j1 - j0, kh, kw, c_in)
+            np.copyto(a, windows[i0:i1, j0:j1])
+            a = a.reshape(n, depth)
+            for f0 in range(0, nf, fb):
+                f1 = min(f0 + fb, nf)
+                if fb < nf:
+                    b = wblk[:, :f1 - f0]
+                    np.copyto(b, w2d[:, f0:f1])
+                else:
+                    b = wblk
+                prod = np.matmul(a, b, out=acc[:n * (f1 - f0)].reshape(n, f1 - f0))
+                epilogue(prod.reshape(i1 - i0, j1 - j0, f1 - f0),
+                         out[i0:i1, j0:j1, f0:f1], f0, f1)
+    return out
 
 
 def conv2d(input: FeatureMap, filters: FilterBank, stride: int = 1,
            padding: str = "same") -> FeatureMap:
     """2-D convolution over (h, w, c) with per-filter bias.
 
-    Same padding pads with zeros; accumulation runs in fixed (c, kh, kw)
-    order so identical inputs always produce identical bits.
+    Same padding pads with zeros. Products and sums run in float64 through
+    ``conv_gemm`` and each output is rounded to float32 once, after the
+    bias add, so identical inputs always produce identical bits.
     """
-    if stride < 1:
-        raise ValueError(f"stride must be positive, got {stride}")
-    if input.channels != filters.in_channels:
-        raise ShapeError(
-            f"input has {input.channels} channels but filters expect {filters.in_channels}")
-    kh, kw = filters.kernel_h, filters.kernel_w
-    out_h, out_w = conv_output_shape(input.height, input.width, kh, kw, stride, padding)
-    if padding == "same":
-        pt, pb = _same_padding(input.height, kh, stride)
-        pl, pr = _same_padding(input.width, kw, stride)
-    else:
-        pt = pb = pl = pr = 0
-    padded = np.zeros((input.height + pt + pb, input.width + pl + pr, input.channels),
-                      dtype=np.float32)
-    padded[pt:pt + input.height, pl:pl + input.width, :] = input.data
+    padded, out_h, out_w = conv_input(input.data, filters.weights, stride, padding, np.float32)
+    bias = filters.biases
 
-    acc = np.zeros((out_h, out_w, filters.num_filters), dtype=np.float32)
-    _conv_accumulate(padded, filters.weights, stride, out_h, out_w, acc)
-    acc += filters.biases
-    return FeatureMap(acc)
+    def add_bias(acc, dst, f0, f1):
+        np.add(acc, bias[f0:f1], out=dst, casting="same_kind")
+
+    out = np.empty((out_h, out_w, filters.num_filters), dtype=np.float32)
+    return FeatureMap(conv_gemm(padded, filters.weights, stride, out_h, out_w, add_bias, out))
 
 
 def batchnorm_forward(z: FeatureMap, params: BatchNormParams) -> FeatureMap:
