@@ -16,10 +16,16 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import ModelFormatError
-from .model import Model, float_infer
+from .model import Model, float_infer, shape_infer
 from .tensor import FeatureMap, load_tensor
 
 THREADS_ENV = "CNNADAPT_THREADS"
+
+# Evaluators run their samples through float_infer in batches whose summed
+# float32 activations (every layer output, as shape_infer sizes it) stay
+# within this budget; a sample over budget on its own runs alone. A batch
+# holds two TinyYOLOv3-416 images (~31 MB each) or ~38 at 96x96.
+EVAL_BATCH_BYTES = 64 << 20
 
 
 def worker_count() -> int:
@@ -186,23 +192,48 @@ def load_dataset(directory) -> list[Sample]:
         fm = load_tensor(os.path.join(directory, f"{name}.tnsr"))
         if not isinstance(fm, FeatureMap):
             raise ModelFormatError(f"{directory}: {name}.tnsr is not a float tensor")
-        with open(label_path) as fh:
-            label = json.load(fh)
+        try:
+            with open(label_path) as fh:
+                label = json.load(fh)
+        except ValueError as e:  # invalid JSON or not UTF-8
+            raise ModelFormatError(f"{label_path}: invalid JSON ({e})") from e
+        if not isinstance(label, dict):
+            raise ModelFormatError(f"{label_path}: label must be a JSON object")
         if "class" not in label and "boxes" not in label:
             raise ModelFormatError(f"{label_path}: label needs 'class' or 'boxes'")
         samples.append(Sample(name, fm, label))
     return samples
 
 
-def _model_outputs(model: Model, fm: FeatureMap) -> list[FeatureMap]:
-    trace = float_infer(model, fm, taps=False)
-    return [trace[lid] for lid in model.output_ids()]
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _batched_outputs(model: Model, inputs: Sequence[FeatureMap]) -> list[list[FeatureMap]]:
+    """Per input, the model outputs, computed in batches of at most EVAL_BATCH_BYTES."""
+    shapes = shape_infer(model)
+    sample_bytes = 4 * sum(int(np.prod(shapes[l.id])) for l in model.layers
+                           if l.kind != "output_marker")
+    size = max(1, EVAL_BATCH_BYTES // sample_bytes)
+    out_ids = model.output_ids()
+    outputs = []
+    for i in range(0, len(inputs), size):
+        for trace in float_infer(model, inputs[i:i + size]):
+            outputs.append([trace[lid] for lid in out_ids])
+    return outputs
+
+
+def _top1(output: FeatureMap) -> int:
+    return int(np.argmax(output.data.mean(axis=(0, 1))))
 
 
 def predict_class(model: Model, fm: FeatureMap) -> int:
     """Top-1 class: argmax over channels of the spatially averaged last output."""
-    out = _model_outputs(model, fm)[-1]
-    return int(np.argmax(out.data.mean(axis=(0, 1))))
+    return _top1(float_infer(model, fm)[model.output_ids()[-1]])
 
 
 def accuracy_evaluator(samples: Iterable[Sample]) -> Callable[[Model], float]:
@@ -211,13 +242,38 @@ def accuracy_evaluator(samples: Iterable[Sample]) -> Callable[[Model], float]:
     bad = [s.name for s in samples if "class" not in s.label]
     if bad:
         raise ModelFormatError(f"samples without class labels: {bad}")
+    bad = [s.name for s in samples if not _is_int(s.label["class"])]
+    if bad:
+        raise ModelFormatError(f"samples whose class label is not an integer: {bad}")
+    inputs = [s.input for s in samples]
 
     def evaluate(model: Model) -> float:
-        hits = ordered_map(
-            lambda s: predict_class(model, s.input) == int(s.label["class"]), samples)
-        return sum(hits) / len(samples)
+        outputs = _batched_outputs(model, inputs)
+        hits = sum(_top1(outs[-1]) == s.label["class"] for outs, s in zip(outputs, samples))
+        return hits / len(samples)
 
     return evaluate
+
+
+_BOX_KEYS = ("x", "y", "w", "h", "class")
+
+
+def _truth_boxes(sample: Sample) -> list[GroundTruthBox]:
+    boxes = sample.label["boxes"]
+    if not isinstance(boxes, list):
+        raise ModelFormatError(f"sample {sample.name}: 'boxes' must be a list")
+    truths = []
+    for b in boxes:
+        if not (isinstance(b, dict) and all(k in b for k in _BOX_KEYS)
+                and all(_is_number(b[k]) for k in _BOX_KEYS) and _is_int(b["class"])):
+            raise ModelFormatError(f"sample {sample.name}: box {b!r} needs numbers "
+                                   f"{', '.join(_BOX_KEYS)}, with an integer class")
+        try:
+            truths.append(GroundTruthBox(x=b["x"], y=b["y"], w=b["w"], h=b["h"],
+                                         class_id=b["class"]))
+        except ValueError as e:
+            raise ModelFormatError(f"sample {sample.name}: {e}") from e
+    return truths
 
 
 def map_evaluator(samples: Iterable[Sample], iou_threshold: float = 0.5,
@@ -229,17 +285,12 @@ def map_evaluator(samples: Iterable[Sample], iou_threshold: float = 0.5,
     bad = [s.name for s in samples if "boxes" not in s.label]
     if bad:
         raise ModelFormatError(f"samples without box labels: {bad}")
-    truths = [[GroundTruthBox(x=b["x"], y=b["y"], w=b["w"], h=b["h"], class_id=b["class"])
-               for b in s.label["boxes"]] for s in samples]
+    truths = [_truth_boxes(s) for s in samples]
+    inputs = [s.input for s in samples]
 
     def evaluate(model: Model) -> float:
-        def decode_one(sample: Sample) -> list[Detection]:
-            dets: list[Detection] = []
-            for out in _model_outputs(model, sample.input):
-                dets.extend(postprocessor(out, score_threshold))
-            return dets
-
-        predictions = ordered_map(decode_one, samples)
+        predictions = [[det for out in outs for det in postprocessor(out, score_threshold)]
+                       for outs in _batched_outputs(model, inputs)]
         return evaluate_map(predictions, truths, iou_threshold)
 
     return evaluate

@@ -11,7 +11,7 @@ import json
 import os
 import struct
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from .tensor import (
     leaky_relu,
     maxpool,
     maxpool_output_shape,
+    split_batch,
     upsample_nearest,
 )
 
@@ -245,31 +246,40 @@ def shape_infer(model: Model) -> dict[str, tuple[int, int, int]]:
     return shapes
 
 
-def float_infer(model: Model, input: FeatureMap, taps: bool = False) -> InferenceTrace:
+def float_infer(model: Model, input: FeatureMap | Sequence[FeatureMap],
+                taps: bool = False) -> InferenceTrace | list[InferenceTrace]:
     """Run the float engine in topological order.
 
     Conv layers apply convolution, then batchnorm if present, then the
     activation. The trace holds every layer output when taps is set,
-    otherwise only the model outputs.
+    otherwise only the model outputs. ``input`` is one FeatureMap, which
+    gives one trace, or a list of them, which run as one batch (stacked
+    along the height, see ``tensor``) and give one trace per map. A batch
+    computes the same bits as running its maps one at a time.
     """
     shapes = shape_infer(model)
     in_layer = model.input_layer
-    if input.shape != shapes[in_layer.id]:
-        raise ShapeError(f"input shape {input.shape} != model input {shapes[in_layer.id]}")
+    maps = [input] if isinstance(input, FeatureMap) else list(input)
+    if not maps:
+        raise ValueError("float_infer needs at least one input map")
+    for fm in maps:
+        if fm.shape != shapes[in_layer.id]:
+            raise ShapeError(f"input shape {fm.shape} != model input {shapes[in_layer.id]}")
+    n = len(maps)
 
     acts: dict[str, FeatureMap] = {}
     for layer in model.layers:
         if layer.kind == "input":
-            out = input
+            out = maps[0] if n == 1 else FeatureMap(np.concatenate([m.data for m in maps]))
         elif layer.kind == "conv":
             p = model.params[layer.id]
-            out = conv2d(acts[layer.inputs[0]], p.filters, layer.stride, layer.padding)
+            out = conv2d(acts[layer.inputs[0]], p.filters, layer.stride, layer.padding, batch=n)
             if p.batchnorm is not None:
                 out = batchnorm_forward(out, p.batchnorm)
             if layer.activation == "leaky":
                 out = leaky_relu(out, layer.leaky_alpha)
         elif layer.kind == "maxpool":
-            out = maxpool(acts[layer.inputs[0]], layer.size, layer.stride)
+            out = maxpool(acts[layer.inputs[0]], layer.size, layer.stride, batch=n)
         elif layer.kind == "upsample":
             out = upsample_nearest(acts[layer.inputs[0]], layer.factor)
         elif layer.kind == "concat":
@@ -278,9 +288,11 @@ def float_infer(model: Model, input: FeatureMap, taps: bool = False) -> Inferenc
             out = acts[layer.inputs[0]]
         acts[layer.id] = out
 
-    if taps:
-        return {layer.id: acts[layer.id] for layer in model.layers}
-    return {lid: acts[lid] for lid in model.output_ids()}
+    kept = [layer.id for layer in model.layers] if taps else model.output_ids()
+    if isinstance(input, FeatureMap):
+        return {lid: acts[lid] for lid in kept}
+    per_map = {lid: split_batch(acts[lid], n) for lid in kept}
+    return [{lid: per_map[lid][i] for lid in kept} for i in range(n)]
 
 
 def randomize_weights(model: Model, rng: np.random.Generator,

@@ -138,8 +138,13 @@ def prune_below(model: Model, metrics: FilterMetricTable, threshold: float,
                                                config.min_filters_per_layer)
             dropped = set(removed_idx)
             keep_f = [i for i in range(fb.num_filters) if i not in dropped]
-            new_fb = FilterBank(fb.weights[:, :, kept_in, :][:, :, :, keep_f],
-                                fb.biases[keep_f])
+            # one contiguous take per axis that loses an index
+            w = fb.weights
+            if len(kept_in) < fb.in_channels:
+                w = w.take(kept_in, axis=2)
+            if len(keep_f) < fb.num_filters:
+                w = w.take(keep_f, axis=3)
+            new_fb = FilterBank(w, fb.biases[keep_f])
             params[layer.id] = ConvParams(new_fb, None)
             layers.append(replace(layer, num_filters=len(keep_f)))
             kept[layer.id] = keep_f

@@ -4,6 +4,13 @@ Layout is (height, width, channels) row-major everywhere. All types are
 immutable after construction; every operation is a pure function, so
 results are bit-reproducible run to run.
 
+A batch of N same-shaped maps travels as one rank-3 map with the maps
+stacked along the height, (N*h, w, c): the C-order layout of (N, h, w, c);
+``split_batch`` takes it apart. ``conv2d`` and ``maxpool`` take ``batch=N``
+so that padding and windows stay inside each map; the pointwise ops,
+``upsample_nearest`` and ``concat`` need no batch argument, since they never
+mix rows of different maps.
+
 Both engines convolve through ``conv_gemm``: the input windows are lowered
 to rows of a (pixels, kh*kw*c) matrix (im2col) and multiplied with the
 (kh*kw*c, filters) weight matrix in float64. Float products of float32
@@ -32,6 +39,7 @@ DTYPE_INT32 = 2
 
 _TENSOR_MAGIC = b"TNSR"
 _TENSOR_VERSION = 1
+_TENSOR_HEADER_BYTES = 22   # magic, version u32, dtype u8, rank u8, 3 dims u32
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -232,12 +240,22 @@ def conv_output_shape(in_h: int, in_w: int, kernel_h: int, kernel_w: int,
     raise ValueError(f"padding must be 'same' or 'valid', got {padding!r}")
 
 
+def _batch_view(data: np.ndarray, batch: int) -> np.ndarray:
+    """(N*h, w, c) stacked maps as an (N, h, w, c) view."""
+    rows, width, channels = data.shape
+    if batch < 1 or rows % batch:
+        raise ShapeError(f"{rows} rows do not split into {batch} stacked maps")
+    return data.reshape(batch, rows // batch, width, channels)
+
+
 def conv_input(data: np.ndarray, weights: np.ndarray, stride: int, padding: str,
-               dtype) -> tuple[np.ndarray, int, int]:
-    """Validate a convolution and zero-pad its input: (padded, out_h, out_w)."""
+               dtype, batch: int = 1) -> tuple[np.ndarray, int, int]:
+    """Validate a convolution and zero-pad each of the ``batch`` maps stacked in
+    ``data``: (padded of shape (batch, h, w, c), out_h, out_w)."""
     if stride < 1:
         raise ValueError(f"stride must be positive, got {stride}")
-    in_h, in_w, c_in = data.shape
+    maps = _batch_view(data, batch)
+    _, in_h, in_w, c_in = maps.shape
     kh, kw = weights.shape[0], weights.shape[1]
     if c_in != weights.shape[2]:
         raise ShapeError(
@@ -248,73 +266,85 @@ def conv_input(data: np.ndarray, weights: np.ndarray, stride: int, padding: str,
         pl, pr = _same_padding(in_w, kw, stride)
     else:
         pt = pb = pl = pr = 0
-    padded = np.zeros((in_h + pt + pb, in_w + pl + pr, c_in), dtype=dtype)
-    padded[pt:pt + in_h, pl:pl + in_w, :] = data
+    padded = np.zeros((batch, in_h + pt + pb, in_w + pl + pr, c_in), dtype=dtype)
+    padded[:, pt:pt + in_h, pl:pl + in_w, :] = maps
     return padded, out_h, out_w
 
 
 def conv_gemm(padded: np.ndarray, weights: np.ndarray, stride: int, out_h: int, out_w: int,
               epilogue, out: np.ndarray) -> np.ndarray:
-    """Convolve a padded (h, w, c) map with (kh, kw, c, nf) weights as float64 GEMMs.
+    """Convolve N padded (h, w, c) maps with (kh, kw, c, nf) weights as float64 GEMMs.
 
-    The output is tiled into pixel blocks (outer loop) and filter blocks
-    (inner loop) sized so that the scratch stays within GEMM_SCRATCH_BYTES.
-    For each tile, ``epilogue(acc, dst, f0, f1)`` receives the float64 sums
-    ``acc`` of shape (rows, cols, f1 - f0), which it may overwrite, and must
-    write the finished values into ``dst = out[rows, cols, f0:f1]``.
+    ``padded`` has shape (N, h, w, c); ``out`` holds the N outputs stacked,
+    (N * out_h, out_w, nf). The output is tiled into pixel blocks (outer
+    loop: several whole maps while they fit, else rows and columns of one
+    map) and filter blocks (inner loop) sized so that the scratch stays
+    within GEMM_SCRATCH_BYTES; the weights are cast to float64 once per
+    pixel block. For each tile, ``epilogue(acc, dst, f0, f1)`` receives the
+    float64 sums ``acc`` of shape (maps, rows, cols, f1 - f0), which it may
+    overwrite, and must write the finished values into
+    ``dst = out[maps, rows, cols, f0:f1]``.
     """
+    n = padded.shape[0]
     kh, kw, c_in, nf = weights.shape
     depth = kh * kw * c_in
-    # (out_h, out_w, kh, kw, c): window element order matches weights.reshape(depth, nf)
-    windows = sliding_window_view(padded, (kh, kw), axis=(0, 1))
-    windows = windows[::stride, ::stride][:out_h, :out_w].transpose(0, 1, 3, 4, 2)
+    # (n, out_h, out_w, kh, kw, c): window element order matches weights.reshape(depth, nf)
+    windows = sliding_window_view(padded, (kh, kw), axis=(1, 2))
+    windows = windows[:, ::stride, ::stride][:, :out_h, :out_w].transpose(0, 1, 2, 4, 5, 3)
     w2d = weights.reshape(depth, nf)
+    dst = out.reshape(n, out_h, out_w, nf)
 
     budget = GEMM_SCRATCH_BYTES // 8
     fb = nf if depth * nf <= budget // 2 else max(1, budget // 2 // depth)
     pixels = max(1, (budget - depth * fb) // (depth + fb))
     tile_w = min(out_w, pixels)
     tile_h = max(1, min(out_h, pixels // tile_w))
-    cols = np.empty(tile_h * tile_w * depth)
-    acc = np.empty(tile_h * tile_w * fb)
+    tile_n = max(1, min(n, pixels // (tile_h * tile_w)))
+    cols = np.empty(tile_n * tile_h * tile_w * depth)
+    acc = np.empty(tile_n * tile_h * tile_w * fb)
     wblk = w2d.astype(np.float64) if fb == nf else np.empty((depth, fb))
 
-    for i0 in range(0, out_h, tile_h):
-        i1 = min(i0 + tile_h, out_h)
-        for j0 in range(0, out_w, tile_w):
-            j1 = min(j0 + tile_w, out_w)
-            n = (i1 - i0) * (j1 - j0)
-            a = cols[:n * depth].reshape(i1 - i0, j1 - j0, kh, kw, c_in)
-            np.copyto(a, windows[i0:i1, j0:j1])
-            a = a.reshape(n, depth)
-            for f0 in range(0, nf, fb):
-                f1 = min(f0 + fb, nf)
-                if fb < nf:
-                    b = wblk[:, :f1 - f0]
-                    np.copyto(b, w2d[:, f0:f1])
-                else:
-                    b = wblk
-                prod = np.matmul(a, b, out=acc[:n * (f1 - f0)].reshape(n, f1 - f0))
-                epilogue(prod.reshape(i1 - i0, j1 - j0, f1 - f0),
-                         out[i0:i1, j0:j1, f0:f1], f0, f1)
+    for n0 in range(0, n, tile_n):
+        n1 = min(n0 + tile_n, n)
+        for i0 in range(0, out_h, tile_h):
+            i1 = min(i0 + tile_h, out_h)
+            for j0 in range(0, out_w, tile_w):
+                j1 = min(j0 + tile_w, out_w)
+                tile = (n1 - n0, i1 - i0, j1 - j0)
+                rows = tile[0] * tile[1] * tile[2]
+                a = cols[:rows * depth].reshape(*tile, kh, kw, c_in)
+                np.copyto(a, windows[n0:n1, i0:i1, j0:j1])
+                a = a.reshape(rows, depth)
+                for f0 in range(0, nf, fb):
+                    f1 = min(f0 + fb, nf)
+                    if fb < nf:
+                        b = wblk[:, :f1 - f0]
+                        np.copyto(b, w2d[:, f0:f1])
+                    else:
+                        b = wblk
+                    prod = np.matmul(a, b, out=acc[:rows * (f1 - f0)].reshape(rows, f1 - f0))
+                    epilogue(prod.reshape(*tile, f1 - f0),
+                             dst[n0:n1, i0:i1, j0:j1, f0:f1], f0, f1)
     return out
 
 
 def conv2d(input: FeatureMap, filters: FilterBank, stride: int = 1,
-           padding: str = "same") -> FeatureMap:
-    """2-D convolution over (h, w, c) with per-filter bias.
+           padding: str = "same", batch: int = 1) -> FeatureMap:
+    """2-D convolution over (h, w, c) with per-filter bias, of each of the
+    ``batch`` maps stacked in ``input``.
 
-    Same padding pads with zeros. Products and sums run in float64 through
-    ``conv_gemm`` and each output is rounded to float32 once, after the
-    bias add, so identical inputs always produce identical bits.
+    Same padding pads each map with zeros. Products and sums run in float64
+    through ``conv_gemm`` and each output is rounded to float32 once, after
+    the bias add, so identical inputs always produce identical bits.
     """
-    padded, out_h, out_w = conv_input(input.data, filters.weights, stride, padding, np.float32)
+    padded, out_h, out_w = conv_input(input.data, filters.weights, stride, padding,
+                                      np.float32, batch)
     bias = filters.biases
 
     def add_bias(acc, dst, f0, f1):
         np.add(acc, bias[f0:f1], out=dst, casting="same_kind")
 
-    out = np.empty((out_h, out_w, filters.num_filters), dtype=np.float32)
+    out = np.empty((batch * out_h, out_w, filters.num_filters), dtype=np.float32)
     return FeatureMap(conv_gemm(padded, filters.weights, stride, out_h, out_w, add_bias, out))
 
 
@@ -341,30 +371,33 @@ def maxpool_output_shape(in_h: int, in_w: int, stride: int) -> tuple[int, int]:
     return -(-in_h // stride), -(-in_w // stride)
 
 
-def _pool_window_max(data: np.ndarray, size: int, stride: int, sentinel) -> np.ndarray:
-    in_h, in_w, c = data.shape
+def _pool_window_max(data: np.ndarray, size: int, stride: int, sentinel,
+                     batch: int = 1) -> np.ndarray:
+    maps = _batch_view(data, batch)
+    _, in_h, in_w, c = maps.shape
     out_h, out_w = maxpool_output_shape(in_h, in_w, stride)
-    # Pad bottom/right with a never-selected sentinel so edge windows that
-    # overhang (stride-1 pooling at the border) only see real elements.
+    # Pad each map's bottom/right with a never-selected sentinel so edge windows
+    # that overhang (stride-1 pooling at the border) only see its own elements.
     pad_h = max((out_h - 1) * stride + size - in_h, 0)
     pad_w = max((out_w - 1) * stride + size - in_w, 0)
-    padded = np.full((in_h + pad_h, in_w + pad_w, c), sentinel, dtype=data.dtype)
-    padded[:in_h, :in_w, :] = data
-    out = np.full((out_h, out_w, c), sentinel, dtype=data.dtype)
+    padded = np.full((batch, in_h + pad_h, in_w + pad_w, c), sentinel, dtype=data.dtype)
+    padded[:, :in_h, :in_w, :] = maps
+    out = np.full((batch, out_h, out_w, c), sentinel, dtype=data.dtype)
     for r in range(size):
         for s in range(size):
-            window = padded[r:r + out_h * stride:stride, s:s + out_w * stride:stride, :]
+            window = padded[:, r:r + out_h * stride:stride, s:s + out_w * stride:stride, :]
             np.maximum(out, window, out=out)
-    return out
+    return out.reshape(batch * out_h, out_w, c)
 
 
-def maxpool(input: FeatureMap, size: int, stride: int) -> FeatureMap:
-    """Channelwise window maximum with ceil-mode output (out = ceil(in / stride))."""
+def maxpool(input: FeatureMap, size: int, stride: int, batch: int = 1) -> FeatureMap:
+    """Channelwise window maximum with ceil-mode output (out = ceil(in / stride)),
+    of each of the ``batch`` maps stacked in ``input``."""
     if size < 1 or stride < 1:
         raise ValueError(f"pool size and stride must be positive, got {size}, {stride}")
     if input.channels == 0:
         raise ShapeError("cannot pool a zero-channel feature map")
-    out = _pool_window_max(input.data, size, stride, np.float32(-np.inf))
+    out = _pool_window_max(input.data, size, stride, np.float32(-np.inf), batch)
     return FeatureMap(out)
 
 
@@ -407,6 +440,11 @@ def concat_int(a: IntFeatureMap, b: IntFeatureMap) -> IntFeatureMap:
     return IntFeatureMap(np.concatenate([a.data, b.data], axis=2), a.width_bits)
 
 
+def split_batch(stacked: FeatureMap, batch: int) -> list[FeatureMap]:
+    """The ``batch`` maps stacked in a batch map, as views of its data."""
+    return [FeatureMap(m) for m in _batch_view(stacked.data, batch)]
+
+
 # ---------------------------------------------------------------------------
 # Tensor container file ("TNSR")
 # ---------------------------------------------------------------------------
@@ -437,6 +475,9 @@ def save_tensor(path, fm: FeatureMap | IntFeatureMap) -> None:
 def load_tensor(path) -> FeatureMap | IntFeatureMap:
     with open(path, "rb") as fh:
         raw = fh.read()
+    if len(raw) < _TENSOR_HEADER_BYTES:
+        raise ModelFormatError(f"{path}: truncated tensor header ({len(raw)} bytes, "
+                               f"need {_TENSOR_HEADER_BYTES})")
     if raw[:4] != _TENSOR_MAGIC:
         raise ModelFormatError(f"{path}: not a tensor container (bad magic)")
     version, code, rank = struct.unpack_from("<IBB", raw, 4)
@@ -447,7 +488,7 @@ def load_tensor(path) -> FeatureMap | IntFeatureMap:
     dims = struct.unpack_from("<3I", raw, 10)
     dtype = _NUMPY_DTYPES[code]
     expected = dims[0] * dims[1] * dims[2] * dtype.itemsize
-    body = raw[22:]
+    body = raw[_TENSOR_HEADER_BYTES:]
     if len(body) != expected:
         raise ModelFormatError(f"{path}: payload is {len(body)} bytes, expected {expected}")
     data = np.frombuffer(body, dtype=dtype).reshape(dims)

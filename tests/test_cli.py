@@ -214,3 +214,47 @@ def test_console_script_runs_in_subprocess(tmp_path):
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0
     assert "GFLOPs" in proc.stdout
+
+
+def test_truncated_tensor_is_format_error(tmp_path, fused_model_path, capsys):
+    # magic, version and dtype/rank, but the header stops before its dims
+    path = tmp_path / "short.tnsr"
+    path.write_bytes(b"TNSR" + (1).to_bytes(4, "little") + bytes([0, 3, 6, 0]))
+    assert len(path.read_bytes()) == 12
+    code = run(["infer", "-i", str(fused_model_path), "--input", str(path),
+                "--engine", "float", "--taps", str(tmp_path / "taps")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error:" in err and "truncated" in err and "Traceback" not in err
+
+
+_GOOD_BOX = {"x": 1, "y": 1, "w": 2, "h": 2, "class": 0}
+
+
+@pytest.mark.parametrize("eval_kind, label_text, message", [
+    ("accuracy", '{"class": 1', "invalid JSON"),
+    ("accuracy", "[1, 2]", "JSON object"),
+    ("accuracy", '"class"', "JSON object"),
+    ("accuracy", '{"class": "1"}', "not an integer"),
+    ("accuracy", '{"class": 1.5}', "not an integer"),
+    ("accuracy", '{"class": true}', "not an integer"),
+    ("map", json.dumps({"boxes": [{k: v for k, v in _GOOD_BOX.items() if k != "w"}]}),
+     "needs numbers"),
+    ("map", json.dumps({"boxes": [dict(_GOOD_BOX, **{"class": False})]}), "needs numbers"),
+    ("map", json.dumps({"boxes": [dict(_GOOD_BOX, x="1")]}), "needs numbers"),
+    ("map", json.dumps({"boxes": [dict(_GOOD_BOX, h=-1)]}), "non-negative"),
+    ("map", json.dumps({"boxes": {"x": 1}}), "must be a list"),
+])
+def test_prune_rejects_malformed_labels(tmp_path, rng, fused_model_path, capsys,
+                                        eval_kind, label_text, message):
+    data = _write_dataset(tmp_path / "data", rng)
+    if eval_kind == "map":
+        for i in range(3):
+            (data / f"s{i}.json").write_text(json.dumps({"boxes": [_GOOD_BOX]}))
+    (data / "s1.json").write_text(label_text)
+    code = run(["prune", "-i", str(fused_model_path), "-o", str(tmp_path / "p.json"),
+                "--data", str(data), "--eval", eval_kind])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error:" in err and message in err and "Traceback" not in err
+    assert not (tmp_path / "p.json").exists()
