@@ -126,8 +126,14 @@ def _cmd_fuse(args) -> int:
     return EXIT_OK
 
 
-def _build_evaluator(args):
+def _build_evaluator(args, model):
     samples = evaluation.load_dataset(args.data)
+    in_layer = model.input_layer
+    expected = (in_layer.height, in_layer.width, in_layer.channels)
+    for sample in samples:
+        if sample.input.shape != expected:
+            raise ModelFormatError(f"{args.data}: sample {sample.name!r} has shape "
+                                   f"{sample.input.shape}, model input is {expected}")
     if args.eval == "accuracy":
         return evaluation.accuracy_evaluator(samples)
     return evaluation.map_evaluator(samples, iou_threshold=args.iou,
@@ -144,7 +150,7 @@ def _cmd_prune(args) -> int:
         metric=args.metric, sparsity_eps=args.eps, delta_map=args.delta_map,
         t_start=args.t_start, delta_t=args.delta_t,
         min_filters_per_layer=args.min_filters, no_prune=frozenset(no_prune))
-    evaluator = _build_evaluator(args)
+    evaluator = _build_evaluator(args, model)
     pruned, report = pruning.prune_routine(model, config, evaluator)
     save_model(pruned, args.output_model)
     if args.report:

@@ -8,10 +8,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -327,59 +328,70 @@ _RECORD_DTYPES = {DTYPE_FLOAT32: np.dtype("<f4"), DTYPE_INT16: np.dtype("<i2")}
 _BN_SUFFIXES = ("gamma", "beta", "mu", "sigma2")
 
 
-def pack_record(name: str, arr: np.ndarray, dtype_code: int) -> bytes:
-    encoded = name.encode("utf-8")
+def record_chunks(records: Iterable[tuple[str, np.ndarray]],
+                  dtype_code: int) -> Iterator[bytes | memoryview]:
+    """Encode ``records`` (name, array) as a weights blob, one chunk at a time.
+
+    Yields the blob header, then per record its head (name length, UTF-8
+    name, dtype code, rank, dims) and its payload as a memoryview. The
+    payload is the array itself when it is already C-contiguous in the record
+    dtype, so concatenating the chunks gives the blob without copying it.
+    """
     dtype = _RECORD_DTYPES[dtype_code]
-    payload = np.ascontiguousarray(arr.astype(dtype)).tobytes()
-    head = struct.pack("<H", len(encoded)) + encoded
-    head += struct.pack("<BB", dtype_code, arr.ndim)
-    head += struct.pack(f"<{arr.ndim}I", *arr.shape)
-    return head + payload
+    yield _WEIGHTS_MAGIC + struct.pack("<I", _WEIGHTS_VERSION)
+    for name, arr in records:
+        encoded = name.encode("utf-8")
+        yield (struct.pack("<H", len(encoded)) + encoded
+               + struct.pack(f"<BB{arr.ndim}I", dtype_code, arr.ndim, *arr.shape))
+        yield memoryview(np.ascontiguousarray(arr, dtype=dtype)).cast("B")
 
 
-def iter_records(blob: bytes, path) :
-    """Yield (name, ndarray, dtype_code) records from a weights blob body."""
+def iter_records(blob, path) -> Iterator[tuple[str, np.ndarray, int]]:
+    """Yield (name, ndarray, dtype_code) records from a weights blob body.
+
+    Each array is one aligned copy of its payload. A body cut short anywhere,
+    or a name that is not UTF-8, raises ModelFormatError.
+    """
     off = 0
     while off < len(blob):
         if off + 2 > len(blob):
             raise ModelFormatError(f"{path}: truncated record header")
         (name_len,) = struct.unpack_from("<H", blob, off)
         off += 2
-        name = blob[off:off + name_len].decode("utf-8")
+        if off + name_len + 2 > len(blob):
+            raise ModelFormatError(f"{path}: truncated record header")
+        try:
+            name = bytes(blob[off:off + name_len]).decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise ModelFormatError(f"{path}: record name is not UTF-8 ({e})") from e
         off += name_len
         dtype_code, rank = struct.unpack_from("<BB", blob, off)
         off += 2
         if dtype_code not in _RECORD_DTYPES:
             raise ModelFormatError(f"{path}: record {name!r} has unknown dtype {dtype_code}")
+        if off + 4 * rank > len(blob):
+            raise ModelFormatError(f"{path}: record {name!r} dims truncated")
         dims = struct.unpack_from(f"<{rank}I", blob, off)
         off += 4 * rank
         dtype = _RECORD_DTYPES[dtype_code]
-        nbytes = int(np.prod(dims)) * dtype.itemsize if rank else dtype.itemsize
-        if off + nbytes > len(blob):
+        count = math.prod(dims)
+        if off + count * dtype.itemsize > len(blob):
             raise ModelFormatError(f"{path}: record {name!r} payload truncated")
-        arr = np.frombuffer(blob[off:off + nbytes], dtype=dtype).reshape(dims)
-        off += nbytes
+        arr = np.frombuffer(blob, dtype=dtype, count=count, offset=off).reshape(dims).copy()
+        off += count * dtype.itemsize
         yield name, arr, dtype_code
 
 
-def _weight_records(model: Model) -> list[tuple[str, np.ndarray]]:
-    records = []
+def _weight_records(model: Model) -> Iterator[tuple[str, np.ndarray]]:
     for layer in model.layers:
         if layer.kind != "conv":
             continue
         p = model.params[layer.id]
-        records.append((f"{layer.id}.W", p.filters.weights))
-        records.append((f"{layer.id}.b", p.filters.biases))
+        yield f"{layer.id}.W", p.filters.weights
+        yield f"{layer.id}.b", p.filters.biases
         if p.batchnorm is not None:
             for suffix in _BN_SUFFIXES:
-                records.append((f"{layer.id}.{suffix}", getattr(p.batchnorm, suffix)))
-    return records
-
-
-def weights_blob(model: Model) -> bytes:
-    body = b"".join(pack_record(name, arr, DTYPE_FLOAT32)
-                    for name, arr in _weight_records(model))
-    return _WEIGHTS_MAGIC + struct.pack("<I", _WEIGHTS_VERSION) + body
+                yield f"{layer.id}.{suffix}", getattr(p.batchnorm, suffix)
 
 
 def manifest_dict(model: Model, weights_rel: str) -> dict:
@@ -393,39 +405,68 @@ def manifest_dict(model: Model, weights_rel: str) -> dict:
 
 
 def model_digest(model: Model) -> str:
-    """Stable identity hash over structure and parameters."""
+    """Stable identity hash over structure and parameters.
+
+    sha256 of the sorted-key manifest JSON (with an empty weights path)
+    followed by the weights blob, which is hashed as it is encoded.
+    """
     h = hashlib.sha256()
     h.update(json.dumps(manifest_dict(model, ""), sort_keys=True).encode())
-    h.update(weights_blob(model))
+    for chunk in record_chunks(_weight_records(model), DTYPE_FLOAT32):
+        h.update(chunk)
     return h.hexdigest()
 
 
-def _atomic_write(path, data: bytes) -> None:
+def _atomic_write(path, chunks: Iterable[bytes | memoryview]) -> None:
+    """Write ``chunks`` to a temp file, then rename it over ``path``.
+
+    If a write or the chunk iterator raises, the temp file is removed and
+    ``path`` keeps its old content.
+    """
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "wb") as fh:
-        fh.write(data)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
+def write_model_files(model, manifest_path, records: Iterable[tuple[str, np.ndarray]],
+                      dtype_code: int, **extra) -> None:
+    """Write the weights blob of ``records``, then the manifest naming it.
+
+    ``model`` supplies the layers and the input block (a Model or a
+    QuantizedModel); ``extra`` adds top-level manifest blocks after
+    ``weights``. Both files are written through ``_atomic_write``.
+    """
+    manifest_path = os.fspath(manifest_path)
+    weights_rel = os.path.splitext(os.path.basename(manifest_path))[0] + ".weights"
+    weights_path = os.path.join(os.path.dirname(manifest_path) or ".", weights_rel)
+    manifest = {**manifest_dict(model, weights_rel), **extra}
+    _atomic_write(weights_path, record_chunks(records, dtype_code))
+    _atomic_write(manifest_path, [(json.dumps(manifest, indent=2) + "\n").encode()])
 
 
 def save_model(model: Model, manifest_path) -> None:
     """Write manifest JSON plus the weights blob next to it (atomic rename)."""
-    manifest_path = os.fspath(manifest_path)
-    weights_rel = os.path.splitext(os.path.basename(manifest_path))[0] + ".weights"
-    weights_path = os.path.join(os.path.dirname(manifest_path) or ".", weights_rel)
-    manifest = manifest_dict(model, weights_rel)
-    _atomic_write(weights_path, weights_blob(model))
-    _atomic_write(manifest_path, (json.dumps(manifest, indent=2) + "\n").encode())
+    write_model_files(model, manifest_path, _weight_records(model), DTYPE_FLOAT32)
 
 
-def read_weights_blob(path) -> bytes:
+def read_weights_blob(path) -> memoryview:
+    """The body of a weights blob (after its magic and version), without a copy."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw[:4] != _WEIGHTS_MAGIC:
         raise ModelFormatError(f"{path}: not a weights blob (bad magic)")
+    if len(raw) < 8:
+        raise ModelFormatError(f"{path}: truncated weights header ({len(raw)} bytes)")
     (version,) = struct.unpack_from("<I", raw, 4)
     if version != _WEIGHTS_VERSION:
         raise ModelFormatError(f"{path}: unsupported weights version {version}")
-    return raw[8:]
+    return memoryview(raw)[8:]
 
 
 def load_manifest(manifest_path) -> tuple[dict, str]:

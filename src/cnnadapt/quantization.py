@@ -8,8 +8,6 @@ narrowing saturated and counted instead of silently wrapping.
 from __future__ import annotations
 
 import json
-import os
-import struct
 from dataclasses import dataclass, field, replace
 from typing import Union
 
@@ -20,13 +18,12 @@ from .model import (
     ConvParams,
     LayerSpec,
     Model,
-    _atomic_write,
     iter_records,
     load_manifest,
     model_digest,
-    pack_record,
     read_weights_blob,
     shape_infer,
+    write_model_files,
 )
 from .tensor import (
     DTYPE_INT16,
@@ -46,6 +43,7 @@ from .tensor import (
 )
 
 MAX_SCALE_EXPONENT = 14  # values in [-1, 1] keep int16 headroom
+QUANTIZE_CHUNK = 1 << 16  # quantize_tensor's elements per pass: 512 KiB float64 buffers
 
 
 @dataclass(frozen=True)
@@ -81,12 +79,37 @@ def quantize_value(v: float, p: int) -> int:
 
 
 def quantize_tensor(values: np.ndarray, p: int) -> tuple[np.ndarray, int]:
-    """Vectorized quantize_value; returns (int16 array, saturation count)."""
-    scaled = np.asarray(values, dtype=np.float64) * (2 ** p)
-    q = np.where(scaled >= 0, np.floor(scaled + 0.5), np.ceil(scaled - 0.5)).astype(np.int64)
-    clipped = np.clip(q, INT16_MIN, INT16_MAX)
-    saturated = int(np.count_nonzero(clipped != q))
-    return clipped.astype(np.int16), saturated
+    """Vectorized quantize_value; returns (int16 array, saturation count).
+
+    The input is processed in chunks of QUANTIZE_CHUNK elements through two
+    reused float64 buffers, so no temporary is as large as the tensor.
+    Together the steps give quantize_value's result exactly:
+      - q = x * 2^p in float64 is exact, since 2^p is a power of two;
+      - q + 0.5 for q >= 0 and q - 0.5 for q < 0 are the very additions
+        quantize_value makes;
+      - trunc of a sum above 0 is its floor, of a sum below 0 its ceil;
+      - counting and clipping to int16 happen in float64, so a value beyond
+        any integer width saturates on its own side, where an int64 cast
+        would wrap it to INT64_MIN.
+    """
+    src = np.asarray(values)
+    flat = src.reshape(-1)
+    out = np.empty(src.shape, dtype=np.int16)
+    out_flat = out.reshape(-1)
+    buf = np.empty(min(flat.size, QUANTIZE_CHUNK), dtype=np.float64)
+    half = np.empty_like(buf)
+    scale = float(2 ** p)
+    saturated = 0
+    for start in range(0, flat.size, QUANTIZE_CHUNK):
+        stop = min(start + QUANTIZE_CHUNK, flat.size)
+        q, h = buf[:stop - start], half[:stop - start]
+        np.multiply(flat[start:stop], scale, out=q, dtype=np.float64)
+        np.subtract(0.5, q < 0, out=h)
+        q += h
+        np.trunc(q, out=q)
+        saturated += _saturate(q, INT16_MIN, INT16_MAX)
+        np.copyto(out_flat[start:stop], q, casting="unsafe")
+    return out, saturated
 
 
 def dequantize(values: np.ndarray, p: int) -> np.ndarray:
@@ -302,28 +325,15 @@ def int_infer(qmodel: QuantizedModel, input: IntFeatureMap,
 # ---------------------------------------------------------------------------
 
 def save_quantized_model(qmodel: QuantizedModel, manifest_path) -> None:
-    manifest_path = os.fspath(manifest_path)
-    weights_rel = os.path.splitext(os.path.basename(manifest_path))[0] + ".weights"
-    weights_path = os.path.join(os.path.dirname(manifest_path) or ".", weights_rel)
-
-    in_layer = qmodel.input_layer
-    manifest = {
-        "format_version": 1,
-        "input": {"h": in_layer.height, "w": in_layer.width, "c": in_layer.channels},
-        "layers": [l.to_json_dict() for l in qmodel.layers],
-        "weights": weights_rel,
-        "quantization": {"p": qmodel.config.p, "p_alpha": qmodel.config.p_alpha,
-                         "source_digest": qmodel.source_digest},
-    }
-    body = b""
+    """Write the manifest, with its quantization block, and the int16 weights blob."""
+    records = []
     for layer in qmodel.layers:
-        if layer.kind != "conv":
-            continue
-        qp = qmodel.qparams[layer.id]
-        body += pack_record(f"{layer.id}.W", qp.weights, DTYPE_INT16)
-        body += pack_record(f"{layer.id}.b", qp.biases, DTYPE_INT16)
-    _atomic_write(weights_path, b"CNNW" + struct.pack("<I", 1) + body)
-    _atomic_write(manifest_path, (json.dumps(manifest, indent=2) + "\n").encode())
+        if layer.kind == "conv":
+            qp = qmodel.qparams[layer.id]
+            records += [(f"{layer.id}.W", qp.weights), (f"{layer.id}.b", qp.biases)]
+    write_model_files(qmodel, manifest_path, records, DTYPE_INT16,
+                      quantization={"p": qmodel.config.p, "p_alpha": qmodel.config.p_alpha,
+                                    "source_digest": qmodel.source_digest})
 
 
 def load_quantized_model(manifest_path) -> QuantizedModel:

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 from cnnadapt.cli import run
-from cnnadapt.model import load_model, randomize_weights, save_model
-from cnnadapt.tensor import FeatureMap, save_tensor
+from cnnadapt.model import ConvParams, Model, load_model, randomize_weights, save_model
+from cnnadapt.quantization import load_quantized_model
+from cnnadapt.tensor import INT16_MAX, FeatureMap, FilterBank, save_tensor
 from cnnadapt.tinyyolo import build_tinyyolov3
 from util import chain_model, feature_map
 
@@ -226,6 +227,52 @@ def test_truncated_tensor_is_format_error(tmp_path, fused_model_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "error:" in err and "truncated" in err and "Traceback" not in err
+
+
+# The first record of fused.weights is conv_1.W: 8-byte blob header, name length
+# (8..10), name (10..18), dtype and rank (18..20), four dims (20..36), payload.
+@pytest.mark.parametrize("cut", [6, 12, 19, 23, 30])
+def test_truncated_weights_blob_is_format_error(fused_model_path, capsys, cut):
+    weights = fused_model_path.with_suffix(".weights")
+    weights.write_bytes(weights.read_bytes()[:cut])
+    code = run(["flops", "-i", str(fused_model_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error:" in err and "truncated" in err and "Traceback" not in err
+
+
+def test_weights_record_name_not_utf8_is_format_error(fused_model_path, capsys):
+    weights = fused_model_path.with_suffix(".weights")
+    blob = bytearray(weights.read_bytes())
+    blob[10] = 0xFF
+    weights.write_bytes(bytes(blob))
+    code = run(["flops", "-i", str(fused_model_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error:" in err and "UTF-8" in err and "Traceback" not in err
+
+
+def test_quantize_saturates_huge_weight_to_positive_max(tmp_path, rng):
+    model = chain_model(rng, [3], hw=4, in_channels=2)
+    fb = model.params["conv_1"].filters
+    w = np.array(fb.weights)
+    w[0, 0, 0, 0] = 1e20
+    path = tmp_path / "huge.json"
+    save_model(Model(model.layers, {"conv_1": ConvParams(FilterBank(w, fb.biases))}), path)
+    assert run(["quantize", "-i", str(path), "-o", str(tmp_path / "q.json")]) == 0
+    assert load_quantized_model(tmp_path / "q.json").qparams["conv_1"].weights[0, 0, 0, 0] \
+        == INT16_MAX
+
+
+def test_prune_rejects_sample_of_wrong_shape(tmp_path, rng, fused_model_path, capsys):
+    data = _write_dataset(tmp_path / "data", rng)
+    save_tensor(data / "s1.tnsr", feature_map(rng, 5, 6, 2))
+    code = run(["prune", "-i", str(fused_model_path), "-o", str(tmp_path / "p.json"),
+                "--data", str(data)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error:" in err and "'s1'" in err and "(5, 6, 2)" in err and "Traceback" not in err
+    assert not (tmp_path / "p.json").exists()
 
 
 _GOOD_BOX = {"x": 1, "y": 1, "w": 2, "h": 2, "class": 0}

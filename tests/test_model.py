@@ -1,22 +1,27 @@
 """Layer graph validation, shape inference, the float engine and the file format."""
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
 from cnnadapt.errors import ModelFormatError, ShapeError
+from cnnadapt.fusion import fuse_model
 from cnnadapt.model import (
     ConvParams,
     LayerSpec,
     Model,
+    _atomic_write,
     float_infer,
     load_model,
+    manifest_dict,
     model_digest,
     randomize_weights,
     save_model,
     shape_infer,
     zero_filter_bank,
 )
+from cnnadapt.quantization import quantize_model, save_quantized_model
 from cnnadapt.tensor import BatchNormParams, FeatureMap, FilterBank
 from cnnadapt.tinyyolo import HEAD_IDS, build_tinyyolov3, head_filters
 from util import bank, chain_model, conv_spec, feature_map, identity_bank, random_bn
@@ -250,6 +255,56 @@ def test_digest_tracks_weight_changes(rng):
     w[0, 0, 0, 0] += 0.25
     changed = Model(model.layers, {"conv_1": ConvParams(FilterBank(w, fb.biases), None)})
     assert model_digest(changed) != d0
+
+
+# Frozen identities of a seeded model: a change to the file format or to the
+# digest's definition changes them.
+_FROZEN_MODEL_DIGEST = "f9bd4c3d00a8074f5bf09c8869a5d61ce9f733e55e31d995ac9a548931ea5be1"
+_FROZEN_WEIGHTS_SHA256 = "dfc74792562586337b57b7efc4881ab9be3dcd2eb54b349a0239e5d0cd28da82"
+_FROZEN_QUANT_WEIGHTS_SHA256 = "94d6e91e399a1c582556276eb7b0d9851d8b40dd98ffd54aa0c5e922a03f64d3"
+
+
+def _sha256_file(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_digest_and_saved_weights_are_frozen(tmp_path):
+    model = chain_model(np.random.default_rng(7), [4, 3], hw=6, in_channels=2, bn=True)
+    save_model(model, tmp_path / "m.json")
+    save_quantized_model(quantize_model(fuse_model(model)), tmp_path / "q.json")
+    assert model_digest(model) == _FROZEN_MODEL_DIGEST
+    assert _sha256_file(tmp_path / "m.weights") == _FROZEN_WEIGHTS_SHA256
+    assert _sha256_file(tmp_path / "q.weights") == _FROZEN_QUANT_WEIGHTS_SHA256
+
+
+def test_digest_hashes_manifest_then_saved_blob(tmp_path, rng):
+    model = chain_model(rng, [4, 3], hw=6, bn=True)
+    save_model(model, tmp_path / "m.json")
+    h = hashlib.sha256(json.dumps(manifest_dict(model, ""), sort_keys=True).encode())
+    h.update((tmp_path / "m.weights").read_bytes())
+    assert model_digest(model) == h.hexdigest()
+
+
+def _raises_mid_stream():
+    yield b"new "
+    yield memoryview(b"partial")
+    raise RuntimeError("encoder failed")
+
+
+def _unwritable_chunk():
+    yield b"new "
+    yield 12345  # not bytes-like: the write itself raises
+
+
+@pytest.mark.parametrize("chunks, error", [(_raises_mid_stream, RuntimeError),
+                                           (_unwritable_chunk, TypeError)])
+def test_atomic_write_failure_keeps_destination(tmp_path, chunks, error):
+    dest = tmp_path / "out.weights"
+    dest.write_bytes(b"old content")
+    with pytest.raises(error):
+        _atomic_write(dest, chunks())
+    assert dest.read_bytes() == b"old content"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.weights"]  # no temp file left
 
 
 def test_manifest_input_block_must_match_layer(tmp_path, rng):

@@ -1,4 +1,6 @@
 """Power-of-two quantization: rounding, shifts, the integer engine, serialization."""
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from cnnadapt.errors import ModelFormatError, PipelineError, ShapeError
 from cnnadapt.model import load_model, model_digest, save_model
 from cnnadapt.quantization import (
     MAX_SCALE_EXPONENT,
+    QUANTIZE_CHUNK,
     OverflowStats,
     QuantConfig,
     QuantConvParams,
@@ -73,6 +76,70 @@ def test_quantize_tensor_counts_saturations():
     assert q.dtype == np.int16
     np.testing.assert_array_equal(q, [128, INT16_MAX, -64, INT16_MIN])
     assert sat == 2
+
+
+def _scalar_reference(values, p):
+    """quantize_value per element, plus how many rounded values left int16."""
+    flat = np.asarray(values).reshape(-1)
+    expected = [quantize_value(v, p) for v in flat]
+    saturated = 0
+    for v in flat:
+        scaled = float(v) * 2 ** p
+        r = math.floor(scaled + 0.5) if scaled >= 0 else math.ceil(scaled - 0.5)
+        saturated += not INT16_MIN <= r <= INT16_MAX
+    return np.array(expected, dtype=np.int16).reshape(np.shape(values)), saturated
+
+
+def _edge_values(p):
+    step = 2.0 ** -p
+    return [1e30, -1e30, 3e38, -3e38, 1e20, -1e20,
+            0.5 * step, -0.5 * step, 1.5 * step, -1.5 * step, 2.5 * step, -2.5 * step,
+            32767.5 * step, -32768.5 * step, 32767.49 * step, -32768.49 * step,
+            -0.0, 0.0, 5e-324, -5e-324, 1e-45, -1e-45, 1e-310, -1e-310]
+
+
+@pytest.mark.parametrize("p", range(MAX_SCALE_EXPONENT + 1))
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_quantize_tensor_matches_quantize_value_on_edge_values(p, dtype):
+    values = np.array(_edge_values(p), dtype=dtype)
+    q, sat = quantize_tensor(values, p)
+    expected, expected_sat = _scalar_reference(values, p)
+    assert q.dtype == np.int16
+    np.testing.assert_array_equal(q, expected)
+    assert sat == expected_sat
+
+
+def test_quantize_tensor_saturates_huge_values_on_their_own_side():
+    # beyond 2^63 an int64 cast would wrap to INT64_MIN; the result must not
+    q, sat = quantize_tensor(np.array([1e30, -1e30, 3e38]), 8)
+    np.testing.assert_array_equal(q, [INT16_MAX, INT16_MIN, INT16_MAX])
+    assert sat == 3
+    assert quantize_value(1e30, 8) == INT16_MAX
+
+
+@pytest.mark.parametrize("size", [1, QUANTIZE_CHUNK, QUANTIZE_CHUNK + 7])
+def test_quantize_tensor_across_chunk_boundaries(rng, size):
+    values = rng.uniform(-200, 200, size).astype(np.float32)
+    for i, v in zip((0, QUANTIZE_CHUNK - 1, QUANTIZE_CHUNK, size - 1),
+                    (1e30, -3e38, 0.5 / 256, -1e20)):
+        if i < size:
+            values[i] = v
+    q, sat = quantize_tensor(values, 8)
+    expected, expected_sat = _scalar_reference(values, 8)
+    np.testing.assert_array_equal(q, expected)
+    assert sat == expected_sat > 0
+
+
+def test_quantize_tensor_on_strided_view(rng):
+    base = rng.uniform(-200, 200, (QUANTIZE_CHUNK // 4 + 3, 6)).astype(np.float32)
+    base[5, 0] = 1e30
+    view = base.T[::2]
+    assert not view.flags.c_contiguous
+    q, sat = quantize_tensor(view, 8)
+    expected, expected_sat = _scalar_reference(view, 8)
+    assert q.shape == view.shape
+    np.testing.assert_array_equal(q, expected)
+    assert sat == expected_sat
 
 
 def test_grid_values_roundtrip_exactly():
