@@ -223,8 +223,12 @@ def compare_traces(float_trace: InferenceTrace,
         im = int_trace[lid]
         if fm.shape != im.shape:
             raise ShapeError(f"layer {lid!r}: trace shapes differ, {fm.shape} vs {im.shape}")
-        diff = fm.data.astype(np.float64) - im.data.astype(np.float64) / scale
-        entries.append(MseEntry(lid, int(fm.data.size), float(np.mean(diff * diff))))
+        # fm - im / scale, squared, in one float64 buffer
+        diff = im.data.astype(np.float64)
+        diff /= scale
+        np.subtract(fm.data, diff, out=diff)
+        diff *= diff
+        entries.append(MseEntry(lid, int(fm.data.size), float(np.mean(diff))))
     return MseReport(tuple(entries))
 
 

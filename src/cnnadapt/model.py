@@ -12,7 +12,7 @@ import math
 import os
 import struct
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -23,11 +23,9 @@ from .tensor import (
     BatchNormParams,
     FeatureMap,
     FilterBank,
-    batchnorm_forward,
     concat,
     conv2d,
     conv_output_shape,
-    leaky_relu,
     maxpool,
     maxpool_output_shape,
     split_batch,
@@ -39,6 +37,11 @@ _WEIGHTS_MAGIC = b"CNNW"
 _WEIGHTS_VERSION = 1
 
 LAYER_KINDS = ("input", "conv", "maxpool", "upsample", "concat", "output_marker")
+_INT_FIELDS = ("num_filters", "kernel_h", "kernel_w", "stride", "act_exponent", "size",
+               "factor", "height", "width", "channels")
+_BOOL_FIELDS = ("has_bias", "has_batchnorm", "fused")
+# Largest leaky slope exponent: an int16 right shift by more bits is constant.
+MAX_ACT_EXPONENT = 15
 
 
 @dataclass(frozen=True)
@@ -71,6 +74,18 @@ class LayerSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "inputs", tuple(self.inputs))
+        for name in _INT_FIELDS:
+            v = getattr(self, name)
+            if v is not None and (not isinstance(v, int) or isinstance(v, bool)):
+                raise ModelFormatError(f"layer {self.id!r}: {name} must be an integer, got {v!r}")
+        for name in _BOOL_FIELDS:
+            if not isinstance(getattr(self, name), bool):
+                raise ModelFormatError(
+                    f"layer {self.id!r}: {name} must be true or false, got {getattr(self, name)!r}")
+        if self.epsilon is not None and (
+                not isinstance(self.epsilon, (int, float)) or isinstance(self.epsilon, bool)):
+            raise ModelFormatError(f"layer {self.id!r}: epsilon must be a number, "
+                                   f"got {self.epsilon!r}")
         if self.kind not in LAYER_KINDS:
             raise ModelFormatError(f"layer {self.id!r}: unknown kind {self.kind!r}")
         n_inputs = {"input": 0, "concat": 2}.get(self.kind, 1)
@@ -80,14 +95,16 @@ class LayerSpec:
         if self.kind == "conv":
             for name in ("num_filters", "kernel_h", "kernel_w", "stride"):
                 v = getattr(self, name)
-                if not isinstance(v, int) or v < 1:
+                if v is None or v < 1:
                     raise ModelFormatError(f"layer {self.id!r}: conv needs positive {name}, got {v}")
             if self.padding not in ("same", "valid"):
                 raise ModelFormatError(f"layer {self.id!r}: bad padding {self.padding!r}")
             if self.activation not in ("linear", "leaky"):
                 raise ModelFormatError(f"layer {self.id!r}: bad activation {self.activation!r}")
-            if self.activation == "leaky" and (self.act_exponent is None or self.act_exponent < 0):
-                raise ModelFormatError(f"layer {self.id!r}: leaky activation needs act_exponent >= 0")
+            if self.activation == "leaky" and (
+                    self.act_exponent is None or not 0 <= self.act_exponent <= MAX_ACT_EXPONENT):
+                raise ModelFormatError(f"layer {self.id!r}: leaky activation needs act_exponent "
+                                       f"in [0, {MAX_ACT_EXPONENT}], got {self.act_exponent}")
         elif self.kind == "maxpool":
             if not self.size or self.size < 1 or not self.stride or self.stride < 1:
                 raise ModelFormatError(f"layer {self.id!r}: maxpool needs positive size and stride")
@@ -97,7 +114,7 @@ class LayerSpec:
         elif self.kind == "input":
             for name in ("height", "width", "channels"):
                 v = getattr(self, name)
-                if not isinstance(v, int) or v < 1:
+                if v is None or v < 1:
                     raise ModelFormatError(f"layer {self.id!r}: input needs positive {name}, got {v}")
 
     @property
@@ -126,12 +143,17 @@ class LayerSpec:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "LayerSpec":
+        if not isinstance(d, dict):
+            raise ModelFormatError(f"layer entry must be a JSON object, got {d!r}")
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(d) - known
         if unknown:
             raise ModelFormatError(f"layer {d.get('id')!r}: unknown attributes {sorted(unknown)}")
-        if "id" not in d or "kind" not in d:
-            raise ModelFormatError(f"layer object missing id or kind: {d}")
+        if not (isinstance(d.get("id"), str) and isinstance(d.get("kind"), str)):
+            raise ModelFormatError(f"layer object needs a string id and kind: {d}")
+        inputs = d.get("inputs", [])
+        if not (isinstance(inputs, list) and all(isinstance(i, str) for i in inputs)):
+            raise ModelFormatError(f"layer {d['id']!r}: inputs must be a list of layer ids")
         return cls(**{k: (tuple(v) if k == "inputs" else v) for k, v in d.items()})
 
 
@@ -141,15 +163,22 @@ class ConvParams:
     batchnorm: Optional[BatchNormParams] = None
 
 
-@dataclass(frozen=True)
-class Model:
-    """Topologically ordered layer specs plus per-conv parameters."""
+class LayerGraph:
+    """Graph helpers shared by ``Model`` and the quantized model.
+
+    A subclass holds ``layers`` and gives each conv layer's weight shape
+    through ``filter_shape``.
+    """
 
     layers: tuple[LayerSpec, ...]
-    params: dict[str, ConvParams] = field(default_factory=dict)
 
-    def __post_init__(self):
-        object.__setattr__(self, "layers", tuple(self.layers))
+    def filter_shape(self, layer_id: str) -> tuple[int, int, int, int]:
+        """(kernel_h, kernel_w, in_channels, num_filters) of a conv layer's weights."""
+        raise NotImplementedError
+
+    def _check_graph(self, params: Mapping[str, object]) -> None:
+        """Unique ids, one input, every input before its consumer, and parameters
+        for exactly the conv layers, with the kernel and filter count of the spec."""
         ids = [l.id for l in self.layers]
         if len(set(ids)) != len(ids):
             dupes = sorted({i for i in ids if ids.count(i) > 1})
@@ -166,25 +195,16 @@ class Model:
             seen.add(layer.id)
         for layer in self.layers:
             if layer.kind == "conv":
-                if layer.id not in self.params:
+                if layer.id not in params:
                     raise ModelFormatError(f"conv layer {layer.id!r} has no parameters")
-                p = self.params[layer.id]
-                fb = p.filters
-                if (fb.kernel_h, fb.kernel_w, fb.num_filters) != (
+                shape = self.filter_shape(layer.id)
+                if (shape[0], shape[1], shape[3]) != (
                         layer.kernel_h, layer.kernel_w, layer.num_filters):
                     raise ShapeError(
-                        f"layer {layer.id!r}: filter bank {fb.weights.shape} does not match "
+                        f"layer {layer.id!r}: filter bank {shape} does not match "
                         f"spec ({layer.kernel_h}x{layer.kernel_w}, nf={layer.num_filters})")
-                if layer.has_batchnorm != (p.batchnorm is not None):
-                    raise ModelFormatError(
-                        f"layer {layer.id!r}: has_batchnorm flag disagrees with stored parameters")
-                if p.batchnorm is not None and p.batchnorm.num_filters != layer.num_filters:
-                    raise ShapeError(
-                        f"layer {layer.id!r}: batchnorm length {p.batchnorm.num_filters} "
-                        f"!= {layer.num_filters} filters")
-            elif layer.id in self.params:
+            elif layer.id in params:
                 raise ModelFormatError(f"non-conv layer {layer.id!r} has parameters attached")
-        shape_infer(self)  # channel bookkeeping must be consistent before any use
 
     @property
     def input_layer(self) -> LayerSpec:
@@ -204,6 +224,31 @@ class Model:
         marked = [l.id for l in self.layers if l.kind == "output_marker"]
         return marked if marked else [self.layers[-1].id]
 
+
+@dataclass(frozen=True)
+class Model(LayerGraph):
+    """Topologically ordered layer specs plus per-conv parameters."""
+
+    layers: tuple[LayerSpec, ...]
+    params: dict[str, ConvParams] = field(default_factory=dict)
+
+    def __post_init__(self):
+        object.__setattr__(self, "layers", tuple(self.layers))
+        self._check_graph(self.params)
+        for layer in self.conv_layers():
+            p = self.params[layer.id]
+            if layer.has_batchnorm != (p.batchnorm is not None):
+                raise ModelFormatError(
+                    f"layer {layer.id!r}: has_batchnorm flag disagrees with stored parameters")
+            if p.batchnorm is not None and p.batchnorm.num_filters != layer.num_filters:
+                raise ShapeError(
+                    f"layer {layer.id!r}: batchnorm length {p.batchnorm.num_filters} "
+                    f"!= {layer.num_filters} filters")
+        shape_infer(self)  # channel bookkeeping must be consistent before any use
+
+    def filter_shape(self, layer_id: str) -> tuple[int, int, int, int]:
+        return self.params[layer_id].filters.weights.shape
+
     def has_batchnorm(self) -> bool:
         return any(l.kind == "conv" and l.has_batchnorm for l in self.layers)
 
@@ -212,18 +257,19 @@ class Model:
 InferenceTrace = dict[str, FeatureMap]
 
 
-def shape_infer(model: Model) -> dict[str, tuple[int, int, int]]:
-    """Static (h, w, c) for every layer; fails instead of guessing on mismatch."""
+def shape_infer(model: LayerGraph) -> dict[str, tuple[int, int, int]]:
+    """Static (h, w, c) for every layer of a float or quantized model; fails
+    instead of guessing on mismatch."""
     shapes: dict[str, tuple[int, int, int]] = {}
     for layer in model.layers:
         if layer.kind == "input":
             shapes[layer.id] = (layer.height, layer.width, layer.channels)
         elif layer.kind == "conv":
             h, w, c = shapes[layer.inputs[0]]
-            fb = model.params[layer.id].filters
-            if fb.in_channels != c:
+            in_channels = model.filter_shape(layer.id)[2]
+            if in_channels != c:
                 raise ShapeError(
-                    f"layer {layer.id!r}: filters expect {fb.in_channels} input channels, "
+                    f"layer {layer.id!r}: filters expect {in_channels} input channels, "
                     f"upstream provides {c}")
             oh, ow = conv_output_shape(h, w, layer.kernel_h, layer.kernel_w,
                                        layer.stride, layer.padding)
@@ -252,7 +298,7 @@ def float_infer(model: Model, input: FeatureMap | Sequence[FeatureMap],
     """Run the float engine in topological order.
 
     Conv layers apply convolution, then batchnorm if present, then the
-    activation. The trace holds every layer output when taps is set,
+    activation, all in one ``conv2d`` call. The trace holds every layer output when taps is set,
     otherwise only the model outputs. ``input`` is one FeatureMap, which
     gives one trace, or a list of them, which run as one batch (stacked
     along the height, see ``tensor``) and give one trace per map. A batch
@@ -274,11 +320,9 @@ def float_infer(model: Model, input: FeatureMap | Sequence[FeatureMap],
             out = maps[0] if n == 1 else FeatureMap(np.concatenate([m.data for m in maps]))
         elif layer.kind == "conv":
             p = model.params[layer.id]
-            out = conv2d(acts[layer.inputs[0]], p.filters, layer.stride, layer.padding, batch=n)
-            if p.batchnorm is not None:
-                out = batchnorm_forward(out, p.batchnorm)
-            if layer.activation == "leaky":
-                out = leaky_relu(out, layer.leaky_alpha)
+            out = conv2d(acts[layer.inputs[0]], p.filters, layer.stride, layer.padding, batch=n,
+                         batchnorm=p.batchnorm,
+                         leaky_alpha=layer.leaky_alpha if layer.activation == "leaky" else None)
         elif layer.kind == "maxpool":
             out = maxpool(acts[layer.inputs[0]], layer.size, layer.stride, batch=n)
         elif layer.kind == "upsample":
@@ -477,17 +521,21 @@ def load_manifest(manifest_path) -> tuple[dict, str]:
             manifest = json.load(fh)
     except json.JSONDecodeError as e:
         raise ModelFormatError(f"{manifest_path}: invalid JSON ({e})") from e
-    if not isinstance(manifest, dict) or manifest.get("format_version") != MANIFEST_VERSION:
+    if not isinstance(manifest, dict):
+        raise ModelFormatError(f"{manifest_path}: manifest must be a JSON object")
+    if manifest.get("format_version") != MANIFEST_VERSION:
         raise ModelFormatError(
             f"{manifest_path}: unsupported format_version {manifest.get('format_version')!r}")
     for key in ("input", "layers", "weights"):
         if key not in manifest:
             raise ModelFormatError(f"{manifest_path}: missing {key!r} block")
+    if not isinstance(manifest["layers"], list):
+        raise ModelFormatError(f"{manifest_path}: 'layers' must be a list")
     weights_path = os.path.join(os.path.dirname(manifest_path) or ".", manifest["weights"])
     return manifest, weights_path
 
 
-def _layers_from_manifest(manifest: dict, manifest_path) -> list[LayerSpec]:
+def layers_from_manifest(manifest: dict, manifest_path) -> list[LayerSpec]:
     layers = [LayerSpec.from_json_dict(d) for d in manifest["layers"]]
     in_layers = [l for l in layers if l.kind == "input"]
     if len(in_layers) == 1:
@@ -499,46 +547,62 @@ def _layers_from_manifest(manifest: dict, manifest_path) -> list[LayerSpec]:
     return layers
 
 
+def read_records(weights_path) -> dict[str, tuple[np.ndarray, int]]:
+    """Every record of a weights blob file: name -> (array, dtype code)."""
+    return {name: (arr, code)
+            for name, arr, code in iter_records(read_weights_blob(weights_path), weights_path)}
+
+
+def layer_records(layer: LayerSpec, records: Mapping[str, tuple[np.ndarray, int]], path,
+                  dtype_code: int, suffixes: Sequence[str]) -> dict[str, np.ndarray]:
+    """A conv layer's records by suffix ("W", "b", ...). Each must be present, of
+    ``dtype_code`` and shaped as the spec implies: W (kh, kw, c_in, nf), every
+    other record (nf,). Anything else raises ModelFormatError."""
+    arrays = {}
+    for suffix in suffixes:
+        name = f"{layer.id}.{suffix}"
+        if name not in records:
+            raise ModelFormatError(f"{path}: missing weight record {name!r} "
+                                   f"for layer {layer.id!r}")
+        arr, code = records[name]
+        if code != dtype_code:
+            raise ModelFormatError(
+                f"{path}: record {name!r} is not {_RECORD_DTYPES[dtype_code].name}")
+        if suffix == "W":
+            expected = (layer.kernel_h, layer.kernel_w, arr.shape[2] if arr.ndim == 4 else -1,
+                        layer.num_filters)
+        else:
+            expected = (layer.num_filters,)
+        if arr.shape != expected:
+            raise ModelFormatError(
+                f"{path}: record {name} has shape {arr.shape}, manifest implies {expected}")
+        arrays[suffix] = arr
+    return arrays
+
+
 def load_model(manifest_path) -> Model:
     """Load a float model; load(save(m)) round-trips every bit."""
     manifest, weights_path = load_manifest(manifest_path)
     if "quantization" in manifest:
         raise ModelFormatError(
             f"{manifest_path}: quantized model; use the quantized-model loader")
-    layers = _layers_from_manifest(manifest, manifest_path)
-    records = {name: (arr, code)
-               for name, arr, code in iter_records(read_weights_blob(weights_path), weights_path)}
+    layers = layers_from_manifest(manifest, manifest_path)
+    records = read_records(weights_path)
 
     params: dict[str, ConvParams] = {}
     for layer in layers:
         if layer.kind != "conv":
             continue
-        needed = [f"{layer.id}.W", f"{layer.id}.b"]
-        if layer.has_batchnorm:
-            needed += [f"{layer.id}.{s}" for s in _BN_SUFFIXES]
-        for name in needed:
-            if name not in records:
-                raise ModelFormatError(f"{weights_path}: missing weight record {name!r} "
-                                       f"for layer {layer.id!r}")
-            if records[name][1] != DTYPE_FLOAT32:
-                raise ModelFormatError(f"{weights_path}: record {name!r} is not float32")
-        w = records[f"{layer.id}.W"][0]
-        expected = (layer.kernel_h, layer.kernel_w, w.shape[2] if w.ndim == 4 else -1,
-                    layer.num_filters)
-        if w.ndim != 4 or w.shape != expected:
-            raise ModelFormatError(
-                f"{weights_path}: record {layer.id}.W has shape {w.shape}, "
-                f"manifest implies {expected}")
+        suffixes = ("W", "b") + (_BN_SUFFIXES if layer.has_batchnorm else ())
+        arrays = layer_records(layer, records, weights_path, DTYPE_FLOAT32, suffixes)
         bn = None
         if layer.has_batchnorm:
             bn = BatchNormParams(
-                mu=records[f"{layer.id}.mu"][0],
-                sigma2=records[f"{layer.id}.sigma2"][0],
-                gamma=records[f"{layer.id}.gamma"][0],
-                beta=records[f"{layer.id}.beta"][0],
+                mu=arrays["mu"], sigma2=arrays["sigma2"], gamma=arrays["gamma"],
+                beta=arrays["beta"],
                 epsilon=layer.epsilon if layer.epsilon is not None else 0.001,
             )
-        params[layer.id] = ConvParams(FilterBank(w, records[f"{layer.id}.b"][0]), bn)
+        params[layer.id] = ConvParams(FilterBank(arrays["W"], arrays["b"]), bn)
 
     known = {name for l in layers if l.kind == "conv"
              for name in ([f"{l.id}.W", f"{l.id}.b"]

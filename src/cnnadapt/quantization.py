@@ -2,8 +2,10 @@
 
 Values map to integers through a power-of-two scale S = 2^P, so rescaling
 after a multiplication is an arithmetic right shift by P. The quantized
-convolution runs conv -> shift -> narrow to int16 -> bias add, with every
-narrowing saturated and counted instead of silently wrapping.
+convolution runs conv -> shift -> narrow to int16 -> bias add -> leaky ReLU
+in one pass over each output tile, with every narrowing saturated and
+counted instead of silently wrapping. Leaky ReLU is max(z, z >> P_alpha) on
+the int16 tile. Activations are int16 maps from input to output.
 """
 from __future__ import annotations
 
@@ -15,13 +17,15 @@ import numpy as np
 
 from .errors import ModelFormatError, PipelineError, ShapeError
 from .model import (
-    ConvParams,
+    MAX_ACT_EXPONENT,
+    LayerGraph,
     LayerSpec,
     Model,
-    iter_records,
+    layer_records,
+    layers_from_manifest,
     load_manifest,
     model_digest,
-    read_weights_blob,
+    read_records,
     shape_infer,
     write_model_files,
 )
@@ -33,12 +37,12 @@ from .tensor import (
     INT32_MIN,
     MAX_EXACT_INT_DEPTH,
     FeatureMap,
-    FilterBank,
     IntFeatureMap,
     concat_int,
     conv_gemm,
     conv_input,
     maxpool_int,
+    spent_scratch,
     upsample_nearest_int,
 )
 
@@ -52,10 +56,14 @@ class QuantConfig:
     p_alpha: int = 4   # leaky slope 2^-p_alpha
 
     def __post_init__(self):
+        for name in ("p", "p_alpha"):
+            v = getattr(self, name)
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise ValueError(f"{name} must be an integer, got {v!r}")
         if not 0 <= self.p <= MAX_SCALE_EXPONENT:
             raise ValueError(f"scale exponent must lie in [0, {MAX_SCALE_EXPONENT}], got {self.p}")
-        if self.p_alpha < 0:
-            raise ValueError(f"p_alpha must be >= 0, got {self.p_alpha}")
+        if not 0 <= self.p_alpha <= MAX_ACT_EXPONENT:
+            raise ValueError(f"p_alpha must lie in [0, {MAX_ACT_EXPONENT}], got {self.p_alpha}")
 
     @property
     def scale(self) -> int:
@@ -137,8 +145,9 @@ class QuantConvParams:
 
 
 @dataclass(frozen=True)
-class QuantizedModel:
-    """Same layer graph as the source model with int16 parameters."""
+class QuantizedModel(LayerGraph):
+    """Same layer graph as the source model with int16 parameters; validated
+    as ``Model`` validates its graph and shapes."""
 
     layers: tuple[LayerSpec, ...]
     qparams: dict[str, QuantConvParams]
@@ -151,20 +160,11 @@ class QuantizedModel:
         for layer in self.layers:
             if layer.kind == "conv" and layer.has_batchnorm:
                 raise PipelineError(f"layer {layer.id!r} still carries batchnorm")
+        self._check_graph(self.qparams)
+        shape_infer(self)
 
-    def layer(self, layer_id: str) -> LayerSpec:
-        for l in self.layers:
-            if l.id == layer_id:
-                return l
-        raise KeyError(layer_id)
-
-    @property
-    def input_layer(self) -> LayerSpec:
-        return next(l for l in self.layers if l.kind == "input")
-
-    def output_ids(self) -> list[str]:
-        marked = [l.id for l in self.layers if l.kind == "output_marker"]
-        return marked if marked else [self.layers[-1].id]
+    def filter_shape(self, layer_id: str) -> tuple[int, int, int, int]:
+        return self.qparams[layer_id].weights.shape
 
 
 @dataclass
@@ -226,22 +226,26 @@ def quantize_model(model: Model, config: QuantConfig = QuantConfig()) -> Quantiz
 def quantize_input(input: FeatureMap, config: QuantConfig = QuantConfig()) -> IntFeatureMap:
     """Quantize a (pre-normalized, values ~[0, 1]) input image to int16."""
     q, _ = quantize_tensor(input.data, config.p)
-    return IntFeatureMap(q.astype(np.int64), 16)
+    return IntFeatureMap(q, 16)
 
 
 def int_conv_forward(input: IntFeatureMap, weights: np.ndarray, biases: np.ndarray,
-                     stride: int, padding: str,
-                     config: QuantConfig) -> tuple[IntFeatureMap, int, int]:
-    """Quantized convolution: conv -> sat int32 -> rshift P -> sat int16 -> bias (saturating).
+                     stride: int, padding: str, config: QuantConfig, *,
+                     p_alpha: int | None = None) -> tuple[IntFeatureMap, int, int]:
+    """Quantized convolution: conv -> sat int32 -> rshift P -> sat int16 -> bias
+    (saturating), then, if ``p_alpha`` is given, leaky ReLU max(z, z >> p_alpha).
 
     The convolution is a float64 GEMM over int16 operands (``conv_gemm``).
     Each product is an integer of magnitude at most 2^30, so with
     K = kh*kw*c_in <= 2^23 every partial sum stays below 2^53 and the sums
-    are exact; larger K raises ValueError. Returns (output, acc32 saturation
-    count, int16 saturation count).
+    are exact; larger K raises ValueError. The activation runs on each
+    finished int16 tile and gives the bits of ``quant_leaky_relu``. Returns
+    (output, acc32 saturation count, int16 saturation count).
     """
     if input.width_bits != 16 or weights.dtype != np.int16:
         raise ValueError("integer convolution consumes int16 activations and weights")
+    if p_alpha is not None and p_alpha < 0:
+        raise ValueError(f"p_alpha must be >= 0, got {p_alpha}")
     kh, kw, c_in, _ = weights.shape
     if kh * kw * c_in > MAX_EXACT_INT_DEPTH:
         raise ValueError(f"conv depth kh*kw*c_in = {kh * kw * c_in} exceeds "
@@ -259,6 +263,10 @@ def int_conv_forward(input: IntFeatureMap, weights: np.ndarray, biases: np.ndarr
         acc += biases[f0:f1]
         counts[1] += _saturate(acc, INT16_MIN, INT16_MAX)
         np.copyto(dst, acc, casting="unsafe")
+        if p_alpha is not None:
+            shifted = spent_scratch(acc, dst)
+            np.right_shift(dst, p_alpha, out=shifted)
+            np.maximum(dst, shifted, out=dst)
 
     out = np.empty((out_h, out_w, weights.shape[3]), dtype=np.int16)
     conv_gemm(padded, weights, stride, out_h, out_w, requantize, out)
@@ -267,6 +275,8 @@ def int_conv_forward(input: IntFeatureMap, weights: np.ndarray, biases: np.ndarr
 
 def _saturate(a: np.ndarray, lo: int, hi: int) -> int:
     """Clip ``a`` to [lo, hi] in place; returns how many entries were clipped."""
+    if not a.size or (a.min() >= lo and a.max() <= hi):
+        return 0
     n = int(np.count_nonzero(a < lo)) + int(np.count_nonzero(a > hi))
     np.clip(a, lo, hi, out=a)
     return n
@@ -298,11 +308,10 @@ def int_infer(qmodel: QuantizedModel, input: IntFeatureMap,
         elif layer.kind == "conv":
             qp = qmodel.qparams[layer.id]
             out, n_acc, n16 = int_conv_forward(
-                acts[layer.inputs[0]], qp.weights, qp.biases,
-                layer.stride, layer.padding, qmodel.config)
+                acts[layer.inputs[0]], qp.weights, qp.biases, layer.stride, layer.padding,
+                qmodel.config,
+                p_alpha=layer.act_exponent if layer.activation == "leaky" else None)
             stats.record(layer.id, n_acc, n16)
-            if layer.activation == "leaky":
-                out = quant_leaky_relu(out, layer.act_exponent)
         elif layer.kind == "maxpool":
             out = maxpool_int(acts[layer.inputs[0]], layer.size, layer.stride)
         elif layer.kind == "upsample":
@@ -342,43 +351,23 @@ def load_quantized_model(manifest_path) -> QuantizedModel:
         raise ModelFormatError(f"{manifest_path}: not a quantized model "
                                "(missing quantization block)")
     quant = manifest["quantization"]
-    config = QuantConfig(p=int(quant["p"]), p_alpha=int(quant["p_alpha"]))
-    layers = tuple(LayerSpec.from_json_dict(d) for d in manifest["layers"])
-    records = {name: (arr, code)
-               for name, arr, code in iter_records(read_weights_blob(weights_path), weights_path)}
+    if not isinstance(quant, dict):
+        raise ModelFormatError(f"{manifest_path}: quantization block must be a JSON object")
+    for key in ("p", "p_alpha"):
+        if key not in quant:
+            raise ModelFormatError(f"{manifest_path}: quantization block missing {key!r}")
+    source_digest = quant.get("source_digest", "")
+    if not isinstance(source_digest, str):
+        raise ModelFormatError(f"{manifest_path}: source_digest must be a string")
+    try:
+        config = QuantConfig(p=quant["p"], p_alpha=quant["p_alpha"])
+    except ValueError as e:
+        raise ModelFormatError(f"{manifest_path}: {e}") from e
+    layers = layers_from_manifest(manifest, manifest_path)
+    records = read_records(weights_path)
     qparams = {}
     for layer in layers:
-        if layer.kind != "conv":
-            continue
-        for suffix in ("W", "b"):
-            name = f"{layer.id}.{suffix}"
-            if name not in records:
-                raise ModelFormatError(f"{weights_path}: missing weight record {name!r} "
-                                       f"for layer {layer.id!r}")
-            if records[name][1] != DTYPE_INT16:
-                raise ModelFormatError(f"{weights_path}: record {name!r} is not int16")
-        qparams[layer.id] = QuantConvParams(
-            np.asarray(records[f"{layer.id}.W"][0], dtype=np.int16),
-            np.asarray(records[f"{layer.id}.b"][0], dtype=np.int16))
-    qmodel = QuantizedModel(layers, qparams, config,
-                            source_digest=quant.get("source_digest", ""))
-    quant_shape_infer(qmodel)
-    return qmodel
-
-
-def quant_shape_infer(qmodel: QuantizedModel) -> dict[str, tuple[int, int, int]]:
-    """Shape inference for the integer twin (delegates to the float graph rules)."""
-    stand_in = _structural_model(qmodel)
-    return shape_infer(stand_in)
-
-
-def _structural_model(qmodel: QuantizedModel) -> Model:
-    # Reuse Model validation/shape rules by rebuilding float-typed parameters.
-    params = {}
-    for layer in qmodel.layers:
-        if layer.kind != "conv":
-            continue
-        qp = qmodel.qparams[layer.id]
-        params[layer.id] = ConvParams(FilterBank(
-            qp.weights.astype(np.float32), qp.biases.astype(np.float32)), None)
-    return Model(qmodel.layers, params)
+        if layer.kind == "conv":
+            arrays = layer_records(layer, records, weights_path, DTYPE_INT16, ("W", "b"))
+            qparams[layer.id] = QuantConvParams(arrays["W"], arrays["b"])
+    return QuantizedModel(layers, qparams, config, source_digest=source_digest)

@@ -18,6 +18,14 @@ operands are exact in float64 and each output is rounded to float32 once,
 after its bias is added. Integer products of int16 operands are integers of
 at most 2^30 in magnitude, so every partial sum of K <= 2^23 of them stays
 below 2^53 and the float64 GEMM computes the integer result exactly.
+
+Each finished GEMM tile goes through its layer's epilogue while it is still
+in cache: the bias add (the integer engine's requantization), batchnorm if
+the float layer has one, and leaky ReLU, so a conv layer is one call. Leaky ReLU with slope 0 <= alpha <= 1 is
+``max(z, alpha * z)``, the same value as ``z if z > 0 else alpha * z`` for
+every z, signed zeros included.
+
+Integer maps are stored in their declared width, int16 or int32.
 """
 from __future__ import annotations
 
@@ -89,8 +97,8 @@ class FeatureMap:
 class IntFeatureMap:
     """Integer activation tensor with a declared storage width (16 or 32 bits).
 
-    Data is held as int64 internally; the invariant is that every value fits
-    the declared two's-complement width.
+    Data is held as int16 or int32, the declared two's-complement width.
+    Integer data of any other dtype is range-checked, then cast.
     """
 
     data: np.ndarray
@@ -100,16 +108,18 @@ class IntFeatureMap:
         arr = np.asarray(self.data)
         if not np.issubdtype(arr.dtype, np.integer):
             raise ValueError(f"integer feature map requires integer data, got {arr.dtype}")
-        arr = arr.astype(np.int64)
         if arr.ndim != 3:
             raise ShapeError(f"feature map must be rank 3, got shape {arr.shape}")
         if arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ShapeError(f"feature map spatial dims must be positive, got {arr.shape}")
         if self.width_bits not in (16, 32):
             raise ValueError(f"width_bits must be 16 or 32, got {self.width_bits}")
-        lo, hi = -(2 ** (self.width_bits - 1)), 2 ** (self.width_bits - 1) - 1
-        if arr.size and (arr.min() < lo or arr.max() > hi):
-            raise ValueError(f"values exceed int{self.width_bits} range")
+        dtype = np.dtype(np.int16 if self.width_bits == 16 else np.int32)
+        if arr.dtype != dtype:
+            info = np.iinfo(dtype)
+            if arr.size and (int(arr.min()) < info.min or int(arr.max()) > info.max):
+                raise ValueError(f"values exceed int{self.width_bits} range")
+            arr = arr.astype(dtype)
         object.__setattr__(self, "data", _freeze(arr))
 
     @property
@@ -281,8 +291,8 @@ def conv_gemm(padded: np.ndarray, weights: np.ndarray, stride: int, out_h: int, 
     map) and filter blocks (inner loop) sized so that the scratch stays
     within GEMM_SCRATCH_BYTES; the weights are cast to float64 once per
     pixel block. For each tile, ``epilogue(acc, dst, f0, f1)`` receives the
-    float64 sums ``acc`` of shape (maps, rows, cols, f1 - f0), which it may
-    overwrite, and must write the finished values into
+    float64 sums ``acc`` of shape (maps, rows, cols, f1 - f0), a contiguous
+    buffer it may overwrite, and must write the finished values into
     ``dst = out[maps, rows, cols, f0:f1]``.
     """
     n = padded.shape[0]
@@ -328,24 +338,60 @@ def conv_gemm(padded: np.ndarray, weights: np.ndarray, stride: int, out_h: int, 
     return out
 
 
+def spent_scratch(acc: np.ndarray, like: np.ndarray) -> np.ndarray:
+    """The memory of a tile's float64 sums ``acc``, once spent, as an array of
+    the shape and dtype of ``like`` (whose items are no wider than 8 bytes)."""
+    return acc.reshape(-1).view(like.dtype)[:like.size].reshape(like.shape)
+
+
 def conv2d(input: FeatureMap, filters: FilterBank, stride: int = 1,
-           padding: str = "same", batch: int = 1) -> FeatureMap:
+           padding: str = "same", batch: int = 1, *,
+           batchnorm: BatchNormParams | None = None,
+           leaky_alpha: float | None = None) -> FeatureMap:
     """2-D convolution over (h, w, c) with per-filter bias, of each of the
-    ``batch`` maps stacked in ``input``.
+    ``batch`` maps stacked in ``input``, then optionally batchnorm and leaky
+    ReLU with slope ``leaky_alpha`` in [0, 1].
 
     Same padding pads each map with zeros. Products and sums run in float64
     through ``conv_gemm`` and each output is rounded to float32 once, after
-    the bias add, so identical inputs always produce identical bits.
+    the bias add, so identical inputs always produce identical bits. The
+    batchnorm and the activation run on each finished tile in float32 and
+    give the bits of ``batchnorm_forward`` and ``leaky_relu`` applied to the
+    whole map.
     """
+    nf = filters.num_filters
+    if batchnorm is not None:
+        if batchnorm.num_filters != nf:
+            raise ShapeError(
+                f"feature map has {nf} channels but batchnorm has {batchnorm.num_filters}")
+        bn_scale = _batchnorm_scale(batchnorm)
+    if leaky_alpha is not None:
+        if not 0 <= leaky_alpha <= 1:
+            raise ValueError(f"fused leaky slope must lie in [0, 1], got {leaky_alpha}")
+        alpha = np.float32(leaky_alpha)
     padded, out_h, out_w = conv_input(input.data, filters.weights, stride, padding,
                                       np.float32, batch)
     bias = filters.biases
 
-    def add_bias(acc, dst, f0, f1):
+    def epilogue(acc, dst, f0, f1):
         np.add(acc, bias[f0:f1], out=dst, casting="same_kind")
+        if batchnorm is not None:
+            dst -= batchnorm.mu[f0:f1]
+            dst *= bn_scale[f0:f1]
+            dst += batchnorm.beta[f0:f1]
+        if leaky_alpha is not None:
+            scaled = spent_scratch(acc, dst)
+            np.multiply(dst, alpha, out=scaled)
+            np.maximum(dst, scaled, out=dst)
 
-    out = np.empty((batch * out_h, out_w, filters.num_filters), dtype=np.float32)
-    return FeatureMap(conv_gemm(padded, filters.weights, stride, out_h, out_w, add_bias, out))
+    out = np.empty((batch * out_h, out_w, nf), dtype=np.float32)
+    return FeatureMap(conv_gemm(padded, filters.weights, stride, out_h, out_w, epilogue, out))
+
+
+def _batchnorm_scale(params: BatchNormParams) -> np.ndarray:
+    """gamma / sqrt(sigma2 + eps) per channel, computed in float64, as float32."""
+    denom = np.sqrt(params.sigma2.astype(np.float64) + params.epsilon)
+    return (params.gamma / denom).astype(np.float32)
 
 
 def batchnorm_forward(z: FeatureMap, params: BatchNormParams) -> FeatureMap:
@@ -353,9 +399,7 @@ def batchnorm_forward(z: FeatureMap, params: BatchNormParams) -> FeatureMap:
     if z.channels != params.num_filters:
         raise ShapeError(
             f"feature map has {z.channels} channels but batchnorm has {params.num_filters}")
-    denom = np.sqrt(params.sigma2.astype(np.float64) + params.epsilon)
-    scale = (params.gamma / denom).astype(np.float32)
-    out = scale * (z.data - params.mu) + params.beta
+    out = _batchnorm_scale(params) * (z.data - params.mu) + params.beta
     return FeatureMap(out)
 
 
@@ -407,7 +451,7 @@ def maxpool_int(input: IntFeatureMap, size: int, stride: int) -> IntFeatureMap:
         raise ValueError(f"pool size and stride must be positive, got {size}, {stride}")
     if input.channels == 0:
         raise ShapeError("cannot pool a zero-channel feature map")
-    out = _pool_window_max(input.data, size, stride, np.iinfo(np.int64).min)
+    out = _pool_window_max(input.data, size, stride, np.iinfo(input.data.dtype).min)
     return IntFeatureMap(out, input.width_bits)
 
 
@@ -494,4 +538,4 @@ def load_tensor(path) -> FeatureMap | IntFeatureMap:
     data = np.frombuffer(body, dtype=dtype).reshape(dims)
     if code == DTYPE_FLOAT32:
         return FeatureMap(data)
-    return IntFeatureMap(data.astype(np.int64), 16 if code == DTYPE_INT16 else 32)
+    return IntFeatureMap(data, 16 if code == DTYPE_INT16 else 32)

@@ -305,3 +305,68 @@ def test_prune_rejects_malformed_labels(tmp_path, rng, fused_model_path, capsys,
     assert code == 2
     assert "error:" in err and message in err and "Traceback" not in err
     assert not (tmp_path / "p.json").exists()
+
+
+def _set_layer(name, key, value):
+    def edit(manifest):
+        next(l for l in manifest["layers"] if l["id"] == name)[key] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit, message", [
+    pytest.param(_set_layer("conv_1", "act_exponent", 4.0), "must be an integer",
+                 id="float_act_exponent"),
+    pytest.param(_set_layer("conv_1", "act_exponent", 1000000), "act_exponent in [0, 15]",
+                 id="huge_act_exponent"),
+    pytest.param(_set_layer("conv_1", "kernel_h", True), "must be an integer",
+                 id="bool_kernel_h"),
+    pytest.param(_set_layer("conv_1", "inputs", "input"), "list of layer ids",
+                 id="string_inputs"),
+    pytest.param(_set_layer("conv_1", "has_bias", "yes"), "must be true or false",
+                 id="string_has_bias"),
+    pytest.param(_set_layer("conv_1", "epsilon", "x"), "must be a number",
+                 id="string_epsilon"),
+    pytest.param(_set_layer("conv_1", "num_filters", 5), "manifest implies",
+                 id="num_filters_disagrees_with_record"),
+    pytest.param(lambda m: m.update(layers=[1, 2]), "JSON object", id="layers_not_objects"),
+    pytest.param(lambda m: m.update(layers={"conv_1": {}}), "must be a list",
+                 id="layers_not_a_list"),
+    pytest.param(lambda m: m["quantization"].pop("p"), "missing 'p'", id="no_p"),
+    pytest.param(lambda m: m["quantization"].update(p="8"), "must be an integer",
+                 id="string_p"),
+    pytest.param(lambda m: m["quantization"].update(p_alpha=16), "p_alpha must lie in [0, 15]",
+                 id="p_alpha_beyond_15"),
+    pytest.param(lambda m: m.update(quantization=[8, 4]), "JSON object",
+                 id="quantization_not_an_object"),
+])
+def test_int_infer_rejects_malformed_quantized_manifest(tmp_path, fused_model_path, input_path,
+                                                        capsys, edit, message):
+    qpath = tmp_path / "model.q.json"
+    assert run(["quantize", "-i", str(fused_model_path), "-o", str(qpath)]) == 0
+    manifest = json.loads(qpath.read_text())
+    edit(manifest)
+    qpath.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    code = run(["infer", "-i", str(qpath), "--input", str(input_path),
+                "--engine", "int", "--taps", str(tmp_path / "taps")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error:" in err and message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("engine", ["float", "int"])
+def test_infer_rejects_manifest_that_is_not_an_object(tmp_path, input_path, capsys, engine):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    code = run(["infer", "-i", str(path), "--input", str(input_path),
+                "--engine", engine, "--taps", str(tmp_path / "taps")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error:" in err and "JSON object" in err and "Traceback" not in err
+
+
+def test_quantize_rejects_slope_exponent_beyond_int16_shift(fused_model_path, tmp_path, capsys):
+    code = run(["quantize", "-i", str(fused_model_path),
+                "-o", str(tmp_path / "q.json"), "--p-alpha", "16"])
+    assert code == 1
+    assert "p_alpha must lie in [0, 15]" in capsys.readouterr().err

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cnnadapt.errors import ModelFormatError, PipelineError, ShapeError
-from cnnadapt.model import load_model, model_digest, save_model
+from cnnadapt.model import ConvParams, Model, load_model, model_digest, save_model
 from cnnadapt.quantization import (
     MAX_SCALE_EXPONENT,
     QUANTIZE_CHUNK,
@@ -27,7 +27,7 @@ from cnnadapt.quantization import (
     rshift,
     save_quantized_model,
 )
-from cnnadapt.tensor import INT16_MAX, INT16_MIN, FeatureMap, IntFeatureMap
+from cnnadapt.tensor import INT16_MAX, INT16_MIN, FeatureMap, FilterBank, IntFeatureMap
 from util import chain_model, feature_map
 
 
@@ -222,6 +222,36 @@ def test_quantized_model_rejects_batchnorm_layers(rng):
     model = chain_model(rng, [2], hw=4, bn=True)
     with pytest.raises(PipelineError, match="batchnorm"):
         QuantizedModel(model.layers, {}, QuantConfig(), source_digest="")
+
+
+@pytest.mark.parametrize("case, error", [
+    ("missing", ModelFormatError), ("attached", ModelFormatError),
+    ("in_channels", ShapeError), ("num_filters", ShapeError)])
+def test_quantized_model_checks_its_graph_as_model_does(rng, case, error):
+    # conv_1 holds (3, 3, 2, 3) weights, conv_2 (3, 3, 3, 4)
+    model = chain_model(rng, [3, 4], hw=4)
+    qmodel = quantize_model(model)
+
+    def float_params(shape):
+        return ConvParams(FilterBank(np.zeros(shape), np.zeros(shape[3])))
+
+    def int_params(shape):
+        return QuantConvParams(np.zeros(shape, np.int16), np.zeros(shape[3], np.int16))
+
+    for params, make, build in (
+            (dict(model.params), float_params, lambda p: Model(model.layers, p)),
+            (dict(qmodel.qparams), int_params,
+             lambda p: QuantizedModel(qmodel.layers, p, qmodel.config, source_digest=""))):
+        if case == "missing":
+            del params["conv_2"]
+        elif case == "attached":
+            params["input"] = params["conv_1"]
+        elif case == "in_channels":
+            params["conv_2"] = make((3, 3, 2, 4))
+        else:
+            params["conv_1"] = make((3, 3, 2, 5))
+        with pytest.raises(error):
+            build(params)
 
 
 def test_quant_conv_params_validation():
