@@ -8,6 +8,7 @@ scale, shift). Pooling, upsampling and concatenation count as zero.
 from __future__ import annotations
 
 import csv
+import io
 import json
 from dataclasses import dataclass
 
@@ -15,7 +16,7 @@ import numpy as np
 
 from .errors import ShapeError
 from .model import InferenceTrace, Model, shape_infer
-from .tensor import IntFeatureMap
+from .tensor import IntFeatureMap, _atomic_write
 
 REPORT_VERSION = 1
 
@@ -194,11 +195,12 @@ class MseReport:
         }
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["layer_id", "n_elements", "mse"])
-            for e in self.entries:
-                writer.writerow([e.layer_id, e.n_elements, f"{e.mse:.10e}"])
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(["layer_id", "n_elements", "mse"])
+        for e in self.entries:
+            writer.writerow([e.layer_id, e.n_elements, f"{e.mse:.10e}"])
+        _atomic_write(path, [buf.getvalue().encode()])
 
     def format_table(self) -> str:
         lines = [f"{'layer':<12} {'elements':>10} {'MSE':>14}"]
@@ -233,6 +235,4 @@ def compare_traces(float_trace: InferenceTrace,
 
 
 def write_json_report(path, payload: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    _atomic_write(path, [(json.dumps(payload, indent=2) + "\n").encode()])

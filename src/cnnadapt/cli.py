@@ -1,8 +1,9 @@
 """Command-line surface: fuse -> prune -> quantize -> infer/compare/report.
 
 Exit codes: 0 success, 1 validation error (bad arguments or pipeline
-preconditions), 2 numerical/IO failure. Output model files are written via
-temp + atomic rename, so a failing run never leaves a partial file.
+preconditions), 2 numerical/IO failure. Every output file (models, tensors,
+JSON and CSV reports) is written via temp + atomic rename, so a failing run
+never leaves a partial file.
 """
 from __future__ import annotations
 

@@ -23,6 +23,8 @@ from .tensor import (
     BatchNormParams,
     FeatureMap,
     FilterBank,
+    IntFeatureMap,
+    _atomic_write,
     concat,
     conv2d,
     conv_output_shape,
@@ -293,51 +295,69 @@ def shape_infer(model: LayerGraph) -> dict[str, tuple[int, int, int]]:
     return shapes
 
 
-def float_infer(model: Model, input: FeatureMap | Sequence[FeatureMap],
-                taps: bool = False) -> InferenceTrace | list[InferenceTrace]:
-    """Run the float engine in topological order.
+def execute(graph: LayerGraph, maps: Sequence[FeatureMap | IntFeatureMap], conv,
+            taps: bool = False) -> dict[str, FeatureMap | IntFeatureMap]:
+    """Run ``graph`` in topological order on same-shaped float or integer maps.
 
-    Conv layers apply convolution, then batchnorm if present, then the
-    activation, all in one ``conv2d`` call. The trace holds every layer output when taps is set,
-    otherwise only the model outputs. ``input`` is one FeatureMap, which
-    gives one trace, or a list of them, which run as one batch (stacked
-    along the height, see ``tensor``) and give one trace per map. A batch
-    computes the same bits as running its maps one at a time.
+    The maps run as one batch, stacked along the height (see ``tensor``).
+    ``conv(layer, fm, batch)`` computes each conv layer; pool, upsample and
+    concat serve both map types. Returns the stacked output of every layer
+    when taps is set, otherwise of the model outputs.
     """
-    shapes = shape_infer(model)
-    in_layer = model.input_layer
-    maps = [input] if isinstance(input, FeatureMap) else list(input)
+    in_layer = graph.input_layer
+    expected = (in_layer.height, in_layer.width, in_layer.channels)
     if not maps:
-        raise ValueError("float_infer needs at least one input map")
+        raise ValueError("inference needs at least one input map")
     for fm in maps:
-        if fm.shape != shapes[in_layer.id]:
-            raise ShapeError(f"input shape {fm.shape} != model input {shapes[in_layer.id]}")
+        if fm.shape != expected:
+            raise ShapeError(f"input shape {fm.shape} != model input {expected}")
     n = len(maps)
 
-    acts: dict[str, FeatureMap] = {}
-    for layer in model.layers:
+    acts = {}
+    for layer in graph.layers:
+        src = [acts[i] for i in layer.inputs]
         if layer.kind == "input":
-            out = maps[0] if n == 1 else FeatureMap(np.concatenate([m.data for m in maps]))
+            out = maps[0] if n == 1 else replace(
+                maps[0], data=np.concatenate([m.data for m in maps]))
         elif layer.kind == "conv":
-            p = model.params[layer.id]
-            out = conv2d(acts[layer.inputs[0]], p.filters, layer.stride, layer.padding, batch=n,
-                         batchnorm=p.batchnorm,
-                         leaky_alpha=layer.leaky_alpha if layer.activation == "leaky" else None)
+            out = conv(layer, src[0], n)
         elif layer.kind == "maxpool":
-            out = maxpool(acts[layer.inputs[0]], layer.size, layer.stride, batch=n)
+            out = maxpool(src[0], layer.size, layer.stride, batch=n)
         elif layer.kind == "upsample":
-            out = upsample_nearest(acts[layer.inputs[0]], layer.factor)
+            out = upsample_nearest(src[0], layer.factor)
         elif layer.kind == "concat":
-            out = concat(acts[layer.inputs[0]], acts[layer.inputs[1]])
+            out = concat(*src)
         else:  # output_marker
-            out = acts[layer.inputs[0]]
+            out = src[0]
         acts[layer.id] = out
 
-    kept = [layer.id for layer in model.layers] if taps else model.output_ids()
+    kept = [layer.id for layer in graph.layers] if taps else graph.output_ids()
+    return {lid: acts[lid] for lid in kept}
+
+
+def float_infer(model: Model, input: FeatureMap | Sequence[FeatureMap],
+                taps: bool = False) -> InferenceTrace | list[InferenceTrace]:
+    """Run the float engine through ``execute``.
+
+    Conv layers apply convolution, then batchnorm if present, then the
+    activation, all in one ``conv2d`` call. The trace holds every layer
+    output when taps is set, otherwise only the model outputs. ``input`` is
+    one FeatureMap, which gives one trace, or a list of them, which run as
+    one batch and give one trace per map. A batch computes the same bits as
+    running its maps one at a time.
+    """
+    def conv(layer, fm, batch):
+        p = model.params[layer.id]
+        return conv2d(fm, p.filters, layer.stride, layer.padding, batch=batch,
+                      batchnorm=p.batchnorm,
+                      leaky_alpha=layer.leaky_alpha if layer.activation == "leaky" else None)
+
     if isinstance(input, FeatureMap):
-        return {lid: acts[lid] for lid in kept}
-    per_map = {lid: split_batch(acts[lid], n) for lid in kept}
-    return [{lid: per_map[lid][i] for lid in kept} for i in range(n)]
+        return execute(model, [input], conv, taps)
+    maps = list(input)
+    per_map = {lid: split_batch(fm, len(maps))
+               for lid, fm in execute(model, maps, conv, taps).items()}
+    return [{lid: fms[i] for lid, fms in per_map.items()} for i in range(len(maps))]
 
 
 def randomize_weights(model: Model, rng: np.random.Generator,
@@ -461,23 +481,6 @@ def model_digest(model: Model) -> str:
     return h.hexdigest()
 
 
-def _atomic_write(path, chunks: Iterable[bytes | memoryview]) -> None:
-    """Write ``chunks`` to a temp file, then rename it over ``path``.
-
-    If a write or the chunk iterator raises, the temp file is removed and
-    ``path`` keeps its old content.
-    """
-    tmp = f"{path}.tmp.{os.getpid()}"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.writelines(chunks)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def write_model_files(model, manifest_path, records: Iterable[tuple[str, np.ndarray]],
                       dtype_code: int, **extra) -> None:
     """Write the weights blob of ``records``, then the manifest naming it.
@@ -580,6 +583,16 @@ def layer_records(layer: LayerSpec, records: Mapping[str, tuple[np.ndarray, int]
     return arrays
 
 
+def reject_stray_records(layers: Sequence[LayerSpec], records: Mapping[str, object], path,
+                         suffixes: Sequence[str]) -> None:
+    """Raise ModelFormatError if a record is not ``<conv id>.<suffix>`` for one
+    of ``suffixes``."""
+    known = {f"{l.id}.{s}" for l in layers if l.kind == "conv" for s in suffixes}
+    stray = set(records) - known
+    if stray:
+        raise ModelFormatError(f"{path}: records for unknown layers: {sorted(stray)}")
+
+
 def load_model(manifest_path) -> Model:
     """Load a float model; load(save(m)) round-trips every bit."""
     manifest, weights_path = load_manifest(manifest_path)
@@ -604,12 +617,7 @@ def load_model(manifest_path) -> Model:
             )
         params[layer.id] = ConvParams(FilterBank(arrays["W"], arrays["b"]), bn)
 
-    known = {name for l in layers if l.kind == "conv"
-             for name in ([f"{l.id}.W", f"{l.id}.b"]
-                          + [f"{l.id}.{s}" for s in _BN_SUFFIXES])}
-    stray = set(records) - known
-    if stray:
-        raise ModelFormatError(f"{weights_path}: records for unknown layers: {sorted(stray)}")
+    reject_stray_records(layers, records, weights_path, ("W", "b") + _BN_SUFFIXES)
     return Model(tuple(layers), params)
 
 

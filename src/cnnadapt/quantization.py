@@ -9,7 +9,6 @@ the int16 tile. Activations are int16 maps from input to output.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 from typing import Union
 
@@ -21,11 +20,13 @@ from .model import (
     LayerGraph,
     LayerSpec,
     Model,
+    execute,
     layer_records,
     layers_from_manifest,
     load_manifest,
     model_digest,
     read_records,
+    reject_stray_records,
     shape_infer,
     write_model_files,
 )
@@ -38,12 +39,9 @@ from .tensor import (
     MAX_EXACT_INT_DEPTH,
     FeatureMap,
     IntFeatureMap,
-    concat_int,
+    _freeze,
     conv_gemm,
-    conv_input,
-    maxpool_int,
     spent_scratch,
-    upsample_nearest_int,
 )
 
 MAX_SCALE_EXPONENT = 14  # values in [-1, 1] keep int16 headroom
@@ -136,12 +134,8 @@ class QuantConvParams:
             raise ValueError("quantized parameters must be int16")
         if w.ndim != 4 or b.ndim != 1 or b.shape[0] != w.shape[3]:
             raise ShapeError(f"bad quantized parameter shapes {w.shape}, {b.shape}")
-        w = np.ascontiguousarray(w)
-        b = np.ascontiguousarray(b)
-        w.flags.writeable = False
-        b.flags.writeable = False
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "biases", b)
+        object.__setattr__(self, "weights", _freeze(w))
+        object.__setattr__(self, "biases", _freeze(b))
 
 
 @dataclass(frozen=True)
@@ -193,9 +187,6 @@ class OverflowStats:
                        for lid, l in self.layers.items()},
             "total": self.total,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
 
 
 def quantize_model(model: Model, config: QuantConfig = QuantConfig()) -> QuantizedModel:
@@ -250,7 +241,6 @@ def int_conv_forward(input: IntFeatureMap, weights: np.ndarray, biases: np.ndarr
     if kh * kw * c_in > MAX_EXACT_INT_DEPTH:
         raise ValueError(f"conv depth kh*kw*c_in = {kh * kw * c_in} exceeds "
                          f"{MAX_EXACT_INT_DEPTH}, beyond which float64 sums are not exact")
-    padded, out_h, out_w = conv_input(input.data, weights, stride, padding, np.int16)
     scale = 2.0 ** -config.p
     counts = [0, 0]  # acc32, int16 saturations
 
@@ -268,8 +258,7 @@ def int_conv_forward(input: IntFeatureMap, weights: np.ndarray, biases: np.ndarr
             np.right_shift(dst, p_alpha, out=shifted)
             np.maximum(dst, shifted, out=dst)
 
-    out = np.empty((out_h, out_w, weights.shape[3]), dtype=np.int16)
-    conv_gemm(padded, weights, stride, out_h, out_w, requantize, out)
+    out = conv_gemm(input.data, weights, stride, padding, 1, requantize)
     return IntFeatureMap(out, 16), counts[0], counts[1]
 
 
@@ -292,41 +281,21 @@ def quant_leaky_relu(z: IntFeatureMap, p_alpha: int) -> IntFeatureMap:
 
 def int_infer(qmodel: QuantizedModel, input: IntFeatureMap,
               taps: bool = False) -> tuple[dict[str, IntFeatureMap], OverflowStats]:
-    """Run the integer engine; bit-deterministic for identical inputs."""
-    in_layer = qmodel.input_layer
-    if input.shape != (in_layer.height, in_layer.width, in_layer.channels):
-        raise ShapeError(f"input shape {input.shape} != model input "
-                         f"({in_layer.height}, {in_layer.width}, {in_layer.channels})")
+    """Run the integer engine through ``execute``; bit-deterministic for
+    identical inputs. Records each conv layer's saturations."""
     if input.width_bits != 16:
         raise ValueError("integer engine consumes int16 activations")
-
     stats = OverflowStats()
-    acts: dict[str, IntFeatureMap] = {}
-    for layer in qmodel.layers:
-        if layer.kind == "input":
-            out = input
-        elif layer.kind == "conv":
-            qp = qmodel.qparams[layer.id]
-            out, n_acc, n16 = int_conv_forward(
-                acts[layer.inputs[0]], qp.weights, qp.biases, layer.stride, layer.padding,
-                qmodel.config,
-                p_alpha=layer.act_exponent if layer.activation == "leaky" else None)
-            stats.record(layer.id, n_acc, n16)
-        elif layer.kind == "maxpool":
-            out = maxpool_int(acts[layer.inputs[0]], layer.size, layer.stride)
-        elif layer.kind == "upsample":
-            out = upsample_nearest_int(acts[layer.inputs[0]], layer.factor)
-        elif layer.kind == "concat":
-            out = concat_int(acts[layer.inputs[0]], acts[layer.inputs[1]])
-        else:  # output_marker
-            out = acts[layer.inputs[0]]
-        acts[layer.id] = out
 
-    if taps:
-        trace = {layer.id: acts[layer.id] for layer in qmodel.layers}
-    else:
-        trace = {lid: acts[lid] for lid in qmodel.output_ids()}
-    return trace, stats
+    def conv(layer, fm, batch):
+        qp = qmodel.qparams[layer.id]
+        out, n_acc, n16 = int_conv_forward(
+            fm, qp.weights, qp.biases, layer.stride, layer.padding, qmodel.config,
+            p_alpha=layer.act_exponent if layer.activation == "leaky" else None)
+        stats.record(layer.id, n_acc, n16)
+        return out
+
+    return execute(qmodel, [input], conv, taps), stats
 
 
 # ---------------------------------------------------------------------------
@@ -370,4 +339,5 @@ def load_quantized_model(manifest_path) -> QuantizedModel:
         if layer.kind == "conv":
             arrays = layer_records(layer, records, weights_path, DTYPE_INT16, ("W", "b"))
             qparams[layer.id] = QuantConvParams(arrays["W"], arrays["b"])
+    reject_stray_records(layers, records, weights_path, ("W", "b"))
     return QuantizedModel(layers, qparams, config, source_digest=source_digest)

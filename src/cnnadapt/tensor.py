@@ -11,6 +11,10 @@ so that padding and windows stay inside each map; the pointwise ops,
 ``upsample_nearest`` and ``concat`` need no batch argument, since they never
 mix rows of different maps.
 
+``maxpool``, ``upsample_nearest``, ``concat`` and ``split_batch`` serve both
+map types: each result is the input map with new data, so an integer map
+keeps its width. The ``_int`` names are aliases of the same functions.
+
 Both engines convolve through ``conv_gemm``: the input windows are lowered
 to rows of a (pixels, kh*kw*c) matrix (im2col) and multiplied with the
 (kh*kw*c, filters) weight matrix in float64. Float products of float32
@@ -25,12 +29,15 @@ the float layer has one, and leaky ReLU, so a conv layer is one call. Leaky ReLU
 ``max(z, alpha * z)``, the same value as ``z if z > 0 else alpha * z`` for
 every z, signed zeros included.
 
-Integer maps are stored in their declared width, int16 or int32.
+Integer maps are stored in their declared width, int16 or int32. Files
+are written through ``_atomic_write``, so a failed write leaves the old file.
 """
 from __future__ import annotations
 
+import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Iterable, TypeVar
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -56,25 +63,17 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class FeatureMap:
-    """Float activation tensor of shape (height, width, channels).
-
-    Channels may be zero (the empty map is a valid concat operand);
-    spatial dims must be positive and every value finite.
-    """
+class _Map:
+    """Shape accessors and the rank and spatial checks of both map types."""
 
     data: np.ndarray
 
-    def __post_init__(self):
-        arr = np.asarray(self.data, dtype=np.float32)
+    @staticmethod
+    def _check_rank(arr: np.ndarray) -> None:
         if arr.ndim != 3:
             raise ShapeError(f"feature map must be rank 3, got shape {arr.shape}")
         if arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ShapeError(f"feature map spatial dims must be positive, got {arr.shape}")
-        if arr.size and not np.isfinite(arr).all():
-            raise ValueError("feature map contains NaN or infinite values")
-        object.__setattr__(self, "data", _freeze(arr))
 
     @property
     def height(self) -> int:
@@ -93,8 +92,29 @@ class FeatureMap:
         return self.data.shape
 
 
+MapT = TypeVar("MapT", bound=_Map)
+
+
 @dataclass(frozen=True)
-class IntFeatureMap:
+class FeatureMap(_Map):
+    """Float activation tensor of shape (height, width, channels).
+
+    Channels may be zero (the empty map is a valid concat operand);
+    spatial dims must be positive and every value finite.
+    """
+
+    data: np.ndarray
+
+    def __post_init__(self):
+        arr = np.asarray(self.data, dtype=np.float32)
+        self._check_rank(arr)
+        if arr.size and not np.isfinite(arr).all():
+            raise ValueError("feature map contains NaN or infinite values")
+        object.__setattr__(self, "data", _freeze(arr))
+
+
+@dataclass(frozen=True)
+class IntFeatureMap(_Map):
     """Integer activation tensor with a declared storage width (16 or 32 bits).
 
     Data is held as int16 or int32, the declared two's-complement width.
@@ -108,10 +128,7 @@ class IntFeatureMap:
         arr = np.asarray(self.data)
         if not np.issubdtype(arr.dtype, np.integer):
             raise ValueError(f"integer feature map requires integer data, got {arr.dtype}")
-        if arr.ndim != 3:
-            raise ShapeError(f"feature map must be rank 3, got shape {arr.shape}")
-        if arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise ShapeError(f"feature map spatial dims must be positive, got {arr.shape}")
+        self._check_rank(arr)
         if self.width_bits not in (16, 32):
             raise ValueError(f"width_bits must be 16 or 32, got {self.width_bits}")
         dtype = np.dtype(np.int16 if self.width_bits == 16 else np.int32)
@@ -121,22 +138,6 @@ class IntFeatureMap:
                 raise ValueError(f"values exceed int{self.width_bits} range")
             arr = arr.astype(dtype)
         object.__setattr__(self, "data", _freeze(arr))
-
-    @property
-    def height(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def channels(self) -> int:
-        return self.data.shape[2]
-
-    @property
-    def shape(self) -> tuple[int, int, int]:
-        return self.data.shape
 
 
 @dataclass(frozen=True)
@@ -258,15 +259,26 @@ def _batch_view(data: np.ndarray, batch: int) -> np.ndarray:
     return data.reshape(batch, rows // batch, width, channels)
 
 
-def conv_input(data: np.ndarray, weights: np.ndarray, stride: int, padding: str,
-               dtype, batch: int = 1) -> tuple[np.ndarray, int, int]:
-    """Validate a convolution and zero-pad each of the ``batch`` maps stacked in
-    ``data``: (padded of shape (batch, h, w, c), out_h, out_w)."""
+def conv_gemm(data: np.ndarray, weights: np.ndarray, stride: int, padding: str, batch: int,
+              epilogue) -> np.ndarray:
+    """Convolve each of the ``batch`` (h, w, c) maps stacked in ``data`` with
+    (kh, kw, c, nf) weights as float64 GEMMs; returns the outputs stacked,
+    (batch * out_h, out_w, nf), in the dtype of ``data``.
+
+    Same padding pads each map with zeros. The output is tiled into pixel
+    blocks (outer loop: several whole maps while they fit, else rows and
+    columns of one map) and filter blocks (inner loop) sized so that the
+    scratch stays within GEMM_SCRATCH_BYTES; the weights are cast to float64
+    once per pixel block. For each tile, ``epilogue(acc, dst, f0, f1)``
+    receives the float64 sums ``acc`` of shape (maps, rows, cols, f1 - f0),
+    a contiguous buffer it may overwrite, and must write the finished values
+    into ``dst``, the tile's slice of the output.
+    """
     if stride < 1:
         raise ValueError(f"stride must be positive, got {stride}")
     maps = _batch_view(data, batch)
-    _, in_h, in_w, c_in = maps.shape
-    kh, kw = weights.shape[0], weights.shape[1]
+    n, in_h, in_w, c_in = maps.shape
+    kh, kw, _, nf = weights.shape
     if c_in != weights.shape[2]:
         raise ShapeError(
             f"input has {c_in} channels but filters expect {weights.shape[2]}")
@@ -276,32 +288,14 @@ def conv_input(data: np.ndarray, weights: np.ndarray, stride: int, padding: str,
         pl, pr = _same_padding(in_w, kw, stride)
     else:
         pt = pb = pl = pr = 0
-    padded = np.zeros((batch, in_h + pt + pb, in_w + pl + pr, c_in), dtype=dtype)
+    padded = np.zeros((n, in_h + pt + pb, in_w + pl + pr, c_in), dtype=data.dtype)
     padded[:, pt:pt + in_h, pl:pl + in_w, :] = maps
-    return padded, out_h, out_w
-
-
-def conv_gemm(padded: np.ndarray, weights: np.ndarray, stride: int, out_h: int, out_w: int,
-              epilogue, out: np.ndarray) -> np.ndarray:
-    """Convolve N padded (h, w, c) maps with (kh, kw, c, nf) weights as float64 GEMMs.
-
-    ``padded`` has shape (N, h, w, c); ``out`` holds the N outputs stacked,
-    (N * out_h, out_w, nf). The output is tiled into pixel blocks (outer
-    loop: several whole maps while they fit, else rows and columns of one
-    map) and filter blocks (inner loop) sized so that the scratch stays
-    within GEMM_SCRATCH_BYTES; the weights are cast to float64 once per
-    pixel block. For each tile, ``epilogue(acc, dst, f0, f1)`` receives the
-    float64 sums ``acc`` of shape (maps, rows, cols, f1 - f0), a contiguous
-    buffer it may overwrite, and must write the finished values into
-    ``dst = out[maps, rows, cols, f0:f1]``.
-    """
-    n = padded.shape[0]
-    kh, kw, c_in, nf = weights.shape
     depth = kh * kw * c_in
     # (n, out_h, out_w, kh, kw, c): window element order matches weights.reshape(depth, nf)
     windows = sliding_window_view(padded, (kh, kw), axis=(1, 2))
     windows = windows[:, ::stride, ::stride][:, :out_h, :out_w].transpose(0, 1, 2, 4, 5, 3)
     w2d = weights.reshape(depth, nf)
+    out = np.empty((n * out_h, out_w, nf), dtype=data.dtype)
     dst = out.reshape(n, out_h, out_w, nf)
 
     budget = GEMM_SCRATCH_BYTES // 8
@@ -369,8 +363,6 @@ def conv2d(input: FeatureMap, filters: FilterBank, stride: int = 1,
         if not 0 <= leaky_alpha <= 1:
             raise ValueError(f"fused leaky slope must lie in [0, 1], got {leaky_alpha}")
         alpha = np.float32(leaky_alpha)
-    padded, out_h, out_w = conv_input(input.data, filters.weights, stride, padding,
-                                      np.float32, batch)
     bias = filters.biases
 
     def epilogue(acc, dst, f0, f1):
@@ -384,8 +376,7 @@ def conv2d(input: FeatureMap, filters: FilterBank, stride: int = 1,
             np.multiply(dst, alpha, out=scaled)
             np.maximum(dst, scaled, out=dst)
 
-    out = np.empty((batch * out_h, out_w, nf), dtype=np.float32)
-    return FeatureMap(conv_gemm(padded, filters.weights, stride, out_h, out_w, epilogue, out))
+    return FeatureMap(conv_gemm(input.data, filters.weights, stride, padding, batch, epilogue))
 
 
 def _batchnorm_scale(params: BatchNormParams) -> np.ndarray:
@@ -415,78 +406,53 @@ def maxpool_output_shape(in_h: int, in_w: int, stride: int) -> tuple[int, int]:
     return -(-in_h // stride), -(-in_w // stride)
 
 
-def _pool_window_max(data: np.ndarray, size: int, stride: int, sentinel,
-                     batch: int = 1) -> np.ndarray:
-    maps = _batch_view(data, batch)
+def maxpool(input: MapT, size: int, stride: int, batch: int = 1) -> MapT:
+    """Channelwise window maximum with ceil-mode output (out = ceil(in / stride)),
+    of each of the ``batch`` maps stacked in a float or integer ``input``."""
+    if size < 1 or stride < 1:
+        raise ValueError(f"pool size and stride must be positive, got {size}, {stride}")
+    if input.channels == 0:
+        raise ShapeError("cannot pool a zero-channel feature map")
+    dtype = input.data.dtype
+    sentinel = np.iinfo(dtype).min if dtype.kind == "i" else dtype.type(-np.inf)
+    maps = _batch_view(input.data, batch)
     _, in_h, in_w, c = maps.shape
     out_h, out_w = maxpool_output_shape(in_h, in_w, stride)
     # Pad each map's bottom/right with a never-selected sentinel so edge windows
     # that overhang (stride-1 pooling at the border) only see its own elements.
     pad_h = max((out_h - 1) * stride + size - in_h, 0)
     pad_w = max((out_w - 1) * stride + size - in_w, 0)
-    padded = np.full((batch, in_h + pad_h, in_w + pad_w, c), sentinel, dtype=data.dtype)
+    padded = np.full((batch, in_h + pad_h, in_w + pad_w, c), sentinel, dtype=dtype)
     padded[:, :in_h, :in_w, :] = maps
-    out = np.full((batch, out_h, out_w, c), sentinel, dtype=data.dtype)
+    out = np.full((batch, out_h, out_w, c), sentinel, dtype=dtype)
     for r in range(size):
         for s in range(size):
             window = padded[:, r:r + out_h * stride:stride, s:s + out_w * stride:stride, :]
             np.maximum(out, window, out=out)
-    return out.reshape(batch * out_h, out_w, c)
+    return replace(input, data=out.reshape(batch * out_h, out_w, c))
 
 
-def maxpool(input: FeatureMap, size: int, stride: int, batch: int = 1) -> FeatureMap:
-    """Channelwise window maximum with ceil-mode output (out = ceil(in / stride)),
-    of each of the ``batch`` maps stacked in ``input``."""
-    if size < 1 or stride < 1:
-        raise ValueError(f"pool size and stride must be positive, got {size}, {stride}")
-    if input.channels == 0:
-        raise ShapeError("cannot pool a zero-channel feature map")
-    out = _pool_window_max(input.data, size, stride, np.float32(-np.inf), batch)
-    return FeatureMap(out)
-
-
-def maxpool_int(input: IntFeatureMap, size: int, stride: int) -> IntFeatureMap:
-    """Integer maxpool; comparison semantics carry over from the float version."""
-    if size < 1 or stride < 1:
-        raise ValueError(f"pool size and stride must be positive, got {size}, {stride}")
-    if input.channels == 0:
-        raise ShapeError("cannot pool a zero-channel feature map")
-    out = _pool_window_max(input.data, size, stride, np.iinfo(input.data.dtype).min)
-    return IntFeatureMap(out, input.width_bits)
-
-
-def upsample_nearest(input: FeatureMap, factor: int) -> FeatureMap:
+def upsample_nearest(input: MapT, factor: int) -> MapT:
     if factor < 1:
         raise ValueError(f"upsample factor must be positive, got {factor}")
-    out = np.repeat(np.repeat(input.data, factor, axis=0), factor, axis=1)
-    return FeatureMap(out)
+    return replace(input, data=np.repeat(np.repeat(input.data, factor, axis=0), factor, axis=1))
 
 
-def upsample_nearest_int(input: IntFeatureMap, factor: int) -> IntFeatureMap:
-    if factor < 1:
-        raise ValueError(f"upsample factor must be positive, got {factor}")
-    out = np.repeat(np.repeat(input.data, factor, axis=0), factor, axis=1)
-    return IntFeatureMap(out, input.width_bits)
-
-
-def concat(a: FeatureMap, b: FeatureMap) -> FeatureMap:
-    """Channel concatenation, a's channels first."""
+def concat(a: MapT, b: MapT) -> MapT:
+    """Channel concatenation of two maps of one dtype, a's channels first."""
     if (a.height, a.width) != (b.height, b.width):
         raise ShapeError(f"concat spatial mismatch: {a.shape} vs {b.shape}")
-    return FeatureMap(np.concatenate([a.data, b.data], axis=2))
+    if a.data.dtype != b.data.dtype:
+        raise ValueError(f"concat dtype mismatch: {a.data.dtype} vs {b.data.dtype}")
+    return replace(a, data=np.concatenate([a.data, b.data], axis=2))
 
 
-def concat_int(a: IntFeatureMap, b: IntFeatureMap) -> IntFeatureMap:
-    if (a.height, a.width) != (b.height, b.width):
-        raise ShapeError(f"concat spatial mismatch: {a.shape} vs {b.shape}")
-    if a.width_bits != b.width_bits:
-        raise ValueError(f"concat width mismatch: {a.width_bits} vs {b.width_bits}")
-    return IntFeatureMap(np.concatenate([a.data, b.data], axis=2), a.width_bits)
+maxpool_int, upsample_nearest_int, concat_int = maxpool, upsample_nearest, concat
 
 
-def split_batch(stacked: FeatureMap, batch: int) -> list[FeatureMap]:
+def split_batch(stacked: MapT, batch: int) -> list[MapT]:
     """The ``batch`` maps stacked in a batch map, as views of its data."""
-    return [FeatureMap(m) for m in _batch_view(stacked.data, batch)]
+    return [replace(stacked, data=m) for m in _batch_view(stacked.data, batch)]
 
 
 # ---------------------------------------------------------------------------
@@ -500,6 +466,23 @@ _NUMPY_DTYPES = {
 }
 
 
+def _atomic_write(path, chunks: Iterable[bytes | memoryview]) -> None:
+    """Write ``chunks`` to a temp file, then rename it over ``path``.
+
+    If a write or the chunk iterator raises, the temp file is removed and
+    ``path`` keeps its old content.
+    """
+    tmp = f"{path}.tmp.{os.getpid()}"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def save_tensor(path, fm: FeatureMap | IntFeatureMap) -> None:
     """Write a feature map: magic, version u32, dtype u8, rank u8, dims u32, raw data."""
     if isinstance(fm, FeatureMap):
@@ -508,12 +491,9 @@ def save_tensor(path, fm: FeatureMap | IntFeatureMap) -> None:
         code = DTYPE_INT16 if fm.width_bits == 16 else DTYPE_INT32
     else:
         raise TypeError(f"cannot serialize {type(fm).__name__}")
-    payload = np.ascontiguousarray(fm.data.astype(_NUMPY_DTYPES[code])).tobytes()
-    with open(path, "wb") as fh:
-        fh.write(_TENSOR_MAGIC)
-        fh.write(struct.pack("<IBB", _TENSOR_VERSION, code, 3))
-        fh.write(struct.pack("<3I", fm.height, fm.width, fm.channels))
-        fh.write(payload)
+    header = _TENSOR_MAGIC + struct.pack("<IBB3I", _TENSOR_VERSION, code, 3, *fm.shape)
+    payload = np.ascontiguousarray(fm.data, dtype=_NUMPY_DTYPES[code])
+    _atomic_write(path, [header, memoryview(payload).cast("B")])
 
 
 def load_tensor(path) -> FeatureMap | IntFeatureMap:

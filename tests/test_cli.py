@@ -9,9 +9,16 @@ import numpy as np
 import pytest
 
 from cnnadapt.cli import run
-from cnnadapt.model import ConvParams, Model, load_model, randomize_weights, save_model
+from cnnadapt.model import (
+    ConvParams,
+    Model,
+    load_model,
+    randomize_weights,
+    record_chunks,
+    save_model,
+)
 from cnnadapt.quantization import load_quantized_model
-from cnnadapt.tensor import INT16_MAX, FeatureMap, FilterBank, save_tensor
+from cnnadapt.tensor import DTYPE_INT16, INT16_MAX, FeatureMap, FilterBank, save_tensor
 from cnnadapt.tinyyolo import build_tinyyolov3
 from util import chain_model, feature_map
 
@@ -352,6 +359,20 @@ def test_int_infer_rejects_malformed_quantized_manifest(tmp_path, fused_model_pa
     err = capsys.readouterr().err
     assert code == 2
     assert "error:" in err and message in err and "Traceback" not in err
+
+
+def test_int_infer_rejects_stray_weight_record(tmp_path, fused_model_path, input_path, capsys):
+    qpath = tmp_path / "model.q.json"
+    assert run(["quantize", "-i", str(fused_model_path), "-o", str(qpath)]) == 0
+    weights = qpath.with_suffix(".weights")
+    ghost = list(record_chunks([("ghost.W", np.zeros((3, 3, 2, 4), np.int16))], DTYPE_INT16))
+    weights.write_bytes(weights.read_bytes() + b"".join(bytes(c) for c in ghost[1:]))
+    capsys.readouterr()
+    code = run(["infer", "-i", str(qpath), "--input", str(input_path),
+                "--engine", "int", "--taps", str(tmp_path / "taps")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error:" in err and "ghost.W" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("engine", ["float", "int"])

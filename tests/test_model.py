@@ -1,10 +1,12 @@
 """Layer graph validation, shape inference, the float engine and the file format."""
 import hashlib
 import json
+import os
 
 import numpy as np
 import pytest
 
+from cnnadapt.analysis import MseEntry, MseReport, write_json_report
 from cnnadapt.errors import ModelFormatError, ShapeError
 from cnnadapt.fusion import fuse_model
 from cnnadapt.model import (
@@ -22,7 +24,7 @@ from cnnadapt.model import (
     zero_filter_bank,
 )
 from cnnadapt.quantization import quantize_model, save_quantized_model
-from cnnadapt.tensor import BatchNormParams, FeatureMap, FilterBank
+from cnnadapt.tensor import BatchNormParams, FeatureMap, FilterBank, save_tensor
 from cnnadapt.tinyyolo import HEAD_IDS, build_tinyyolov3, head_filters
 from util import bank, chain_model, conv_spec, feature_map, identity_bank, random_bn
 
@@ -305,6 +307,43 @@ def test_atomic_write_failure_keeps_destination(tmp_path, chunks, error):
         _atomic_write(dest, chunks())
     assert dest.read_bytes() == b"old content"
     assert [p.name for p in tmp_path.iterdir()] == ["out.weights"]  # no temp file left
+
+
+# Every writer of an output file: (file name, call that writes it).
+_WRITERS = [
+    ("x.tnsr", lambda path: save_tensor(path, FeatureMap(np.ones((2, 2, 1), np.float32)))),
+    ("r.json", lambda path: write_json_report(path, {"a": 1})),
+    ("m.csv", lambda path: MseReport((MseEntry("conv_1", 4, 0.5),)).write_csv(path)),
+]
+
+
+@pytest.mark.parametrize("name, write", _WRITERS, ids=[n for n, _ in _WRITERS])
+def test_output_writers_keep_old_file_when_rename_fails(tmp_path, monkeypatch, name, write):
+    dest = tmp_path / name
+    dest.write_bytes(b"old content")
+
+    def failing_replace(src, dst):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="rename failed"):
+        write(dest)
+    assert dest.read_bytes() == b"old content"
+    assert [p.name for p in tmp_path.iterdir()] == [name]  # no temp file left
+
+
+@pytest.mark.parametrize("write", [
+    lambda path: write_json_report(path, {"a": object()}),
+    lambda path: MseReport((MseEntry("conv_1", 4, 0.5), MseEntry("conv_2", 4, None)))
+    .write_csv(path),
+], ids=["json", "csv"])
+def test_report_that_fails_to_encode_keeps_old_file(tmp_path, write):
+    dest = tmp_path / "report"
+    dest.write_text('{"valid": true}\n')
+    with pytest.raises(TypeError):
+        write(dest)
+    assert dest.read_text() == '{"valid": true}\n'
+    assert [p.name for p in tmp_path.iterdir()] == ["report"]
 
 
 def test_manifest_input_block_must_match_layer(tmp_path, rng):

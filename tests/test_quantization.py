@@ -7,7 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cnnadapt.errors import ModelFormatError, PipelineError, ShapeError
-from cnnadapt.model import ConvParams, Model, load_model, model_digest, save_model
+from cnnadapt.model import (
+    ConvParams,
+    Model,
+    load_model,
+    model_digest,
+    record_chunks,
+    save_model,
+)
 from cnnadapt.quantization import (
     MAX_SCALE_EXPONENT,
     QUANTIZE_CHUNK,
@@ -27,7 +34,14 @@ from cnnadapt.quantization import (
     rshift,
     save_quantized_model,
 )
-from cnnadapt.tensor import INT16_MAX, INT16_MIN, FeatureMap, FilterBank, IntFeatureMap
+from cnnadapt.tensor import (
+    DTYPE_INT16,
+    INT16_MAX,
+    INT16_MIN,
+    FeatureMap,
+    FilterBank,
+    IntFeatureMap,
+)
 from util import chain_model, feature_map
 
 
@@ -431,3 +445,13 @@ def test_quantized_loader_rejects_float_manifest(tmp_path, rng):
     save_model(model, path)
     with pytest.raises(ModelFormatError, match="not a quantized model"):
         load_quantized_model(path)
+
+
+def test_quantized_loader_rejects_stray_records(tmp_path, rng):
+    save_quantized_model(quantize_model(chain_model(rng, [3], hw=4)), tmp_path / "q.json")
+    weights = tmp_path / "q.weights"
+    # the ghost record's chunks, without the blob header
+    ghost = list(record_chunks([("ghost.W", np.zeros((1, 1, 2, 3), np.int16))], DTYPE_INT16))
+    weights.write_bytes(weights.read_bytes() + b"".join(bytes(c) for c in ghost[1:]))
+    with pytest.raises(ModelFormatError, match="unknown layers.*ghost.W"):
+        load_quantized_model(tmp_path / "q.json")

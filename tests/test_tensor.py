@@ -12,6 +12,7 @@ from cnnadapt.tensor import (
     IntFeatureMap,
     batchnorm_forward,
     concat,
+    concat_int,
     conv2d,
     conv_output_shape,
     leaky_relu,
@@ -19,7 +20,9 @@ from cnnadapt.tensor import (
     maxpool,
     maxpool_int,
     save_tensor,
+    split_batch,
     upsample_nearest,
+    upsample_nearest_int,
 )
 from util import bank, identity_bank
 
@@ -301,6 +304,32 @@ def test_concat_spatial_mismatch_raises():
     b = FeatureMap(np.zeros((3, 2, 1), dtype=np.float32))
     with pytest.raises(ShapeError):
         concat(a, b)
+
+
+def test_int_op_names_are_the_generic_ops():
+    assert maxpool_int is maxpool
+    assert upsample_nearest_int is upsample_nearest
+    assert concat_int is concat
+
+
+@pytest.mark.parametrize("width", [16, 32])
+def test_map_ops_keep_the_integer_map_type(rng, width):
+    fm = IntFeatureMap(rng.integers(-1000, 1000, size=(4, 4, 2)), width)
+    results = [maxpool(fm, 2, 2), upsample_nearest(fm, 2), concat(fm, fm),
+               *split_batch(fm, 2)]
+    for out in results:
+        assert isinstance(out, IntFeatureMap) and out.width_bits == width
+    assert [out.shape for out in results] == [(2, 2, 2), (8, 8, 2), (4, 4, 4),
+                                              (2, 4, 2), (2, 4, 2)]
+
+
+def test_concat_rejects_operands_of_different_dtypes():
+    f = FeatureMap(np.zeros((2, 2, 1), dtype=np.float32))
+    i16 = IntFeatureMap(np.zeros((2, 2, 1), dtype=np.int16), 16)
+    i32 = IntFeatureMap(np.zeros((2, 2, 1), dtype=np.int32), 32)
+    for a, b in ((f, i16), (i16, f), (i16, i32), (i32, i16)):
+        with pytest.raises(ValueError, match="dtype mismatch"):
+            concat(a, b)
 
 
 # ---------------------------------------------------------------------------
