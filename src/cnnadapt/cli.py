@@ -13,7 +13,7 @@ import os
 import sys
 
 from . import analysis, evaluation, fusion, pruning, quantization
-from .errors import CnnAdaptError, EvaluatorError, ModelFormatError, PipelineError
+from .errors import CnnAdaptError, ModelFormatError, PipelineError
 from .model import float_infer, load_model, save_model
 from .tensor import FeatureMap, load_tensor, save_tensor
 
@@ -263,9 +263,6 @@ def run(argv=None) -> int:
     except (PipelineError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except EvaluatorError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_FAILURE
     except (CnnAdaptError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_FAILURE

@@ -1,4 +1,5 @@
 """Exception types shared across the package."""
+from contextlib import contextmanager
 
 
 class CnnAdaptError(Exception):
@@ -29,3 +30,16 @@ class EvaluatorError(CnnAdaptError, RuntimeError):
         super().__init__(message)
         self.model = model
         self.report = report
+
+
+@contextmanager
+def file_content(path):
+    """Re-raise a ValueError, OverflowError or PipelineError from the block as
+    ModelFormatError naming ``path``: the block reads that file, so its content
+    is at fault."""
+    try:
+        yield
+    except ModelFormatError:
+        raise
+    except (ValueError, OverflowError, PipelineError) as e:
+        raise ModelFormatError(f"{path}: {e}") from e

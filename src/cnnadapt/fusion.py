@@ -26,7 +26,10 @@ def fuse_layer(filters: FilterBank, bn: BatchNormParams) -> FilterBank:
             f"batchnorm has {bn.num_filters} entries for {filters.num_filters} filters")
     denom = np.sqrt(bn.sigma2.astype(np.float64) + bn.epsilon)
     scale = bn.gamma.astype(np.float64) / denom
-    fused_w = (filters.weights.astype(np.float64) * scale).astype(np.float32)
+    # float64 products rounded once to float32, cast through the ufunc's
+    # small buffers: no weight-sized float64 temporary
+    fused_w = np.multiply(filters.weights, scale, dtype=np.float64, casting="unsafe",
+                          out=np.empty_like(filters.weights))
     fused_b = (scale * (filters.biases.astype(np.float64) - bn.mu) + bn.beta).astype(np.float32)
     return FilterBank(fused_w, fused_b)
 

@@ -12,11 +12,11 @@ import math
 import os
 import struct
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .errors import ModelFormatError, ShapeError
+from .errors import ModelFormatError, ShapeError, file_content
 from .tensor import (
     DTYPE_FLOAT32,
     DTYPE_INT16,
@@ -407,43 +407,7 @@ def record_chunks(records: Iterable[tuple[str, np.ndarray]],
         encoded = name.encode("utf-8")
         yield (struct.pack("<H", len(encoded)) + encoded
                + struct.pack(f"<BB{arr.ndim}I", dtype_code, arr.ndim, *arr.shape))
-        yield memoryview(np.ascontiguousarray(arr, dtype=dtype)).cast("B")
-
-
-def iter_records(blob, path) -> Iterator[tuple[str, np.ndarray, int]]:
-    """Yield (name, ndarray, dtype_code) records from a weights blob body.
-
-    Each array is one aligned copy of its payload. A body cut short anywhere,
-    or a name that is not UTF-8, raises ModelFormatError.
-    """
-    off = 0
-    while off < len(blob):
-        if off + 2 > len(blob):
-            raise ModelFormatError(f"{path}: truncated record header")
-        (name_len,) = struct.unpack_from("<H", blob, off)
-        off += 2
-        if off + name_len + 2 > len(blob):
-            raise ModelFormatError(f"{path}: truncated record header")
-        try:
-            name = bytes(blob[off:off + name_len]).decode("utf-8")
-        except UnicodeDecodeError as e:
-            raise ModelFormatError(f"{path}: record name is not UTF-8 ({e})") from e
-        off += name_len
-        dtype_code, rank = struct.unpack_from("<BB", blob, off)
-        off += 2
-        if dtype_code not in _RECORD_DTYPES:
-            raise ModelFormatError(f"{path}: record {name!r} has unknown dtype {dtype_code}")
-        if off + 4 * rank > len(blob):
-            raise ModelFormatError(f"{path}: record {name!r} dims truncated")
-        dims = struct.unpack_from(f"<{rank}I", blob, off)
-        off += 4 * rank
-        dtype = _RECORD_DTYPES[dtype_code]
-        count = math.prod(dims)
-        if off + count * dtype.itemsize > len(blob):
-            raise ModelFormatError(f"{path}: record {name!r} payload truncated")
-        arr = np.frombuffer(blob, dtype=dtype, count=count, offset=off).reshape(dims).copy()
-        off += count * dtype.itemsize
-        yield name, arr, dtype_code
+        yield memoryview(np.ascontiguousarray(arr, dtype=dtype).reshape(-1)).cast("B")
 
 
 def _weight_records(model: Model) -> Iterator[tuple[str, np.ndarray]]:
@@ -502,43 +466,45 @@ def save_model(model: Model, manifest_path) -> None:
     write_model_files(model, manifest_path, _weight_records(model), DTYPE_FLOAT32)
 
 
-def read_weights_blob(path) -> memoryview:
-    """The body of a weights blob (after its magic and version), without a copy."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw[:4] != _WEIGHTS_MAGIC:
-        raise ModelFormatError(f"{path}: not a weights blob (bad magic)")
-    if len(raw) < 8:
-        raise ModelFormatError(f"{path}: truncated weights header ({len(raw)} bytes)")
-    (version,) = struct.unpack_from("<I", raw, 4)
-    if version != _WEIGHTS_VERSION:
-        raise ModelFormatError(f"{path}: unsupported weights version {version}")
-    return memoryview(raw)[8:]
+def read_model_files(manifest_path, dtype_code: int,
+                     suffixes: Callable[[LayerSpec], Sequence[str]]
+                     ) -> tuple[dict, list[LayerSpec], dict[str, dict[str, np.ndarray]]]:
+    """Read a manifest and its weights blob; returns (manifest, layers,
+    {conv id: {suffix: array}}).
 
-
-def load_manifest(manifest_path) -> tuple[dict, str]:
-    """Parse and validate the manifest; returns (manifest, weights path)."""
+    The manifest must be quantized (carry a ``quantization`` block) exactly
+    when ``dtype_code`` is int16; this is checked before the blob is opened.
+    The blob is read record by record, each payload straight into its array
+    once it is known to fit in the rest of the file. ``suffixes(layer)``
+    names a conv layer's records ("W", "b", ...): each must be present, of
+    ``dtype_code`` and shaped as the spec implies, W (kh, kw, c_in, nf) and
+    every other record (nf,). Any other record is stray. Every fault raises
+    ModelFormatError.
+    """
     manifest_path = os.fspath(manifest_path)
     try:
         with open(manifest_path) as fh:
             manifest = json.load(fh)
-    except json.JSONDecodeError as e:
+    except ValueError as e:
         raise ModelFormatError(f"{manifest_path}: invalid JSON ({e})") from e
     if not isinstance(manifest, dict):
         raise ModelFormatError(f"{manifest_path}: manifest must be a JSON object")
-    if manifest.get("format_version") != MANIFEST_VERSION:
-        raise ModelFormatError(
-            f"{manifest_path}: unsupported format_version {manifest.get('format_version')!r}")
+    version = manifest.get("format_version")
+    if type(version) is not int or version != MANIFEST_VERSION:  # true and 1.0 equal 1
+        raise ModelFormatError(f"{manifest_path}: unsupported format_version {version!r}")
     for key in ("input", "layers", "weights"):
         if key not in manifest:
             raise ModelFormatError(f"{manifest_path}: missing {key!r} block")
     if not isinstance(manifest["layers"], list):
         raise ModelFormatError(f"{manifest_path}: 'layers' must be a list")
-    weights_path = os.path.join(os.path.dirname(manifest_path) or ".", manifest["weights"])
-    return manifest, weights_path
-
-
-def layers_from_manifest(manifest: dict, manifest_path) -> list[LayerSpec]:
+    if not isinstance(manifest["weights"], str):
+        raise ModelFormatError(f"{manifest_path}: 'weights' must be a file name")
+    if dtype_code == DTYPE_FLOAT32 and "quantization" in manifest:
+        raise ModelFormatError(
+            f"{manifest_path}: quantized model; use the quantized-model loader")
+    if dtype_code == DTYPE_INT16 and "quantization" not in manifest:
+        raise ModelFormatError(f"{manifest_path}: not a quantized model "
+                               "(missing quantization block)")
     layers = [LayerSpec.from_json_dict(d) for d in manifest["layers"]]
     in_layers = [l for l in layers if l.kind == "input"]
     if len(in_layers) == 1:
@@ -547,78 +513,90 @@ def layers_from_manifest(manifest: dict, manifest_path) -> list[LayerSpec]:
         if declared != actual:
             raise ModelFormatError(
                 f"{manifest_path}: top-level input {declared} disagrees with input layer {actual}")
-    return layers
 
+    weights_path = os.path.join(os.path.dirname(manifest_path) or ".", manifest["weights"])
+    records: dict[str, np.ndarray] = {}
+    with open(weights_path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
 
-def read_records(weights_path) -> dict[str, tuple[np.ndarray, int]]:
-    """Every record of a weights blob file: name -> (array, dtype code)."""
-    return {name: (arr, code)
-            for name, arr, code in iter_records(read_weights_blob(weights_path), weights_path)}
+        def take(n: int, what: str) -> bytes:
+            data = fh.read(n)
+            if len(data) < n:
+                raise ModelFormatError(f"{weights_path}: truncated {what}")
+            return data
 
+        head = fh.read(8)
+        if head[:4] != _WEIGHTS_MAGIC:
+            raise ModelFormatError(f"{weights_path}: not a weights blob (bad magic)")
+        if len(head) < 8:
+            raise ModelFormatError(f"{weights_path}: truncated weights header ({len(head)} bytes)")
+        (version,) = struct.unpack_from("<I", head, 4)
+        if version != _WEIGHTS_VERSION:
+            raise ModelFormatError(f"{weights_path}: unsupported weights version {version}")
+        while fh.tell() < size:
+            (name_len,) = struct.unpack("<H", take(2, "record header"))
+            head = take(name_len + 2, "record header")
+            try:
+                name = head[:name_len].decode("utf-8")
+            except UnicodeDecodeError as e:
+                raise ModelFormatError(f"{weights_path}: record name is not UTF-8 ({e})") from e
+            code, rank = head[name_len:]
+            if code not in _RECORD_DTYPES:
+                raise ModelFormatError(f"{weights_path}: record {name!r} has unknown dtype {code}")
+            dims = struct.unpack(f"<{rank}I", take(4 * rank, f"record {name!r} dims"))
+            dtype = _RECORD_DTYPES[code]
+            # a forged dims header must not make it allocate more than the file holds
+            if math.prod(dims) * dtype.itemsize > size - fh.tell():
+                raise ModelFormatError(f"{weights_path}: truncated record {name!r} payload")
+            records[name] = np.empty(dims, dtype)
+            fh.readinto(records[name])
 
-def layer_records(layer: LayerSpec, records: Mapping[str, tuple[np.ndarray, int]], path,
-                  dtype_code: int, suffixes: Sequence[str]) -> dict[str, np.ndarray]:
-    """A conv layer's records by suffix ("W", "b", ...). Each must be present, of
-    ``dtype_code`` and shaped as the spec implies: W (kh, kw, c_in, nf), every
-    other record (nf,). Anything else raises ModelFormatError."""
-    arrays = {}
-    for suffix in suffixes:
-        name = f"{layer.id}.{suffix}"
-        if name not in records:
-            raise ModelFormatError(f"{path}: missing weight record {name!r} "
-                                   f"for layer {layer.id!r}")
-        arr, code = records[name]
-        if code != dtype_code:
-            raise ModelFormatError(
-                f"{path}: record {name!r} is not {_RECORD_DTYPES[dtype_code].name}")
-        if suffix == "W":
-            expected = (layer.kernel_h, layer.kernel_w, arr.shape[2] if arr.ndim == 4 else -1,
-                        layer.num_filters)
-        else:
-            expected = (layer.num_filters,)
-        if arr.shape != expected:
-            raise ModelFormatError(
-                f"{path}: record {name} has shape {arr.shape}, manifest implies {expected}")
-        arrays[suffix] = arr
-    return arrays
-
-
-def reject_stray_records(layers: Sequence[LayerSpec], records: Mapping[str, object], path,
-                         suffixes: Sequence[str]) -> None:
-    """Raise ModelFormatError if a record is not ``<conv id>.<suffix>`` for one
-    of ``suffixes``."""
-    known = {f"{l.id}.{s}" for l in layers if l.kind == "conv" for s in suffixes}
-    stray = set(records) - known
+    arrays: dict[str, dict[str, np.ndarray]] = {}
+    for layer in layers:
+        if layer.kind != "conv":
+            continue
+        arrays[layer.id] = {}
+        for suffix in suffixes(layer):
+            name = f"{layer.id}.{suffix}"
+            if name not in records:
+                raise ModelFormatError(f"{weights_path}: missing weight record {name!r} "
+                                       f"for layer {layer.id!r}")
+            arr = records[name]
+            if arr.dtype != _RECORD_DTYPES[dtype_code]:
+                raise ModelFormatError(
+                    f"{weights_path}: record {name!r} is not {_RECORD_DTYPES[dtype_code].name}")
+            if suffix == "W":
+                expected = (layer.kernel_h, layer.kernel_w,
+                            arr.shape[2] if arr.ndim == 4 else -1, layer.num_filters)
+            else:
+                expected = (layer.num_filters,)
+            if arr.shape != expected:
+                raise ModelFormatError(f"{weights_path}: record {name} has shape {arr.shape}, "
+                                       f"manifest implies {expected}")
+            arrays[layer.id][suffix] = arr
+    stray = set(records) - {f"{lid}.{s}" for lid, named in arrays.items() for s in named}
     if stray:
-        raise ModelFormatError(f"{path}: records for unknown layers: {sorted(stray)}")
+        raise ModelFormatError(f"{weights_path}: records for unknown layers: {sorted(stray)}")
+    return manifest, layers, arrays
 
 
 def load_model(manifest_path) -> Model:
     """Load a float model; load(save(m)) round-trips every bit."""
-    manifest, weights_path = load_manifest(manifest_path)
-    if "quantization" in manifest:
-        raise ModelFormatError(
-            f"{manifest_path}: quantized model; use the quantized-model loader")
-    layers = layers_from_manifest(manifest, manifest_path)
-    records = read_records(weights_path)
-
-    params: dict[str, ConvParams] = {}
-    for layer in layers:
-        if layer.kind != "conv":
-            continue
-        suffixes = ("W", "b") + (_BN_SUFFIXES if layer.has_batchnorm else ())
-        arrays = layer_records(layer, records, weights_path, DTYPE_FLOAT32, suffixes)
-        bn = None
-        if layer.has_batchnorm:
-            bn = BatchNormParams(
-                mu=arrays["mu"], sigma2=arrays["sigma2"], gamma=arrays["gamma"],
-                beta=arrays["beta"],
-                epsilon=layer.epsilon if layer.epsilon is not None else 0.001,
-            )
-        params[layer.id] = ConvParams(FilterBank(arrays["W"], arrays["b"]), bn)
-
-    reject_stray_records(layers, records, weights_path, ("W", "b") + _BN_SUFFIXES)
-    return Model(tuple(layers), params)
+    with file_content(manifest_path):
+        _, layers, arrays = read_model_files(
+            manifest_path, DTYPE_FLOAT32,
+            lambda l: ("W", "b") + (_BN_SUFFIXES if l.has_batchnorm else ()))
+        params = {}
+        for layer in layers:
+            if layer.kind == "conv":
+                a = arrays[layer.id]
+                bn = None
+                if layer.has_batchnorm:
+                    bn = BatchNormParams(
+                        a["mu"], a["sigma2"], a["gamma"], a["beta"],
+                        layer.epsilon if layer.epsilon is not None else 0.001)
+                params[layer.id] = ConvParams(FilterBank(a["W"], a["b"]), bn)
+        return Model(tuple(layers), params)
 
 
 def zero_filter_bank(kernel_h: int, kernel_w: int, in_channels: int,

@@ -14,19 +14,15 @@ from typing import Union
 
 import numpy as np
 
-from .errors import ModelFormatError, PipelineError, ShapeError
+from .errors import ModelFormatError, PipelineError, ShapeError, file_content
 from .model import (
     MAX_ACT_EXPONENT,
     LayerGraph,
     LayerSpec,
     Model,
     execute,
-    layer_records,
-    layers_from_manifest,
-    load_manifest,
     model_digest,
-    read_records,
-    reject_stray_records,
+    read_model_files,
     shape_infer,
     write_model_files,
 )
@@ -315,29 +311,19 @@ def save_quantized_model(qmodel: QuantizedModel, manifest_path) -> None:
 
 
 def load_quantized_model(manifest_path) -> QuantizedModel:
-    manifest, weights_path = load_manifest(manifest_path)
-    if "quantization" not in manifest:
-        raise ModelFormatError(f"{manifest_path}: not a quantized model "
-                               "(missing quantization block)")
-    quant = manifest["quantization"]
-    if not isinstance(quant, dict):
-        raise ModelFormatError(f"{manifest_path}: quantization block must be a JSON object")
-    for key in ("p", "p_alpha"):
-        if key not in quant:
-            raise ModelFormatError(f"{manifest_path}: quantization block missing {key!r}")
-    source_digest = quant.get("source_digest", "")
-    if not isinstance(source_digest, str):
-        raise ModelFormatError(f"{manifest_path}: source_digest must be a string")
-    try:
-        config = QuantConfig(p=quant["p"], p_alpha=quant["p_alpha"])
-    except ValueError as e:
-        raise ModelFormatError(f"{manifest_path}: {e}") from e
-    layers = layers_from_manifest(manifest, manifest_path)
-    records = read_records(weights_path)
-    qparams = {}
-    for layer in layers:
-        if layer.kind == "conv":
-            arrays = layer_records(layer, records, weights_path, DTYPE_INT16, ("W", "b"))
-            qparams[layer.id] = QuantConvParams(arrays["W"], arrays["b"])
-    reject_stray_records(layers, records, weights_path, ("W", "b"))
-    return QuantizedModel(layers, qparams, config, source_digest=source_digest)
+    """Load a quantized model written by ``save_quantized_model``."""
+    with file_content(manifest_path):
+        manifest, layers, arrays = read_model_files(manifest_path, DTYPE_INT16,
+                                                    lambda l: ("W", "b"))
+        quant = manifest["quantization"]
+        if not isinstance(quant, dict):
+            raise ModelFormatError(f"{manifest_path}: quantization block must be a JSON object")
+        for key in ("p", "p_alpha"):
+            if key not in quant:
+                raise ModelFormatError(f"{manifest_path}: quantization block missing {key!r}")
+        source_digest = quant.get("source_digest", "")
+        if not isinstance(source_digest, str):
+            raise ModelFormatError(f"{manifest_path}: source_digest must be a string")
+        qparams = {lid: QuantConvParams(a["W"], a["b"]) for lid, a in arrays.items()}
+        return QuantizedModel(layers, qparams, QuantConfig(p=quant["p"], p_alpha=quant["p_alpha"]),
+                              source_digest=source_digest)

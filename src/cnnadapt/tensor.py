@@ -42,7 +42,7 @@ from typing import Iterable, TypeVar
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ModelFormatError, ShapeError
+from .errors import ModelFormatError, ShapeError, file_content
 
 INT16_MIN, INT16_MAX = -(2**15), 2**15 - 1
 INT32_MIN, INT32_MAX = -(2**31), 2**31 - 1
@@ -493,7 +493,7 @@ def save_tensor(path, fm: FeatureMap | IntFeatureMap) -> None:
         raise TypeError(f"cannot serialize {type(fm).__name__}")
     header = _TENSOR_MAGIC + struct.pack("<IBB3I", _TENSOR_VERSION, code, 3, *fm.shape)
     payload = np.ascontiguousarray(fm.data, dtype=_NUMPY_DTYPES[code])
-    _atomic_write(path, [header, memoryview(payload).cast("B")])
+    _atomic_write(path, [header, memoryview(payload.reshape(-1)).cast("B")])
 
 
 def load_tensor(path) -> FeatureMap | IntFeatureMap:
@@ -516,6 +516,7 @@ def load_tensor(path) -> FeatureMap | IntFeatureMap:
     if len(body) != expected:
         raise ModelFormatError(f"{path}: payload is {len(body)} bytes, expected {expected}")
     data = np.frombuffer(body, dtype=dtype).reshape(dims)
-    if code == DTYPE_FLOAT32:
-        return FeatureMap(data)
-    return IntFeatureMap(data, 16 if code == DTYPE_INT16 else 32)
+    with file_content(path):
+        if code == DTYPE_FLOAT32:
+            return FeatureMap(data)
+        return IntFeatureMap(data, 16 if code == DTYPE_INT16 else 32)

@@ -2,6 +2,7 @@
 import json
 import logging
 import shutil
+import struct
 import subprocess
 import sys
 
@@ -12,13 +13,20 @@ from cnnadapt.cli import run
 from cnnadapt.model import (
     ConvParams,
     Model,
+    _weight_records,
     load_model,
-    randomize_weights,
     record_chunks,
     save_model,
+    write_model_files,
 )
 from cnnadapt.quantization import load_quantized_model
-from cnnadapt.tensor import DTYPE_INT16, INT16_MAX, FeatureMap, FilterBank, save_tensor
+from cnnadapt.tensor import (
+    DTYPE_FLOAT32,
+    DTYPE_INT16,
+    INT16_MAX,
+    FilterBank,
+    save_tensor,
+)
 from cnnadapt.tinyyolo import build_tinyyolov3
 from util import chain_model, feature_map
 
@@ -391,3 +399,93 @@ def test_quantize_rejects_slope_exponent_beyond_int16_shift(fused_model_path, tm
                 "-o", str(tmp_path / "q.json"), "--p-alpha", "16"])
     assert code == 1
     assert "p_alpha must lie in [0, 15]" in capsys.readouterr().err
+
+
+def _save_raw(path, model, replaced):
+    """Save ``model`` with some records swapped for arrays its types would
+    refuse; returns the argv of ``cnnadapt flops`` on it."""
+    records = [(name, replaced.get(name, arr)) for name, arr in _weight_records(model)]
+    write_model_files(model, path, records, DTYPE_FLOAT32)
+    return ["flops", "-i", str(path)]
+
+
+def _edit_manifest(path, edit):
+    manifest = json.loads(path.read_text())
+    edit(manifest)
+    path.write_text(json.dumps(manifest))
+
+
+def _set_input_size(manifest, size):
+    manifest["input"].update(h=size, w=size)
+    manifest["layers"][0].update(height=size, width=size)
+
+
+def _nan_weight(tmp_path, rng, fused, image):
+    model = chain_model(rng, [4, 3], hw=6, bn=True)
+    w = np.array(model.params["conv_1"].filters.weights)
+    w[0, 0, 0, 0] = np.nan
+    return _save_raw(tmp_path / "m.json", model, {"conv_1.W": w})
+
+
+def _negative_sigma2(tmp_path, rng, fused, image):
+    model = chain_model(rng, [4, 3], hw=6, bn=True)
+    return _save_raw(tmp_path / "m.json", model, {"conv_2.sigma2": -np.ones(3)})
+
+
+def _in_channels_disagree(tmp_path, rng, fused, image):
+    model = chain_model(rng, [4, 3], hw=6, bn=True)
+    return _save_raw(tmp_path / "m.json", model, {"conv_2.W": np.zeros((3, 3, 5, 3))})
+
+
+def _valid_kernel_beyond_map(tmp_path, rng, fused, image):
+    def edit(manifest):
+        _set_input_size(manifest, 2)
+        manifest["layers"][1]["padding"] = "valid"   # conv_1's 3x3 kernel on a 2x2 map
+    _edit_manifest(fused, edit)
+    return ["flops", "-i", str(fused)]
+
+
+def _input_breaks_concat(tmp_path, rng, fused, image):
+    path = tmp_path / "yolo.json"
+    save_model(build_tinyyolov3(num_classes=1), path)
+    _edit_manifest(path, lambda m: _set_input_size(m, 48))
+    return ["flops", "-i", str(path)]
+
+
+def _quantized_with_batchnorm(tmp_path, rng, fused, image):
+    qpath = tmp_path / "model.q.json"
+    assert run(["quantize", "-i", str(fused), "-o", str(qpath)]) == 0
+    _edit_manifest(qpath, _set_layer("conv_1", "has_batchnorm", True))
+    return ["infer", "-i", str(qpath), "--input", str(image), "--engine", "int",
+            "--taps", str(tmp_path / "taps")]
+
+
+def _tensor(header_dims, payload):
+    def case(tmp_path, rng, fused, image):
+        image.write_bytes(b"TNSR" + struct.pack("<IBB3I", 1, 0, 3, *header_dims)
+                          + np.asarray(payload, "<f4").tobytes())
+        return ["infer", "-i", str(fused), "--input", str(image), "--engine", "float",
+                "--taps", str(tmp_path / "taps")]
+    return case
+
+
+def _weights_not_a_name(tmp_path, rng, fused, image):
+    _edit_manifest(fused, lambda m: m.update(weights=5))
+    return ["flops", "-i", str(fused)]
+
+
+@pytest.mark.parametrize("case", [
+    _nan_weight, _negative_sigma2, _in_channels_disagree, _valid_kernel_beyond_map,
+    _input_breaks_concat, _quantized_with_batchnorm, _tensor((0, 6, 2), []),
+    _tensor((6, 6, 2), np.full((6, 6, 2), np.nan)), _weights_not_a_name,
+], ids=["nan_weight", "negative_sigma2", "in_channels_disagree", "valid_kernel_beyond_map",
+        "input_breaks_concat", "quantized_with_batchnorm", "tensor_height_0", "tensor_nan",
+        "weights_not_a_name"])
+def test_malformed_file_content_exits_2(tmp_path, rng, fused_model_path, input_path, capsys,
+                                        case):
+    argv = case(tmp_path, rng, fused_model_path, input_path)
+    capsys.readouterr()
+    code = run(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error:" in err and "Traceback" not in err

@@ -2,6 +2,7 @@
 import hashlib
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -19,12 +20,13 @@ from cnnadapt.model import (
     manifest_dict,
     model_digest,
     randomize_weights,
+    record_chunks,
     save_model,
     shape_infer,
     zero_filter_bank,
 )
 from cnnadapt.quantization import quantize_model, save_quantized_model
-from cnnadapt.tensor import BatchNormParams, FeatureMap, FilterBank, save_tensor
+from cnnadapt.tensor import DTYPE_FLOAT32, BatchNormParams, FeatureMap, FilterBank, save_tensor
 from cnnadapt.tinyyolo import HEAD_IDS, build_tinyyolov3, head_filters
 from util import bank, chain_model, conv_spec, feature_map, identity_bank, random_bn
 
@@ -236,6 +238,16 @@ def test_load_rejects_unsupported_version(tmp_path, rng):
         load_model(tmp_path / "m.json")
 
 
+@pytest.mark.parametrize("version", [True, 1.0])
+def test_load_rejects_format_version_that_only_equals_1(tmp_path, rng, version):
+    save_model(chain_model(rng, [2], hw=4), tmp_path / "m.json")
+    manifest = json.loads((tmp_path / "m.json").read_text())
+    manifest["format_version"] = version
+    (tmp_path / "m.json").write_text(json.dumps(manifest))
+    with pytest.raises(ModelFormatError, match="format_version"):
+        load_model(tmp_path / "m.json")
+
+
 def test_load_rejects_stray_records(tmp_path, rng):
     model = chain_model(rng, [2, 2], hw=4)
     save_model(model, tmp_path / "full.json")
@@ -247,6 +259,26 @@ def test_load_rejects_stray_records(tmp_path, rng):
     (tmp_path / "small.json").write_text(json.dumps(manifest))
     with pytest.raises(ModelFormatError, match="conv_2"):
         load_model(tmp_path / "small.json")
+
+
+def test_load_rejects_batchnorm_record_of_plain_layer(tmp_path, rng):
+    model = chain_model(rng, [2], hw=4)
+    save_model(model, tmp_path / "m.json")
+    extra = list(record_chunks([("conv_1.mu", np.zeros(2, np.float32))], DTYPE_FLOAT32))
+    weights = tmp_path / "m.weights"
+    weights.write_bytes(weights.read_bytes() + b"".join(bytes(c) for c in extra[1:]))
+    with pytest.raises(ModelFormatError, match="unknown layers.*conv_1.mu"):
+        load_model(tmp_path / "m.json")
+
+
+def test_forged_record_dims_are_truncated_not_allocated(tmp_path, rng):
+    save_model(chain_model(rng, [2], hw=4), tmp_path / "m.json")
+    name = b"conv_1.W"
+    (tmp_path / "m.weights").write_bytes(
+        b"CNNW" + struct.pack("<IH", 1, len(name)) + name
+        + struct.pack("<BB4I", DTYPE_FLOAT32, 4, *[65535] * 4) + b"\x00" * 6)
+    with pytest.raises(ModelFormatError, match="truncated"):
+        load_model(tmp_path / "m.json")
 
 
 def test_digest_tracks_weight_changes(rng):

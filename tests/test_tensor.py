@@ -406,3 +406,13 @@ def test_tensor_container_rejects_truncated_payload(tmp_path, rng):
     path.write_bytes(raw[:-8])
     with pytest.raises(ModelFormatError):
         load_tensor(path)
+
+
+@pytest.mark.parametrize("fm", [FeatureMap(np.zeros((4, 4, 0), np.float32)),
+                                IntFeatureMap(np.zeros((4, 4, 0), np.int16), 16)],
+                         ids=["float", "int16"])
+def test_zero_channel_map_roundtrips(tmp_path, fm):
+    save_tensor(tmp_path / "t.tnsr", fm)
+    back = load_tensor(tmp_path / "t.tnsr")
+    assert type(back) is type(fm)
+    assert back.shape == (4, 4, 0) and back.data.dtype == fm.data.dtype
