@@ -219,15 +219,17 @@ def compare_traces(float_trace: InferenceTrace,
     if set(float_trace) != set(int_trace):
         missing = set(float_trace) ^ set(int_trace)
         raise ShapeError(f"traces cover different layers: {sorted(missing)}")
-    scale = float(2 ** p)
+    scale = 2.0 ** -p
+    buf = np.empty(max((fm.data.size for fm in float_trace.values()), default=0))
     entries = []
     for lid, fm in float_trace.items():
         im = int_trace[lid]
         if fm.shape != im.shape:
             raise ShapeError(f"layer {lid!r}: trace shapes differ, {fm.shape} vs {im.shape}")
-        # fm - im / scale, squared, in one float64 buffer
-        diff = im.data.astype(np.float64)
-        diff /= scale
+        # fm - im * 2^-p, squared, in one float64 buffer sized for the largest
+        # layer; scaling by a power of two is exact, as dividing by 2^p was
+        diff = buf[:fm.data.size].reshape(fm.shape)
+        np.multiply(im.data, scale, out=diff, dtype=np.float64)
         np.subtract(fm.data, diff, out=diff)
         diff *= diff
         entries.append(MseEntry(lid, int(fm.data.size), float(np.mean(diff))))

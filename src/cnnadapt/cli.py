@@ -111,10 +111,14 @@ def _require_fused(model, what: str):
         raise PipelineError(f"model contains batchnorm; run fuse before {what}")
 
 
-def _load_input_map(path) -> FeatureMap:
+def _load_input_map(path, graph) -> FeatureMap:
+    """The float input tensor at ``path``, checked against ``graph``'s input."""
     fm = load_tensor(path)
     if not isinstance(fm, FeatureMap):
         raise ModelFormatError(f"{path}: expected a float32 tensor")
+    if fm.shape != graph.input_shape:
+        raise ModelFormatError(f"{path}: tensor shape {fm.shape} != model input "
+                               f"{graph.input_shape}")
     return fm
 
 
@@ -129,8 +133,7 @@ def _cmd_fuse(args) -> int:
 
 def _build_evaluator(args, model):
     samples = evaluation.load_dataset(args.data)
-    in_layer = model.input_layer
-    expected = (in_layer.height, in_layer.width, in_layer.channels)
+    expected = model.input_shape
     for sample in samples:
         if sample.input.shape != expected:
             raise ModelFormatError(f"{args.data}: sample {sample.name!r} has shape "
@@ -181,15 +184,15 @@ def _cmd_quantize(args) -> int:
 
 
 def _cmd_infer(args) -> int:
-    fm = _load_input_map(args.input)
+    load = _load_float_model if args.engine == "float" else quantization.load_quantized_model
+    model = load(args.input_model)
+    fm = _load_input_map(args.input, model)
     os.makedirs(args.taps, exist_ok=True)
     if args.engine == "float":
-        model = _load_float_model(args.input_model)
         trace = float_infer(model, fm, taps=args.tap_all)
     else:
-        qmodel = quantization.load_quantized_model(args.input_model)
-        q_in = quantization.quantize_input(fm, qmodel.config)
-        trace, stats = quantization.int_infer(qmodel, q_in, taps=args.tap_all)
+        q_in = quantization.quantize_input(fm, model.config)
+        trace, stats = quantization.int_infer(model, q_in, taps=args.tap_all)
         if args.report:
             analysis.write_json_report(args.report, stats.to_dict())
     for lid, out in trace.items():
@@ -202,7 +205,7 @@ def _cmd_compare(args) -> int:
     model = _load_float_model(args.float_model)
     _require_fused(model, "compare")
     qmodel = quantization.load_quantized_model(args.quant_model)
-    fm = _load_input_map(args.input)
+    fm = _load_input_map(args.input, model)
     float_trace = float_infer(model, fm, taps=True)
     q_in = quantization.quantize_input(fm, qmodel.config)
     int_trace, stats = quantization.int_infer(qmodel, q_in, taps=True)

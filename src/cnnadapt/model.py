@@ -28,6 +28,7 @@ from .tensor import (
     concat,
     conv2d,
     conv_output_shape,
+    gemm_scratch,
     maxpool,
     maxpool_output_shape,
     split_batch,
@@ -212,6 +213,11 @@ class LayerGraph:
     def input_layer(self) -> LayerSpec:
         return next(l for l in self.layers if l.kind == "input")
 
+    @property
+    def input_shape(self) -> tuple[int, int, int]:
+        l = self.input_layer
+        return l.height, l.width, l.channels
+
     def layer(self, layer_id: str) -> LayerSpec:
         for l in self.layers:
             if l.id == layer_id:
@@ -301,11 +307,12 @@ def execute(graph: LayerGraph, maps: Sequence[FeatureMap | IntFeatureMap], conv,
 
     The maps run as one batch, stacked along the height (see ``tensor``).
     ``conv(layer, fm, batch)`` computes each conv layer; pool, upsample and
-    concat serve both map types. Returns the stacked output of every layer
-    when taps is set, otherwise of the model outputs.
+    concat serve both map types. The walk holds one GEMM scratch buffer
+    open (``gemm_scratch``), which every conv of the walk reuses and which
+    is released when the walk ends. Returns the stacked output of every
+    layer when taps is set, otherwise of the model outputs.
     """
-    in_layer = graph.input_layer
-    expected = (in_layer.height, in_layer.width, in_layer.channels)
+    expected = graph.input_shape
     if not maps:
         raise ValueError("inference needs at least one input map")
     for fm in maps:
@@ -314,22 +321,23 @@ def execute(graph: LayerGraph, maps: Sequence[FeatureMap | IntFeatureMap], conv,
     n = len(maps)
 
     acts = {}
-    for layer in graph.layers:
-        src = [acts[i] for i in layer.inputs]
-        if layer.kind == "input":
-            out = maps[0] if n == 1 else replace(
-                maps[0], data=np.concatenate([m.data for m in maps]))
-        elif layer.kind == "conv":
-            out = conv(layer, src[0], n)
-        elif layer.kind == "maxpool":
-            out = maxpool(src[0], layer.size, layer.stride, batch=n)
-        elif layer.kind == "upsample":
-            out = upsample_nearest(src[0], layer.factor)
-        elif layer.kind == "concat":
-            out = concat(*src)
-        else:  # output_marker
-            out = src[0]
-        acts[layer.id] = out
+    with gemm_scratch():
+        for layer in graph.layers:
+            src = [acts[i] for i in layer.inputs]
+            if layer.kind == "input":
+                out = maps[0] if n == 1 else replace(
+                    maps[0], data=np.concatenate([m.data for m in maps]))
+            elif layer.kind == "conv":
+                out = conv(layer, src[0], n)
+            elif layer.kind == "maxpool":
+                out = maxpool(src[0], layer.size, layer.stride, batch=n)
+            elif layer.kind == "upsample":
+                out = upsample_nearest(src[0], layer.factor)
+            elif layer.kind == "concat":
+                out = concat(*src)
+            else:  # output_marker
+                out = src[0]
+            acts[layer.id] = out
 
     kept = [layer.id for layer in graph.layers] if taps else graph.output_ids()
     return {lid: acts[lid] for lid in kept}

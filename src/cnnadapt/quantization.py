@@ -4,8 +4,10 @@ Values map to integers through a power-of-two scale S = 2^P, so rescaling
 after a multiplication is an arithmetic right shift by P. The quantized
 convolution runs conv -> shift -> narrow to int16 -> bias add -> leaky ReLU
 in one pass over each output tile, with every narrowing saturated and
-counted instead of silently wrapping. Leaky ReLU is max(z, z >> P_alpha) on
-the int16 tile. Activations are int16 maps from input to output.
+counted instead of silently wrapping (``int_conv_forward`` gives the order
+in which a tile is scaled, floored and checked). Leaky ReLU is
+max(z, z >> P_alpha) on the int16 tile. Activations are int16 maps from
+input to output.
 """
 from __future__ import annotations
 
@@ -225,9 +227,19 @@ def int_conv_forward(input: IntFeatureMap, weights: np.ndarray, biases: np.ndarr
     The convolution is a float64 GEMM over int16 operands (``conv_gemm``).
     Each product is an integer of magnitude at most 2^30, so with
     K = kh*kw*c_in <= 2^23 every partial sum stays below 2^53 and the sums
-    are exact; larger K raises ValueError. The activation runs on each
-    finished int16 tile and gives the bits of ``quant_leaky_relu``. Returns
-    (output, acc32 saturation count, int16 saturation count).
+    are exact; larger K raises ValueError.
+
+    Each tile is scaled by 2^-P and floored first, then its minimum and
+    maximum are taken once. Since x -> floor(x * 2^-P) is monotone, clipping
+    the floored sums to [floor(INT32_MIN * 2^-P), floor(INT32_MAX * 2^-P)]
+    gives the values of clipping the sums to int32 first, and, the sums being
+    integers, clips exactly the entries that lay outside int32, so both counts
+    match the saturate-then-shift order. A floored tile inside int16 has
+    |sum| <= 2^(15+P) <= 2^29 and cannot have saturated int32, so neither
+    scan runs; nor does the int16 scan after the bias add when the tile's range
+    plus the block's bias range stays inside int16. The activation runs on
+    each finished int16 tile and gives the bits of ``quant_leaky_relu``.
+    Returns (output, acc32 saturation count, int16 saturation count).
     """
     if input.width_bits != 16 or weights.dtype != np.int16:
         raise ValueError("integer convolution consumes int16 activations and weights")
@@ -238,16 +250,22 @@ def int_conv_forward(input: IntFeatureMap, weights: np.ndarray, biases: np.ndarr
         raise ValueError(f"conv depth kh*kw*c_in = {kh * kw * c_in} exceeds "
                          f"{MAX_EXACT_INT_DEPTH}, beyond which float64 sums are not exact")
     scale = 2.0 ** -config.p
+    acc32_lo, acc32_hi = INT32_MIN * scale, np.floor(INT32_MAX * scale)
     counts = [0, 0]  # acc32, int16 saturations
 
     def requantize(acc, dst, f0, f1):
         # every step is exact: acc holds integers below 2^53, scale is a power of two
-        counts[0] += _saturate(acc, INT32_MIN, INT32_MAX)
         acc *= scale
         np.floor(acc, out=acc)
-        counts[1] += _saturate(acc, INT16_MIN, INT16_MAX)
-        acc += biases[f0:f1]
-        counts[1] += _saturate(acc, INT16_MIN, INT16_MAX)
+        lo, hi = float(acc.min()), float(acc.max())
+        if lo < INT16_MIN or hi > INT16_MAX:
+            counts[0] += _saturate(acc, acc32_lo, acc32_hi)
+            counts[1] += _saturate(acc, INT16_MIN, INT16_MAX)
+            lo, hi = max(lo, INT16_MIN), min(hi, INT16_MAX)
+        bias = biases[f0:f1]
+        acc += bias
+        if lo + int(bias.min()) < INT16_MIN or hi + int(bias.max()) > INT16_MAX:
+            counts[1] += _saturate(acc, INT16_MIN, INT16_MAX)
         np.copyto(dst, acc, casting="unsafe")
         if p_alpha is not None:
             shifted = spent_scratch(acc, dst)

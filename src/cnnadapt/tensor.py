@@ -23,11 +23,25 @@ after its bias is added. Integer products of int16 operands are integers of
 at most 2^30 in magnitude, so every partial sum of K <= 2^23 of them stays
 below 2^53 and the float64 GEMM computes the integer result exactly.
 
+The GEMM runs in tiles of output pixels and blocks of filters whose float64
+scratch (im2col rows, the weight block cast to float64, and the sums) fits
+in GEMM_SCRATCH_BYTES. A layer whose weights fill more than half the budget
+is split into filter blocks; if its pixels are split too, each weight block
+is cast again for each pixel tile. So when the im2col rows of every output
+pixel of the batch fit together with a block of at least 32 filters (or all
+of them), such a layer runs as one pixel tile with the widest filter block
+that fits, and each weight is cast to float64 exactly once. The scratch is
+one thread-local buffer that grows to the largest layer's need:
+``model.execute`` holds it open for a whole graph walk (``gemm_scratch``),
+and a conv call outside a walk opens and releases its own. Integer sums are
+exact, so the tiling cannot change them; float outputs have matched across
+tilings in every case tested, down to one pixel and one filter per tile.
+
 Each finished GEMM tile goes through its layer's epilogue while it is still
 in cache: the bias add (the integer engine's requantization), batchnorm if
-the float layer has one, and leaky ReLU, so a conv layer is one call. Leaky ReLU with slope 0 <= alpha <= 1 is
-``max(z, alpha * z)``, the same value as ``z if z > 0 else alpha * z`` for
-every z, signed zeros included.
+the float layer has one, and leaky ReLU, so a conv layer is one call. Leaky
+ReLU with slope 0 <= alpha <= 1 is ``max(z, alpha * z)``, the same value as
+``z if z > 0 else alpha * z`` for every z, signed zeros included.
 
 Integer maps are stored in their declared width, int16 or int32. Files
 are written through ``_atomic_write``, so a failed write leaves the old file.
@@ -36,6 +50,8 @@ from __future__ import annotations
 
 import os
 import struct
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Iterable, TypeVar
 
@@ -222,9 +238,11 @@ class BatchNormParams:
 
 # Budget for conv_gemm's float64 scratch per call (window rows, weight block
 # and products); only a layer whose single window row exceeds it goes over.
-# At 8 MiB TinyYOLOv3's deepest layers (K = 4608, 1024 filters at 13x13) run
-# in two pixel tiles; at 4 MiB they take four, each re-casting the weights.
+# At 8 MiB TinyYOLOv3-416's conv_7 (K = 4608, 1024 filters at 13x13) runs as
+# one pixel tile and 19 blocks of 56 filters, casting each weight once.
 GEMM_SCRATCH_BYTES = 8 << 20
+# Smallest filter block worth keeping the whole im2col for (see conv_gemm).
+_ONE_TILE_MIN_FILTERS = 32
 # Largest exact integer GEMM depth: K * 2^30 <= 2^53 (see module docstring).
 MAX_EXACT_INT_DEPTH = 2**23
 
@@ -259,6 +277,40 @@ def _batch_view(data: np.ndarray, batch: int) -> np.ndarray:
     return data.reshape(batch, rows // batch, width, channels)
 
 
+class _ThreadScratch(threading.local):
+    buf: np.ndarray | None = None   # None while no gemm_scratch block is open
+
+
+_SCRATCH = _ThreadScratch()
+
+
+@contextmanager
+def gemm_scratch():
+    """Keep one float64 scratch buffer for every ``conv_gemm`` call on this
+    thread until the outermost such block exits; nested blocks share it.
+
+    ``conv_gemm`` takes its scratch before it allocates its padded input and
+    its output, so the buffer, which a walk holds while the maps it keeps
+    pile up, does not sit above them in the heap.
+    """
+    if _SCRATCH.buf is not None:
+        yield
+        return
+    _SCRATCH.buf = np.empty(0)
+    try:
+        yield
+    finally:
+        _SCRATCH.buf = None
+
+
+def _take_scratch(size: int) -> np.ndarray:
+    """``size`` float64 elements of this thread's open scratch, grown to fit."""
+    if _SCRATCH.buf.size < size:
+        _SCRATCH.buf = None   # free the smaller buffer before allocating
+        _SCRATCH.buf = np.empty(size)
+    return _SCRATCH.buf[:size]
+
+
 def conv_gemm(data: np.ndarray, weights: np.ndarray, stride: int, padding: str, batch: int,
               epilogue) -> np.ndarray:
     """Convolve each of the ``batch`` (h, w, c) maps stacked in ``data`` with
@@ -268,10 +320,15 @@ def conv_gemm(data: np.ndarray, weights: np.ndarray, stride: int, padding: str, 
     Same padding pads each map with zeros. The output is tiled into pixel
     blocks (outer loop: several whole maps while they fit, else rows and
     columns of one map) and filter blocks (inner loop) sized so that the
-    scratch stays within GEMM_SCRATCH_BYTES; the weights are cast to float64
-    once per pixel block. For each tile, ``epilogue(acc, dst, f0, f1)``
-    receives the float64 sums ``acc`` of shape (maps, rows, cols, f1 - f0),
-    a contiguous buffer it may overwrite, and must write the finished values
+    scratch stays within GEMM_SCRATCH_BYTES: the filter block takes up to
+    half of it, the pixel block the rest. Where that would cast the weights
+    to float64 again for each of several pixel blocks, but the im2col rows
+    of all output pixels fit with a block of at least 32 filters (or of all
+    of them), there is one pixel block and the widest filter block that
+    fits, so each weight is cast once. The scratch comes from
+    ``gemm_scratch``. For each tile, ``epilogue(acc, dst, f0, f1)`` receives
+    the float64 sums ``acc`` of shape (maps, rows, cols, f1 - f0), a
+    contiguous buffer it may overwrite, and must write the finished values
     into ``dst``, the tile's slice of the output.
     """
     if stride < 1:
@@ -288,47 +345,57 @@ def conv_gemm(data: np.ndarray, weights: np.ndarray, stride: int, padding: str, 
         pl, pr = _same_padding(in_w, kw, stride)
     else:
         pt = pb = pl = pr = 0
-    padded = np.zeros((n, in_h + pt + pb, in_w + pl + pr, c_in), dtype=data.dtype)
-    padded[:, pt:pt + in_h, pl:pl + in_w, :] = maps
     depth = kh * kw * c_in
-    # (n, out_h, out_w, kh, kw, c): window element order matches weights.reshape(depth, nf)
-    windows = sliding_window_view(padded, (kh, kw), axis=(1, 2))
-    windows = windows[:, ::stride, ::stride][:, :out_h, :out_w].transpose(0, 1, 2, 4, 5, 3)
-    w2d = weights.reshape(depth, nf)
-    out = np.empty((n * out_h, out_w, nf), dtype=data.dtype)
-    dst = out.reshape(n, out_h, out_w, nf)
-
     budget = GEMM_SCRATCH_BYTES // 8
     fb = nf if depth * nf <= budget // 2 else max(1, budget // 2 // depth)
     pixels = max(1, (budget - depth * fb) // (depth + fb))
+    total = n * out_h * out_w
+    if fb < nf and pixels < total:
+        # this split casts every weight once per pixel tile; keep the im2col
+        # of all pixels instead if a useful filter block still fits beside it
+        one_tile_fb = min(nf, (budget - total * depth) // (depth + total))
+        if one_tile_fb >= min(nf, _ONE_TILE_MIN_FILTERS):
+            fb, pixels = one_tile_fb, total
     tile_w = min(out_w, pixels)
     tile_h = max(1, min(out_h, pixels // tile_w))
     tile_n = max(1, min(n, pixels // (tile_h * tile_w)))
-    cols = np.empty(tile_n * tile_h * tile_w * depth)
-    acc = np.empty(tile_n * tile_h * tile_w * fb)
-    wblk = w2d.astype(np.float64) if fb == nf else np.empty((depth, fb))
+    pixels = tile_n * tile_h * tile_w
 
-    for n0 in range(0, n, tile_n):
-        n1 = min(n0 + tile_n, n)
-        for i0 in range(0, out_h, tile_h):
-            i1 = min(i0 + tile_h, out_h)
-            for j0 in range(0, out_w, tile_w):
-                j1 = min(j0 + tile_w, out_w)
-                tile = (n1 - n0, i1 - i0, j1 - j0)
-                rows = tile[0] * tile[1] * tile[2]
-                a = cols[:rows * depth].reshape(*tile, kh, kw, c_in)
-                np.copyto(a, windows[n0:n1, i0:i1, j0:j1])
-                a = a.reshape(rows, depth)
-                for f0 in range(0, nf, fb):
-                    f1 = min(f0 + fb, nf)
-                    if fb < nf:
+    with gemm_scratch():
+        scratch = _take_scratch((pixels + depth) * fb + pixels * depth)
+        wblk = scratch[:depth * fb].reshape(depth, fb)
+        acc = scratch[depth * fb:(depth + pixels) * fb]
+        cols = scratch[(depth + pixels) * fb:]
+        padded = np.zeros((n, in_h + pt + pb, in_w + pl + pr, c_in), dtype=data.dtype)
+        padded[:, pt:pt + in_h, pl:pl + in_w, :] = maps
+        # (n, out_h, out_w, kh, kw, c): window element order matches weights.reshape(depth, nf)
+        windows = sliding_window_view(padded, (kh, kw), axis=(1, 2))
+        windows = windows[:, ::stride, ::stride][:, :out_h, :out_w].transpose(0, 1, 2, 4, 5, 3)
+        w2d = weights.reshape(depth, nf)
+        out = np.empty((n * out_h, out_w, nf), dtype=data.dtype)
+        dst = out.reshape(n, out_h, out_w, nf)
+        if fb == nf:
+            np.copyto(wblk, w2d)
+        for n0 in range(0, n, tile_n):
+            n1 = min(n0 + tile_n, n)
+            for i0 in range(0, out_h, tile_h):
+                i1 = min(i0 + tile_h, out_h)
+                for j0 in range(0, out_w, tile_w):
+                    j1 = min(j0 + tile_w, out_w)
+                    tile = (n1 - n0, i1 - i0, j1 - j0)
+                    rows = tile[0] * tile[1] * tile[2]
+                    a = cols[:rows * depth].reshape(*tile, kh, kw, c_in)
+                    np.copyto(a, windows[n0:n1, i0:i1, j0:j1])
+                    a = a.reshape(rows, depth)
+                    for f0 in range(0, nf, fb):
+                        f1 = min(f0 + fb, nf)
                         b = wblk[:, :f1 - f0]
-                        np.copyto(b, w2d[:, f0:f1])
-                    else:
-                        b = wblk
-                    prod = np.matmul(a, b, out=acc[:rows * (f1 - f0)].reshape(rows, f1 - f0))
-                    epilogue(prod.reshape(*tile, f1 - f0),
-                             dst[n0:n1, i0:i1, j0:j1, f0:f1], f0, f1)
+                        if fb < nf:
+                            np.copyto(b, w2d[:, f0:f1])
+                        prod = np.matmul(a, b,
+                                         out=acc[:rows * (f1 - f0)].reshape(rows, f1 - f0))
+                        epilogue(prod.reshape(*tile, f1 - f0),
+                                 dst[n0:n1, i0:i1, j0:j1, f0:f1], f0, f1)
     return out
 
 
@@ -413,22 +480,26 @@ def maxpool(input: MapT, size: int, stride: int, batch: int = 1) -> MapT:
         raise ValueError(f"pool size and stride must be positive, got {size}, {stride}")
     if input.channels == 0:
         raise ShapeError("cannot pool a zero-channel feature map")
-    dtype = input.data.dtype
-    sentinel = np.iinfo(dtype).min if dtype.kind == "i" else dtype.type(-np.inf)
     maps = _batch_view(input.data, batch)
     _, in_h, in_w, c = maps.shape
     out_h, out_w = maxpool_output_shape(in_h, in_w, stride)
-    # Pad each map's bottom/right with a never-selected sentinel so edge windows
-    # that overhang (stride-1 pooling at the border) only see its own elements.
     pad_h = max((out_h - 1) * stride + size - in_h, 0)
     pad_w = max((out_w - 1) * stride + size - in_w, 0)
-    padded = np.full((batch, in_h + pad_h, in_w + pad_w, c), sentinel, dtype=dtype)
-    padded[:, :in_h, :in_w, :] = maps
-    out = np.full((batch, out_h, out_w, c), sentinel, dtype=dtype)
-    for r in range(size):
-        for s in range(size):
-            window = padded[:, r:r + out_h * stride:stride, s:s + out_w * stride:stride, :]
-            np.maximum(out, window, out=out)
+    padded = maps
+    if pad_h or pad_w:
+        # Pad each map's bottom/right with a never-selected sentinel so edge windows
+        # that overhang (stride-1 pooling at the border) only see its own elements.
+        dtype = maps.dtype
+        sentinel = np.iinfo(dtype).min if dtype.kind == "i" else dtype.type(-np.inf)
+        padded = np.full((batch, in_h + pad_h, in_w + pad_w, c), sentinel, dtype=dtype)
+        padded[:, :in_h, :in_w, :] = maps
+    windows = [padded[:, r:r + out_h * stride:stride, s:s + out_w * stride:stride, :]
+               for r in range(size) for s in range(size)]
+    # windows in row-major order, so equal maxima of opposite sign keep their
+    # sign; a 1x1 pool takes the maximum of its one window with itself
+    out = np.maximum(windows[0], windows[1 % len(windows)])
+    for window in windows[2:]:
+        np.maximum(out, window, out=out)
     return replace(input, data=out.reshape(batch * out_h, out_w, c))
 
 
@@ -497,25 +568,29 @@ def save_tensor(path, fm: FeatureMap | IntFeatureMap) -> None:
 
 
 def load_tensor(path) -> FeatureMap | IntFeatureMap:
+    """Read a tensor file; the payload is read straight into its final array."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < _TENSOR_HEADER_BYTES:
-        raise ModelFormatError(f"{path}: truncated tensor header ({len(raw)} bytes, "
-                               f"need {_TENSOR_HEADER_BYTES})")
-    if raw[:4] != _TENSOR_MAGIC:
-        raise ModelFormatError(f"{path}: not a tensor container (bad magic)")
-    version, code, rank = struct.unpack_from("<IBB", raw, 4)
-    if version != _TENSOR_VERSION:
-        raise ModelFormatError(f"{path}: unsupported tensor format version {version}")
-    if rank != 3 or code not in _NUMPY_DTYPES:
-        raise ModelFormatError(f"{path}: unsupported rank {rank} or dtype {code}")
-    dims = struct.unpack_from("<3I", raw, 10)
-    dtype = _NUMPY_DTYPES[code]
-    expected = dims[0] * dims[1] * dims[2] * dtype.itemsize
-    body = raw[_TENSOR_HEADER_BYTES:]
-    if len(body) != expected:
-        raise ModelFormatError(f"{path}: payload is {len(body)} bytes, expected {expected}")
-    data = np.frombuffer(body, dtype=dtype).reshape(dims)
+        head = fh.read(_TENSOR_HEADER_BYTES)
+        if len(head) < _TENSOR_HEADER_BYTES:
+            raise ModelFormatError(f"{path}: truncated tensor header ({len(head)} bytes, "
+                                   f"need {_TENSOR_HEADER_BYTES})")
+        if head[:4] != _TENSOR_MAGIC:
+            raise ModelFormatError(f"{path}: not a tensor container (bad magic)")
+        version, code, rank = struct.unpack_from("<IBB", head, 4)
+        if version != _TENSOR_VERSION:
+            raise ModelFormatError(f"{path}: unsupported tensor format version {version}")
+        if rank != 3 or code not in _NUMPY_DTYPES:
+            raise ModelFormatError(f"{path}: unsupported rank {rank} or dtype {code}")
+        dims = struct.unpack_from("<3I", head, 10)
+        dtype = _NUMPY_DTYPES[code]
+        expected = dims[0] * dims[1] * dims[2] * dtype.itemsize
+        payload = os.fstat(fh.fileno()).st_size - _TENSOR_HEADER_BYTES
+        if payload != expected:
+            raise ModelFormatError(f"{path}: payload is {payload} bytes, expected {expected}")
+        data = np.empty(dims, dtype)
+        got = fh.readinto(data)
+        if got != expected:
+            raise ModelFormatError(f"{path}: payload is {got} bytes, expected {expected}")
     with file_content(path):
         if code == DTYPE_FLOAT32:
             return FeatureMap(data)

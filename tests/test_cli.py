@@ -220,6 +220,24 @@ def test_infer_rejects_engine_model_mismatch(tmp_path, fused_model_path, input_p
                 "--engine", "int", "--taps", str(tmp_path / "t2")]) == 2
 
 
+@pytest.mark.parametrize("command", ["infer-float", "infer-int", "compare"])
+def test_input_of_wrong_shape_is_format_error(tmp_path, rng, fused_model_path, capsys, command):
+    qpath = tmp_path / "model.q.json"
+    assert run(["quantize", "-i", str(fused_model_path), "-o", str(qpath)]) == 0
+    bad = tmp_path / "bad.tnsr"
+    save_tensor(bad, feature_map(rng, 5, 6, 2))   # the model input is 6x6x2
+    capsys.readouterr()
+    taps = ["--taps", str(tmp_path / "taps")]
+    argv = {"infer-float": ["infer", "-i", str(fused_model_path), "--engine", "float"] + taps,
+            "infer-int": ["infer", "-i", str(qpath), "--engine", "int"] + taps,
+            "compare": ["compare", "--float-model", str(fused_model_path),
+                        "--quant-model", str(qpath)]}[command]
+    assert run(argv + ["--input", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {bad}: tensor shape (5, 6, 2) != model input (6, 6, 2)" in err
+    assert "Traceback" not in err
+
+
 def test_console_script_runs_in_subprocess(tmp_path):
     exe = shutil.which("cnnadapt")
     argv = [exe] if exe else [sys.executable, "-m", "cnnadapt.cli"]

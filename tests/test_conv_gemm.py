@@ -12,9 +12,26 @@ import numpy as np
 import pytest
 
 import cnnadapt
-from cnnadapt.model import ConvParams, LayerSpec, Model, float_infer
+from cnnadapt import tensor
+from cnnadapt.evaluation import ordered_map
+from cnnadapt.fusion import fuse_model
+from cnnadapt.model import (
+    ConvParams,
+    LayerSpec,
+    Model,
+    execute,
+    float_infer,
+    randomize_weights,
+    replace_layer,
+)
 from cnnadapt.pruning import PruneConfig, compute_metric_table, prune_below
-from cnnadapt.quantization import QuantConfig, int_conv_forward
+from cnnadapt.quantization import (
+    QuantConfig,
+    int_conv_forward,
+    int_infer,
+    quantize_input,
+    quantize_model,
+)
 from cnnadapt.tensor import (
     INT16_MAX,
     INT16_MIN,
@@ -25,7 +42,9 @@ from cnnadapt.tensor import (
     FilterBank,
     IntFeatureMap,
     conv2d,
+    conv_gemm,
 )
+from cnnadapt.tinyyolo import build_tinyyolov3
 from util import conv_spec, feature_map
 
 
@@ -173,6 +192,104 @@ def test_int_conv_requires_int16_operands(width_bits, w_dtype):
     w = np.zeros((1, 1, 1, 1), dtype=w_dtype)
     with pytest.raises(ValueError, match="int16"):
         int_conv_forward(x, w, np.zeros(1, dtype=np.int16), 1, "same", QuantConfig())
+
+
+# ---------------------------------------------------------------------------
+# tile plan and the walk's scratch buffer
+# ---------------------------------------------------------------------------
+
+def _tiles(data, weights):
+    """The (maps, rows, cols, filters) shape of every GEMM tile of a conv."""
+    shapes = []
+
+    def epilogue(acc, dst, f0, f1):
+        shapes.append(acc.shape)
+        np.copyto(dst, acc, casting="unsafe")
+
+    conv_gemm(data, weights, 1, "same", 1, epilogue)
+    return shapes
+
+
+@pytest.mark.parametrize("nf,tiles", [
+    # 64 filters fit half the budget: two pixel tiles, the weights cast once
+    (64, [(1, 12, 13, 64), (1, 1, 13, 64)]),
+    # 128 do not; the im2col of all 169 pixels fits with 56 filters beside it,
+    # so one pixel tile instead of two tiles that each cast the weights
+    (128, [(1, 13, 13, 56), (1, 13, 13, 56), (1, 13, 13, 16)]),
+])
+def test_deep_layer_bytes_do_not_depend_on_the_tiling(rng, monkeypatch, nf, tiles):
+    # 13x13x512 input, K = 4608, as in TinyYOLOv3-416's conv_7
+    fm = feature_map(rng, 13, 13, 512, lo=-2.0, hi=2.0)
+    fb = _fan_in_bank(rng, 3, 512, nf)
+    xi = IntFeatureMap(_extreme_int16(rng, (13, 13, 512), 0.1), 16)
+    wi = _extreme_int16(rng, (3, 3, 512, nf), 0.1).astype(np.int16)
+    bi = _extreme_int16(rng, nf, 0.1).astype(np.int16)
+
+    def outputs():
+        q, n_acc, n16 = int_conv_forward(xi, wi, bi, 1, "same", QuantConfig(p=14))
+        return conv2d(fm, fb).data.tobytes(), q.data.tobytes(), n_acc, n16
+
+    assert _tiles(fm.data, fb.weights) == tiles
+    default = outputs()
+    assert default[2] > 0 and default[3] > 0
+    monkeypatch.setattr(tensor, "GEMM_SCRATCH_BYTES", 64 << 10)
+    assert len(_tiles(fm.data, fb.weights)) > 1000
+    assert outputs() == default
+
+
+def _small_yolo():
+    yolo = replace_layer(build_tinyyolov3(num_classes=1), "input", height=32, width=32)
+    return fuse_model(randomize_weights(yolo, np.random.default_rng(5), 0.1))
+
+
+def _trace_bytes(trace):
+    return {lid: fm.data.tobytes() for lid, fm in trace.items()}
+
+
+def test_threaded_walks_give_the_bytes_of_serial_walks(monkeypatch):
+    # each worker thread walks with its own scratch buffer; a short switch
+    # interval interleaves the threads' convs as often as it can
+    model = _small_yolo()
+    rng = np.random.default_rng(8)
+    images = [feature_map(rng, 32, 32, 3, lo=0.0, hi=1.0) for _ in range(4)]
+    serial = [_trace_bytes(float_infer(model, im, taps=True)) for im in images]
+    monkeypatch.setenv("CNNADAPT_THREADS", "2")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threaded = ordered_map(lambda im: _trace_bytes(float_infer(model, im, taps=True)),
+                               images)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial
+
+
+def test_a_walk_holds_its_scratch_only_while_it_runs():
+    model = _small_yolo()
+    image = feature_map(np.random.default_rng(9), 32, 32, 3, lo=0.0, hi=1.0)
+    held = []
+
+    def conv(layer, fm, batch):
+        out = conv2d(fm, model.params[layer.id].filters, layer.stride, layer.padding,
+                     batch=batch)
+        held.append(tensor._SCRATCH.buf is not None)
+        return out
+
+    execute(model, [image], conv)
+    assert held and all(held)
+    assert tensor._SCRATCH.buf is None
+    float_infer(model, image)
+    assert tensor._SCRATCH.buf is None
+    qmodel = quantize_model(model)
+    int_infer(qmodel, quantize_input(image, qmodel.config))
+    assert tensor._SCRATCH.buf is None
+
+    def failing(layer, fm, batch):
+        raise RuntimeError("conv failed")
+
+    with pytest.raises(RuntimeError):
+        execute(model, [image], failing)
+    assert tensor._SCRATCH.buf is None
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,9 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from cnnadapt import tensor
 from cnnadapt.errors import ShapeError
@@ -27,6 +30,8 @@ from cnnadapt.quantization import (
 from cnnadapt.tensor import (
     INT16_MAX,
     INT16_MIN,
+    INT32_MAX,
+    INT32_MIN,
     BatchNormParams,
     FeatureMap,
     FilterBank,
@@ -128,6 +133,83 @@ def test_int_epilogue_rejects_negative_shift(rng):
     with pytest.raises(ValueError, match="p_alpha"):
         int_conv_forward(x, w, np.zeros(1, dtype=np.int16), 1, "same", QuantConfig(),
                          p_alpha=-1)
+
+
+# ---------------------------------------------------------------------------
+# requantize: floor first, one min/max, then the scans it cannot rule out
+# ---------------------------------------------------------------------------
+
+def _requantize_in_old_order(x, w, b, p):
+    """1x1 conv in int64 with the original step order: sat int32 -> *2^-P and
+    floor -> sat int16 -> +bias -> sat int16; returns (out, n_acc, n16)."""
+    acc = x.astype(np.int64) @ w.reshape(w.shape[2:]).astype(np.int64)
+    sat32 = np.clip(acc, INT32_MIN, INT32_MAX)
+    n_acc = int(np.count_nonzero(sat32 != acc))
+    shifted = sat32 >> p
+    narrowed = np.clip(shifted, INT16_MIN, INT16_MAX)
+    summed = narrowed + b.astype(np.int64)
+    out = np.clip(summed, INT16_MIN, INT16_MAX)
+    n16 = int(np.count_nonzero(narrowed != shifted)) + int(np.count_nonzero(out != summed))
+    return out, n_acc, n16
+
+
+def _assert_requantize_matches_old_order(x, w, b, p):
+    want, want_acc, want_16 = _requantize_in_old_order(x, w, b, p)
+    got, n_acc, n16 = int_conv_forward(IntFeatureMap(x, 16), w, b, 1, "same",
+                                       QuantConfig(p=p))
+    np.testing.assert_array_equal(got.data, want)
+    assert (n_acc, n16) == (want_acc, want_16)
+
+
+# Every pixel's sum is -32768 * (c0 + c1 + c2) + c3 under this weight column.
+_EDGE_WEIGHTS = (INT16_MIN, INT16_MIN, INT16_MIN, 1)
+
+
+def _channels_summing_to(total):
+    """int16 channels (c0, c1, c2, c3) whose sum under _EDGE_WEIGHTS is ``total``."""
+    q, c3 = divmod(total, 2**15)
+    rest, parts = -q, []
+    for _ in range(3):
+        parts.append(min(max(rest, INT16_MIN), INT16_MAX))
+        rest -= parts[-1]
+    assert rest == 0
+    return parts + [c3]
+
+
+@pytest.mark.parametrize("p", [0, 1, 8, 14])
+def test_requantize_edges_match_the_old_step_order(scratch, p):
+    sums = [INT32_MAX, INT32_MAX + 1, INT32_MIN, INT32_MIN - 1, 0, -1]
+    # sums whose floor(sum * 2^-P) lands on and beyond both int16 edges
+    for floored in (INT16_MAX, -INT16_MAX, INT16_MIN, INT16_MAX + 2, INT16_MIN - 1,
+                    INT16_MAX + 1, INT16_MIN + 1):
+        sums += [floored * 2**p, floored * 2**p + 2**p - 1]
+    x = np.array([[_channels_summing_to(t) for t in sums]], dtype=np.int16)
+    x64 = x.astype(np.int64) @ np.array(_EDGE_WEIGHTS, dtype=np.int64)
+    assert x64.tolist() == [sums]
+    # biases that push floored values across both int16 edges, or keep them inside
+    b = np.array([0, 1, -1, 2, -2, INT16_MAX, INT16_MIN, 100, -100], dtype=np.int16)
+    w = np.tile(np.array(_EDGE_WEIGHTS, dtype=np.int16), (b.size, 1)).T.reshape(1, 1, 4, b.size)
+    # each sum alone, so no other value of its tile decides which scans run,
+    # then all of them in one map
+    for pixels in [x[:, i:i + 1] for i in range(len(sums))] + [x]:
+        _assert_requantize_matches_old_order(pixels, w, b, p)
+    _, n_acc, n16 = _requantize_in_old_order(x, w, b, p)
+    assert n_acc > 0 and n16 > 0
+
+
+_EXTREME_INT16 = st.one_of(
+    st.sampled_from([INT16_MIN, INT16_MIN + 1, -1, 0, 1, INT16_MAX - 1, INT16_MAX]),
+    st.integers(INT16_MIN, INT16_MAX))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(p=st.sampled_from([0, 1, 8, 14]), depth=st.integers(1, 6),
+       pixels=st.integers(1, 5), nf=st.integers(1, 4), data=st.data())
+def test_requantize_matches_old_step_order_on_extreme_operands(p, depth, pixels, nf, data):
+    x = data.draw(arrays(np.int16, (1, pixels, depth), elements=_EXTREME_INT16))
+    w = data.draw(arrays(np.int16, (1, 1, depth, nf), elements=_EXTREME_INT16))
+    b = data.draw(arrays(np.int16, (nf,), elements=_EXTREME_INT16))
+    _assert_requantize_matches_old_order(x, w, b, p)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
 """Numerical primitives: convolution, batchnorm, activations, pooling, container IO."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -406,6 +408,31 @@ def test_tensor_container_rejects_truncated_payload(tmp_path, rng):
     path.write_bytes(raw[:-8])
     with pytest.raises(ModelFormatError):
         load_tensor(path)
+
+
+@pytest.mark.parametrize("extra", [-8, -1, 1, 8])
+def test_tensor_container_names_payload_size(tmp_path, rng, extra):
+    # a cut payload and trailing bytes both report the byte counts
+    path = tmp_path / "t.tnsr"
+    save_tensor(path, FeatureMap(rng.random((4, 4, 2)).astype(np.float32)))
+    raw = path.read_bytes()
+    path.write_bytes(raw[:extra] if extra < 0 else raw + b"\x00" * extra)
+    with pytest.raises(ModelFormatError, match=f"payload is {128 + extra} bytes, expected 128"):
+        load_tensor(path)
+
+
+def test_load_tensor_holds_its_payload_once(tmp_path, rng):
+    fm = FeatureMap(rng.random((416, 416, 3)).astype(np.float32))
+    path = tmp_path / "image.tnsr"
+    save_tensor(path, fm)
+    tracemalloc.start()
+    try:
+        back = load_tensor(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert back.data.tobytes() == fm.data.tobytes()
+    assert peak < 1.5 * fm.data.nbytes
 
 
 @pytest.mark.parametrize("fm", [FeatureMap(np.zeros((4, 4, 0), np.float32)),
