@@ -19,6 +19,8 @@ from .model import InferenceTrace, Model, shape_infer
 from .tensor import IntFeatureMap, _atomic_write
 
 REPORT_VERSION = 1
+# Elements per block of compare_traces' squared deviations (256 KiB of float64)
+_PAIRWISE_LEAF = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -215,25 +217,49 @@ class MseReport:
 
 def compare_traces(float_trace: InferenceTrace,
                    int_trace: dict[str, IntFeatureMap], p: int) -> MseReport:
-    """Per-layer mean squared deviation, dequantizing integers by 2^-p."""
+    """Per-layer mean squared deviation, dequantizing integers by 2^-p.
+
+    A layer's squared deviations are computed one cache-sized block at a
+    time and summed in numpy's pairwise order, so each MSE has the bits of
+    ``np.mean`` over the whole layer; an empty layer's MSE is NaN.
+    """
     if set(float_trace) != set(int_trace):
         missing = set(float_trace) ^ set(int_trace)
         raise ShapeError(f"traces cover different layers: {sorted(missing)}")
     scale = 2.0 ** -p
-    buf = np.empty(max((fm.data.size for fm in float_trace.values()), default=0))
+    buf = np.empty(_PAIRWISE_LEAF)
     entries = []
     for lid, fm in float_trace.items():
         im = int_trace[lid]
         if fm.shape != im.shape:
             raise ShapeError(f"layer {lid!r}: trace shapes differ, {fm.shape} vs {im.shape}")
-        # fm - im * 2^-p, squared, in one float64 buffer sized for the largest
-        # layer; scaling by a power of two is exact, as dividing by 2^p was
-        diff = buf[:fm.data.size].reshape(fm.shape)
-        np.multiply(im.data, scale, out=diff, dtype=np.float64)
-        np.subtract(fm.data, diff, out=diff)
-        diff *= diff
-        entries.append(MseEntry(lid, int(fm.data.size), float(np.mean(diff))))
+        f, q = fm.data.reshape(-1), im.data.reshape(-1)
+
+        def squared_sum(start, stop):
+            # fm - im * 2^-p, squared; scaling by a power of two is exact,
+            # as dividing by 2^p was
+            diff = buf[:stop - start]
+            np.multiply(q[start:stop], scale, out=diff, dtype=np.float64)
+            np.subtract(f[start:stop], diff, out=diff)
+            diff *= diff
+            return np.add.reduce(diff)
+
+        n = f.size
+        mse = float(_pairwise_sum(squared_sum, 0, n) / n) if n else float("nan")
+        entries.append(MseEntry(lid, int(n), mse))
     return MseReport(tuple(entries))
+
+
+def _pairwise_sum(leaf_sum, start: int, n: int):
+    """The float64 sum of n elements from ``start`` in the order of numpy's
+    pairwise summation, which splits a contiguous run of more than 128 at
+    n // 2 rounded down to a multiple of 8. Runs of at most _PAIRWISE_LEAF
+    elements are summed by ``leaf_sum(start, stop)`` with ``np.add.reduce``,
+    which continues the same recursion inside the run."""
+    if n <= _PAIRWISE_LEAF:
+        return leaf_sum(start, start + n)
+    half = n // 2 - n // 2 % 8
+    return _pairwise_sum(leaf_sum, start, half) + _pairwise_sum(leaf_sum, start + half, n - half)
 
 
 def write_json_report(path, payload: dict) -> None:

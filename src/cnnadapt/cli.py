@@ -14,7 +14,7 @@ import sys
 
 from . import analysis, evaluation, fusion, pruning, quantization
 from .errors import CnnAdaptError, ModelFormatError, PipelineError
-from .model import float_infer, load_model, save_model
+from .model import float_infer, load_model, model_digest, save_model
 from .tensor import FeatureMap, load_tensor, save_tensor
 
 log = logging.getLogger("cnnadapt")
@@ -205,6 +205,9 @@ def _cmd_compare(args) -> int:
     model = _load_float_model(args.float_model)
     _require_fused(model, "compare")
     qmodel = quantization.load_quantized_model(args.quant_model)
+    if qmodel.source_digest and qmodel.source_digest != model_digest(model):
+        raise PipelineError(f"{args.quant_model} was not quantized from {args.float_model} "
+                            f"(its source digest differs)")
     fm = _load_input_map(args.input, model)
     float_trace = float_infer(model, fm, taps=True)
     q_in = quantization.quantize_input(fm, qmodel.config)

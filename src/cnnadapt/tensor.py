@@ -30,12 +30,25 @@ is split into filter blocks; if its pixels are split too, each weight block
 is cast again for each pixel tile. So when the im2col rows of every output
 pixel of the batch fit together with a block of at least 32 filters (or all
 of them), such a layer runs as one pixel tile with the widest filter block
-that fits, and each weight is cast to float64 exactly once. The scratch is
-one thread-local buffer that grows to the largest layer's need:
-``model.execute`` holds it open for a whole graph walk (``gemm_scratch``),
-and a conv call outside a walk opens and releases its own. Integer sums are
-exact, so the tiling cannot change them; float outputs have matched across
-tilings in every case tested, down to one pixel and one filter per tile.
+that fits, and each weight is cast to float64 exactly once.
+
+Integer sums are exact in any order, so integer maps also tile the depth,
+as an FPGA MAC array accumulates over input-channel tiles: an integer layer
+that the float plan would split into filter blocks keeps all its filters in
+one block and splits K into groups of kernel positions instead. Each group
+copies its im2col columns from the map, casts its contiguous weight rows to
+float64 and adds its partial sums to the tile's sums, and the epilogue runs
+once on the complete sums. The int conv_7 of TinyYOLOv3-416 (K = 4608,
+1024 filters) thus runs one GEMM per kernel position rather than 19 GEMMs
+over blocks of 56 filters that each re-pack its whole im2col. A float sum
+depends on its order, so float maps keep the float plan and its bits;
+float outputs have matched across tilings in every case tested, down to
+one pixel and one filter per tile.
+
+The scratch is one thread-local buffer that grows to the largest layer's
+need: ``model.execute`` holds it open for a whole graph walk
+(``gemm_scratch``), and a conv call outside a walk opens and releases its
+own.
 
 Each finished GEMM tile goes through its layer's epilogue while it is still
 in cache: the bias add (the integer engine's requantization), batchnorm if
@@ -53,6 +66,7 @@ import struct
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from itertools import product
 from typing import Iterable, TypeVar
 
 import numpy as np
@@ -238,8 +252,10 @@ class BatchNormParams:
 
 # Budget for conv_gemm's float64 scratch per call (window rows, weight block
 # and products); only a layer whose single window row exceeds it goes over.
-# At 8 MiB TinyYOLOv3-416's conv_7 (K = 4608, 1024 filters at 13x13) runs as
-# one pixel tile and 19 blocks of 56 filters, casting each weight once.
+# At 8 MiB TinyYOLOv3-416's float conv_7 (K = 4608, 1024 filters at 13x13)
+# runs as one pixel tile and 19 blocks of 56 filters, casting each weight
+# once; its int twin runs all 1024 filters in 9 depth groups of one kernel
+# position each.
 GEMM_SCRATCH_BYTES = 8 << 20
 # Smallest filter block worth keeping the whole im2col for (see conv_gemm).
 _ONE_TILE_MIN_FILTERS = 32
@@ -317,19 +333,32 @@ def conv_gemm(data: np.ndarray, weights: np.ndarray, stride: int, padding: str, 
     (kh, kw, c, nf) weights as float64 GEMMs; returns the outputs stacked,
     (batch * out_h, out_w, nf), in the dtype of ``data``.
 
-    Same padding pads each map with zeros. The output is tiled into pixel
-    blocks (outer loop: several whole maps while they fit, else rows and
-    columns of one map) and filter blocks (inner loop) sized so that the
-    scratch stays within GEMM_SCRATCH_BYTES: the filter block takes up to
-    half of it, the pixel block the rest. Where that would cast the weights
-    to float64 again for each of several pixel blocks, but the im2col rows
-    of all output pixels fit with a block of at least 32 filters (or of all
-    of them), there is one pixel block and the widest filter block that
-    fits, so each weight is cast once. The scratch comes from
-    ``gemm_scratch``. For each tile, ``epilogue(acc, dst, f0, f1)`` receives
-    the float64 sums ``acc`` of shape (maps, rows, cols, f1 - f0), a
-    contiguous buffer it may overwrite, and must write the finished values
-    into ``dst``, the tile's slice of the output.
+    Same padding pads each map with zeros; a map that needs no padding is
+    read in place. The output is tiled into pixel blocks (outer loop:
+    several whole maps while they fit, else rows and columns of one map)
+    and filter blocks (inner loop) sized so that the scratch stays within
+    GEMM_SCRATCH_BYTES: the filter block takes up to half of it, the pixel
+    block the rest. Where that would cast the weights to float64 again for
+    each of several pixel blocks, but the im2col rows of all output pixels
+    fit with a block of at least 32 filters (or of all of them), there is
+    one pixel block and the widest filter block that fits, so each weight
+    is cast once.
+
+    Integer sums are exact in any order, so an integer layer that this plan
+    would still split into filter blocks keeps all its filters in one block
+    and splits the depth instead, into groups of kernel positions: whole
+    kernel rows, or runs within one row, whose weight rows are contiguous.
+    Each group's im2col columns are copied from the map, its weight rows
+    cast, and its product added to the tile's sums; the epilogue sees the
+    complete sums. The pixel block is as large as fits beside one kernel
+    position of all filters, then the groups as large as fit beside it. A
+    layer where even that does not fit keeps the filter blocks.
+
+    The scratch comes from ``gemm_scratch``. For each tile,
+    ``epilogue(acc, dst, f0, f1)`` receives the float64 sums ``acc`` of
+    shape (maps, rows, cols, f1 - f0), a contiguous buffer it may
+    overwrite, and must write the finished values into ``dst``, the tile's
+    slice of the output.
     """
     if stride < 1:
         raise ValueError(f"stride must be positive, got {stride}")
@@ -356,45 +385,74 @@ def conv_gemm(data: np.ndarray, weights: np.ndarray, stride: int, padding: str, 
         one_tile_fb = min(nf, (budget - total * depth) // (depth + total))
         if one_tile_fb >= min(nf, _ONE_TILE_MIN_FILTERS):
             fb, pixels = one_tile_fb, total
+    group_h, group_w = kh, kw   # kernel rows and columns per depth group
+    if fb < nf and data.dtype.kind == "i" and c_in * nf + 2 * nf + c_in <= budget:
+        # all filters, depth in groups of kernel positions; the scratch holds
+        # a group's weight rows and im2col columns, the sums and the partial sums
+        fb = nf
+        pixels = min(total, (budget - c_in * nf) // (2 * nf + c_in))
+        taps = min(kh * kw, (budget - 2 * pixels * nf) // (c_in * (nf + pixels)))
+        group_h, group_w = (taps // kw, kw) if taps >= kw else (1, taps)
+    groups = [(r0, min(r0 + group_h, kh), s0, min(s0 + group_w, kw))
+              for r0 in range(0, kh, group_h) for s0 in range(0, kw, group_w)]
     tile_w = min(out_w, pixels)
     tile_h = max(1, min(out_h, pixels // tile_w))
     tile_n = max(1, min(n, pixels // (tile_h * tile_w)))
     pixels = tile_n * tile_h * tile_w
+    group_depth = group_h * group_w * c_in
+    last = len(groups) - 1
 
     with gemm_scratch():
-        scratch = _take_scratch((pixels + depth) * fb + pixels * depth)
-        wblk = scratch[:depth * fb].reshape(depth, fb)
-        acc = scratch[depth * fb:(depth + pixels) * fb]
-        cols = scratch[(depth + pixels) * fb:]
-        padded = np.zeros((n, in_h + pt + pb, in_w + pl + pr, c_in), dtype=data.dtype)
-        padded[:, pt:pt + in_h, pl:pl + in_w, :] = maps
+        # weight block, sums, partial sums (while groups remain), im2col rows
+        w_end = group_depth * fb
+        acc_end = w_end + pixels * fb
+        partial_end = acc_end + (pixels * fb if last else 0)
+        scratch = _take_scratch(partial_end + pixels * group_depth)
+        wblk = scratch[:w_end].reshape(group_depth, fb)
+        acc, partial, cols = scratch[w_end:acc_end], scratch[acc_end:partial_end], scratch[partial_end:]
+        if pt or pb or pl or pr:
+            padded = np.empty((n, in_h + pt + pb, in_w + pl + pr, c_in), dtype=data.dtype)
+            padded[:, :pt] = 0
+            padded[:, pt + in_h:] = 0
+            padded[:, pt:pt + in_h, :pl] = 0
+            padded[:, pt:pt + in_h, pl + in_w:] = 0
+            padded[:, pt:pt + in_h, pl:pl + in_w] = maps
+        else:
+            padded = maps
         # (n, out_h, out_w, kh, kw, c): window element order matches weights.reshape(depth, nf)
         windows = sliding_window_view(padded, (kh, kw), axis=(1, 2))
         windows = windows[:, ::stride, ::stride][:, :out_h, :out_w].transpose(0, 1, 2, 4, 5, 3)
         w2d = weights.reshape(depth, nf)
         out = np.empty((n * out_h, out_w, nf), dtype=data.dtype)
         dst = out.reshape(n, out_h, out_w, nf)
-        if fb == nf:
+        cast_once = fb == nf and not last
+        if cast_once:
             np.copyto(wblk, w2d)
-        for n0 in range(0, n, tile_n):
-            n1 = min(n0 + tile_n, n)
-            for i0 in range(0, out_h, tile_h):
-                i1 = min(i0 + tile_h, out_h)
-                for j0 in range(0, out_w, tile_w):
-                    j1 = min(j0 + tile_w, out_w)
-                    tile = (n1 - n0, i1 - i0, j1 - j0)
-                    rows = tile[0] * tile[1] * tile[2]
-                    a = cols[:rows * depth].reshape(*tile, kh, kw, c_in)
-                    np.copyto(a, windows[n0:n1, i0:i1, j0:j1])
-                    a = a.reshape(rows, depth)
-                    for f0 in range(0, nf, fb):
-                        f1 = min(f0 + fb, nf)
-                        b = wblk[:, :f1 - f0]
-                        if fb < nf:
-                            np.copyto(b, w2d[:, f0:f1])
-                        prod = np.matmul(a, b,
-                                         out=acc[:rows * (f1 - f0)].reshape(rows, f1 - f0))
-                        epilogue(prod.reshape(*tile, f1 - f0),
+        for n0, i0, j0 in product(range(0, n, tile_n), range(0, out_h, tile_h),
+                                  range(0, out_w, tile_w)):
+            n1, i1, j1 = min(n0 + tile_n, n), min(i0 + tile_h, out_h), min(j0 + tile_w, out_w)
+            tile = (n1 - n0, i1 - i0, j1 - j0)
+            rows = tile[0] * tile[1] * tile[2]
+            for g, (r0, r1, s0, s1) in enumerate(groups):
+                # the group's weight rows k0:k1 are contiguous: whole kernel
+                # rows, or a run within one row
+                k0 = (r0 * kw + s0) * c_in
+                k1 = k0 + (r1 - r0) * (s1 - s0) * c_in
+                a = cols[:rows * (k1 - k0)].reshape(*tile, r1 - r0, s1 - s0, c_in)
+                np.copyto(a, windows[n0:n1, i0:i1, j0:j1, r0:r1, s0:s1])
+                a = a.reshape(rows, k1 - k0)
+                for f0 in range(0, nf, fb):
+                    f1 = min(f0 + fb, nf)
+                    b = wblk[:k1 - k0, :f1 - f0]
+                    if not cast_once:
+                        np.copyto(b, w2d[k0:k1, f0:f1])
+                    sums = acc[:rows * (f1 - f0)].reshape(rows, f1 - f0)
+                    if g == 0:
+                        np.matmul(a, b, out=sums)
+                    else:
+                        sums += np.matmul(a, b, out=partial[:sums.size].reshape(sums.shape))
+                    if g == last:
+                        epilogue(sums.reshape(*tile, f1 - f0),
                                  dst[n0:n1, i0:i1, j0:j1, f0:f1], f0, f1)
     return out
 

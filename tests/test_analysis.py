@@ -179,6 +179,31 @@ def test_mse_single_element_example():
     assert report.entries[0].n_elements == 1
 
 
+def test_mse_has_the_bits_of_np_mean(rng):
+    shapes = [(1, 1, 1), (13, 13, 255),
+              (181, 181, 1), (1, 32768, 1), (1, 32769, 1),  # around one summation block
+              (1, 65537, 1), (208, 208, 32), (416, 416, 16),
+              # halves that are not multiples of 8 at several levels
+              (97, 89, 61), (333, 333, 7), (201, 203, 29), (1, 100003, 1), (1, 123457, 1),
+              (1, 262147, 1), (1, 654321, 1), (1, 1000001, 1)]
+    float_trace, int_trace = {}, {}
+    for k, shape in enumerate(shapes):
+        float_trace[f"conv_{k}"] = FeatureMap(rng.uniform(-2.0, 2.0, size=shape).astype(np.float32))
+        int_trace[f"conv_{k}"] = IntFeatureMap(rng.integers(-600, 600, size=shape), 16)
+    report = compare_traces(float_trace, int_trace, p=8)
+    for entry in report.entries:
+        fm, im = float_trace[entry.layer_id], int_trace[entry.layer_id]
+        want = np.mean((fm.data - im.data * 2.0 ** -8) ** 2)
+        assert np.float64(entry.mse).tobytes() == want.tobytes(), entry.layer_id
+
+
+def test_mse_of_an_empty_layer_is_nan():
+    fm = FeatureMap(np.zeros((2, 2, 0), dtype=np.float32))
+    im = IntFeatureMap(np.zeros((2, 2, 0), dtype=np.int16), 16)
+    entry = compare_traces({"conv_1": fm}, {"conv_1": im}, p=8).entries[0]
+    assert entry.n_elements == 0 and np.isnan(entry.mse)
+
+
 def test_compare_traces_validates_layers_and_shapes():
     fm = FeatureMap(np.zeros((1, 1, 1), dtype=np.float32))
     im = IntFeatureMap(np.zeros((1, 1, 1), dtype=np.int64), 16)

@@ -195,6 +195,21 @@ def test_quantize_then_infer_and_compare(tmp_path, rng, fused_model_path, input_
     assert mse_csv.read_text().splitlines()[0] == "layer_id,n_elements,mse"
 
 
+def test_compare_refuses_a_quantized_model_of_other_weights(tmp_path, rng, fused_model_path,
+                                                            input_path, capsys):
+    other = tmp_path / "other.json"
+    save_model(chain_model(rng, [4, 3], hw=6, in_channels=2, scale=0.3), other)
+    qpath = tmp_path / "other.q.json"
+    assert run(["quantize", "-i", str(other), "-o", str(qpath)]) == 0
+    capsys.readouterr()
+    assert run(["compare", "--float-model", str(fused_model_path),
+                "--quant-model", str(qpath), "--input", str(input_path)]) == 1
+    out, err = capsys.readouterr()
+    assert "source digest differs" in err and "MSE" not in out
+    assert run(["compare", "--float-model", str(other),
+                "--quant-model", str(qpath), "--input", str(input_path)]) == 0
+
+
 def test_int_engine_is_reproducible_through_cli(tmp_path, fused_model_path, input_path):
     qpath = tmp_path / "model.q.json"
     assert run(["quantize", "-i", str(fused_model_path), "-o", str(qpath)]) == 0

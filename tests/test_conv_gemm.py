@@ -237,6 +237,39 @@ def test_deep_layer_bytes_do_not_depend_on_the_tiling(rng, monkeypatch, nf, tile
     assert outputs() == default
 
 
+def _int_tiles(xi, wi, stride, padding):
+    """The (maps, rows, cols, filters) shape of every GEMM tile of an int conv."""
+    shapes = []
+    conv_gemm(xi.data, wi, stride, padding, 1, lambda acc, dst, f0, f1: shapes.append(acc.shape))
+    return shapes
+
+
+@pytest.mark.parametrize("hw,c_in,nf", [(13, 512, 128),   # K = 4608, as conv_7
+                                        (26, 384, 160)])  # K = 3456, as conv_12
+@pytest.mark.parametrize("stride,padding", [(1, "same"), (2, "same"), (1, "valid"),
+                                            (2, "valid")])
+@pytest.mark.parametrize("p", [8, 14])
+def test_depth_split_int_conv_matches_the_unsplit_plan(rng, monkeypatch, hw, c_in, nf,
+                                                       stride, padding, p):
+    xi = IntFeatureMap(_extreme_int16(rng, (hw, hw, c_in), 0.1), 16)
+    wi = _extreme_int16(rng, (3, 3, c_in, nf), 0.1).astype(np.int16)
+    bi = _extreme_int16(rng, nf, 0.1).astype(np.int16)
+
+    def outputs():
+        q, n_acc, n16 = int_conv_forward(xi, wi, bi, stride, padding, QuantConfig(p=p))
+        return q.data.tobytes(), n_acc, n16
+
+    # the float plan splits these filters into blocks; the int plan keeps
+    # all of them in one block and splits the depth instead
+    assert 3 * 3 * c_in * nf * 8 > tensor.GEMM_SCRATCH_BYTES // 2
+    assert {shape[3] for shape in _int_tiles(xi, wi, stride, padding)} == {nf}
+    split = outputs()
+    assert split[2] > 0
+    monkeypatch.setattr(tensor, "GEMM_SCRATCH_BYTES", 1 << 30)
+    assert len(_int_tiles(xi, wi, stride, padding)) == 1
+    assert outputs() == split
+
+
 def _small_yolo():
     yolo = replace_layer(build_tinyyolov3(num_classes=1), "input", height=32, width=32)
     return fuse_model(randomize_weights(yolo, np.random.default_rng(5), 0.1))
@@ -290,6 +323,26 @@ def test_a_walk_holds_its_scratch_only_while_it_runs():
     with pytest.raises(RuntimeError):
         execute(model, [image], failing)
     assert tensor._SCRATCH.buf is None
+
+
+def test_tinyyolo_walks_keep_the_scratch_within_its_budget(monkeypatch):
+    model = fuse_model(randomize_weights(build_tinyyolov3(num_classes=80),
+                                         np.random.default_rng(11), 0.1))
+    qmodel = quantize_model(model)
+    image = feature_map(np.random.default_rng(12), 416, 416, 3, lo=0.0, hi=1.0)
+    take, sizes = tensor._take_scratch, []
+
+    def recording_take(size):
+        buf = take(size)
+        sizes.append(tensor._SCRATCH.buf.size)
+        return buf
+
+    monkeypatch.setattr(tensor, "_take_scratch", recording_take)
+    int_infer(qmodel, quantize_input(image, qmodel.config))
+    assert len(sizes) == 13
+    float_infer(model, image)
+    assert len(sizes) == 26
+    assert max(sizes) <= tensor.GEMM_SCRATCH_BYTES // 8
 
 
 # ---------------------------------------------------------------------------
