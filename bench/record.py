@@ -12,11 +12,12 @@ with the run length of BENCHMARK.json, and the side that runs first
 alternates from pair to pair. ``--trace`` adds one traced run per side, on
 the first seed, for the per-layer metrics.
 
-The workload's entry in BENCH_<pr>.json (other workloads' entries are kept)
-holds every run (its end-to-end metrics, ``attempted``, ``failed`` and its
-``env`` line) and, per end-to-end metric, each side's median and quartiles,
-the change's win count, and whether the pairs meet the gain rule (at
-least 10 pairs, the change better in at least 9 of 10, by a median gap
+The workload's entry in BENCH_<pr>.json (other workloads' entries are kept;
+runs of the same two commits are added to those already there) holds every
+run (its end-to-end metrics, ``attempted``, ``failed`` and its ``env``
+line) and, per end-to-end metric over all its pairs, each side's median and
+quartiles, the change's win count, and whether the pairs meet the gain rule
+(at least 10 pairs, the change better in at least 9 of 10, by a median gap
 wider than the parent's interquartile range) and the metric's regression
 bound.
 
@@ -81,6 +82,18 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
     return summary
 
 
+def add_runs(entry: dict | None, revs: dict, seconds: float, pairs: list[dict],
+             traced: list[dict], metrics: list[dict]) -> dict:
+    """A workload's entry with new ``pairs`` and ``traced`` runs: added to
+    those of ``entry`` when it compares the same two commits, since the gain
+    rule counts every pair run, else replacing it; the summary covers all."""
+    if entry and (entry["parent"], entry["change"]) == (revs["parent"], revs["change"]):
+        pairs, traced = entry["pairs"] + pairs, entry["traced"] + traced
+    return {**revs, "seconds": seconds, "seeds": [p["seed"] for p in pairs],
+            "failed": {side: sum(p[side]["failed"] for p in pairs) for side in revs},
+            "summary": summarize(pairs, metrics), "pairs": pairs, "traced": traced}
+
+
 def _git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True,
                           text=True).stdout.strip()
@@ -131,7 +144,7 @@ def main(argv=None) -> int:
     seconds = spec["run_seconds"]
     revs = {"parent": _git("rev-parse", args.base), "change": _git("rev-parse", args.head)}
     OUT_DIR.mkdir(exist_ok=True)
-    pairs, traced = [], {}
+    pairs, traced = [], []
     with tempfile.TemporaryDirectory(dir=OUT_DIR) as work:
         checkouts = {}
         for side, rev in revs.items():
@@ -145,17 +158,13 @@ def main(argv=None) -> int:
                 print(f"seed {seed} {side}: {pair[side]['metrics']}", file=sys.stderr)
             pairs.append(pair)
         if args.trace:
-            traced = {side: bench_run(checkouts[side], args.workload, args.seeds[0], seconds, True)
-                      for side in ("parent", "change")}
+            traced.append({side: bench_run(checkouts[side], args.workload, args.seeds[0],
+                                           seconds, True) for side in ("parent", "change")})
 
-    entry = {**revs, "seconds": seconds, "seeds": args.seeds,
-             "failed": {side: sum(p[side]["failed"] for p in pairs) for side in revs},
-             "summary": summarize(pairs, spec["end_to_end"]),
-             "pairs": pairs}
-    if traced:
-        entry["traced"] = traced
     path = ROOT / f"BENCH_{args.pr}.json"
     record = json.loads(path.read_text()) if path.exists() else {"pr": args.pr, "workloads": {}}
+    entry = add_runs(record["workloads"].get(args.workload), revs, seconds, pairs, traced,
+                     spec["end_to_end"])
     record["workloads"][args.workload] = entry
     path.write_text(json.dumps(record, indent=1) + "\n")
     print(json.dumps({args.workload: entry["summary"]}, indent=1))

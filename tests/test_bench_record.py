@@ -64,3 +64,21 @@ def test_fewer_than_ten_pairs_claim_no_gain():
 def test_seed_lists_and_ranges():
     assert record.parse_seeds("5001-5003") == [5001, 5002, 5003]
     assert record.parse_seeds("7,9,20-21") == [7, 9, 20, 21]
+
+
+def test_runs_of_the_same_commits_add_up_and_others_replace_them():
+    revs = {"parent": "a" * 40, "change": "b" * 40}
+
+    def runs(seeds):
+        return [{"seed": s, "parent": {"metrics": {"op_s": 0.5}, "failed": 0},
+                 "change": {"metrics": {"op_s": 0.4}, "failed": 1}} for s in seeds]
+
+    first = record.add_runs(None, revs, 30, runs(range(1, 6)), [], METRICS[:1])
+    assert first["seeds"] == [1, 2, 3, 4, 5] and not first["summary"]["op_s"]["gain_rule_met"]
+    both = record.add_runs(first, revs, 30, runs(range(6, 11)), [{"traced": 1}], METRICS[:1])
+    assert both["seeds"] == list(range(1, 11)) and both["traced"] == [{"traced": 1}]
+    assert both["failed"] == {"parent": 0, "change": 10}
+    assert both["summary"]["op_s"]["change_wins"] == 10
+    assert both["summary"]["op_s"]["gain_rule_met"]
+    other = record.add_runs(both, {**revs, "change": "c" * 40}, 30, runs([7]), [], METRICS[:1])
+    assert other["seeds"] == [7] and other["change"] == "c" * 40
