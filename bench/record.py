@@ -18,8 +18,9 @@ run (its end-to-end metrics, ``attempted``, ``failed`` and its ``env``
 line) and, per end-to-end metric over all its pairs, each side's median and
 quartiles, the change's win count, and whether the pairs meet the gain rule
 (at least 10 pairs, the change better in at least 9 of 10, by a median gap
-wider than the parent's interquartile range) and the metric's regression
-bound.
+wider than the parent's interquartile range, every run correct, and a failed
+share of attempted operations no larger than the parent's) and the metric's
+regression bound.
 
 Standard library only.
 """
@@ -61,7 +62,15 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
     {"parent": run, "change": run}, a run holding ``metrics`` by name),
     the change's wins (ties count for neither side), whether it meets the
     gain rule, and whether its median is worse than the parent's by no
-    more than the bound, a fraction of the parent's median."""
+    more than the bound, a fraction of the parent's median. A run's
+    ``correct``, ``failed`` and ``attempted`` default to true, 0 and 0; no
+    gain counts unless every run is correct and the change's failed share
+    of attempted operations is no larger than the parent's."""
+    runs = {side: [p[side] for p in pairs] for side in ("parent", "change")}
+    failed_share = {side: sum(r.get("failed", 0) for r in rs)
+                    / max(1, sum(r.get("attempted", 0) for r in rs)) for side, rs in runs.items()}
+    sound = (failed_share["change"] <= failed_share["parent"]
+             and all(r.get("correct", True) for rs in runs.values() for r in rs))
     summary = {}
     for m in metrics:
         sign = 1 if m["better"] == "lower" else -1
@@ -76,7 +85,7 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
             "median_change_pct": 100.0 * (qc["median"] - qp["median"]) / qp["median"]
             if qp["median"] else 0.0,
             "gain_rule_met": len(pairs) >= 10 and 10 * wins >= 9 * len(pairs)
-            and gain > qp["q3"] - qp["q1"],
+            and gain > qp["q3"] - qp["q1"] and sound,
             "within_bound": worse <= m["bound"],
         }
     return summary

@@ -195,7 +195,7 @@ def load_dataset(directory) -> list[Sample]:
         try:
             with open(label_path) as fh:
                 label = json.load(fh)
-        except ValueError as e:  # invalid JSON or not UTF-8
+        except (ValueError, RecursionError) as e:  # invalid, too deeply nested or not UTF-8
             raise ModelFormatError(f"{label_path}: invalid JSON ({e})") from e
         if not isinstance(label, dict):
             raise ModelFormatError(f"{label_path}: label must be a JSON object")

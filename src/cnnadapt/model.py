@@ -493,7 +493,7 @@ def read_model_files(manifest_path, dtype_code: int,
     try:
         with open(manifest_path) as fh:
             manifest = json.load(fh)
-    except ValueError as e:
+    except (ValueError, RecursionError) as e:  # RecursionError: nested too deeply
         raise ModelFormatError(f"{manifest_path}: invalid JSON ({e})") from e
     if not isinstance(manifest, dict):
         raise ModelFormatError(f"{manifest_path}: manifest must be a JSON object")

@@ -8,6 +8,7 @@ evaluation score stays within the allowed budget of the initial score.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
@@ -44,6 +45,9 @@ class PruneConfig:
     def __post_init__(self):
         if self.metric not in (METRIC_FROBENIUS, METRIC_SPARSITY):
             raise ValueError(f"unknown metric {self.metric!r}")
+        for name in ("t_start", "delta_t", "sparsity_eps"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not 0.0 <= self.delta_map <= 1.0:
             raise ValueError(f"delta_map must lie in [0, 1], got {self.delta_map}")
         if self.delta_t <= 0:

@@ -23,27 +23,24 @@ after its bias is added. Integer products of int16 operands are integers of
 at most 2^30 in magnitude, so every partial sum of K <= 2^23 of them stays
 below 2^53 and the float64 GEMM computes the integer result exactly.
 
-The GEMM runs in tiles of output pixels and blocks of filters whose float64
-scratch (im2col rows, the weight block cast to float64, and the sums) fits
-in GEMM_SCRATCH_BYTES. A layer whose weights fill more than half the budget
-is split into filter blocks; if its pixels are split too, each weight block
-is cast again for each pixel tile. So when the im2col rows of every output
-pixel of the batch fit together with a block of at least 32 filters (or all
-of them), such a layer runs as one pixel tile with the widest filter block
-that fits, and each weight is cast to float64 exactly once.
+The GEMM runs in tiles whose float64 scratch (im2col rows, weights cast to
+float64, and the sums) fits in GEMM_SCRATCH_BYTES, by one plan for both
+map types that depends on sizes only. A layer whose weights fit in half the
+budget runs all its filters over tiles of output pixels. A larger layer
+keeps all its filters in one block too and tiles the depth, as an FPGA MAC
+array accumulates over input-channel tiles: K is split into groups of
+kernel positions, each of which copies its im2col columns from the map,
+casts its contiguous weight rows to float64 and adds its partial sums to
+the tile's sums, and the epilogue runs once on the complete sums. So
+TinyYOLOv3-416's conv_7 (K = 4608, 1024 filters) runs one GEMM per kernel
+position, and conv_12 (K = 3456) casts each weight once. Only a layer
+where even one kernel position of all filters does not fit is split into
+filter blocks.
 
-Integer sums are exact in any order, so integer maps also tile the depth,
-as an FPGA MAC array accumulates over input-channel tiles: an integer layer
-that the float plan would split into filter blocks keeps all its filters in
-one block and splits K into groups of kernel positions instead. Each group
-copies its im2col columns from the map, casts its contiguous weight rows to
-float64 and adds its partial sums to the tile's sums, and the epilogue runs
-once on the complete sums. The int conv_7 of TinyYOLOv3-416 (K = 4608,
-1024 filters) thus runs one GEMM per kernel position rather than 19 GEMMs
-over blocks of 56 filters that each re-pack its whole im2col. A float sum
-depends on its order, so float maps keep the float plan and its bits;
-float outputs have matched across tilings in every case tested, down to
-one pixel and one filter per tile.
+Integer sums are exact in any order. Float depth groups sum in another
+order than one GEMM over all of K; their outputs have kept the bits of the
+unsplit plan in every case tested, as float outputs have across tilings
+down to one pixel and one filter per tile, which is not a proof.
 
 The scratch is one thread-local buffer that grows to the largest layer's
 need: ``model.execute`` holds it open for a whole graph walk
@@ -252,13 +249,10 @@ class BatchNormParams:
 
 # Budget for conv_gemm's float64 scratch per call (window rows, weight block
 # and products); only a layer whose single window row exceeds it goes over.
-# At 8 MiB TinyYOLOv3-416's float conv_7 (K = 4608, 1024 filters at 13x13)
-# runs as one pixel tile and 19 blocks of 56 filters, casting each weight
-# once; its int twin runs all 1024 filters in 9 depth groups of one kernel
-# position each.
+# At 8 MiB every TinyYOLOv3-416 layer of both engines runs all its filters
+# in one block: conv_7 (K = 4608, 1024 filters at 13x13) as one pixel tile
+# in 9 depth groups of one kernel position each.
 GEMM_SCRATCH_BYTES = 8 << 20
-# Smallest filter block worth keeping the whole im2col for (see conv_gemm).
-_ONE_TILE_MIN_FILTERS = 32
 # Largest exact integer GEMM depth: K * 2^30 <= 2^53 (see module docstring).
 MAX_EXACT_INT_DEPTH = 2**23
 
@@ -335,24 +329,24 @@ def conv_gemm(data: np.ndarray, weights: np.ndarray, stride: int, padding: str, 
 
     Same padding pads each map with zeros; a map that needs no padding is
     read in place. The output is tiled into pixel blocks (outer loop:
-    several whole maps while they fit, else rows and columns of one map)
-    and filter blocks (inner loop) sized so that the scratch stays within
-    GEMM_SCRATCH_BYTES: the filter block takes up to half of it, the pixel
-    block the rest. Where that would cast the weights to float64 again for
-    each of several pixel blocks, but the im2col rows of all output pixels
-    fit with a block of at least 32 filters (or of all of them), there is
-    one pixel block and the widest filter block that fits, so each weight
-    is cast once.
+    several whole maps while they fit, else rows and columns of one map),
+    sized so that the scratch stays within GEMM_SCRATCH_BYTES; the plan
+    depends on sizes only, never on the dtype:
 
-    Integer sums are exact in any order, so an integer layer that this plan
-    would still split into filter blocks keeps all its filters in one block
-    and splits the depth instead, into groups of kernel positions: whole
-    kernel rows, or runs within one row, whose weight rows are contiguous.
-    Each group's im2col columns are copied from the map, its weight rows
-    cast, and its product added to the tile's sums; the epilogue sees the
-    complete sums. The pixel block is as large as fits beside one kernel
-    position of all filters, then the groups as large as fit beside it. A
-    layer where even that does not fit keeps the filter blocks.
+    - weights within half the budget: all filters, cast once, and pixel
+      blocks as large as fit beside them;
+    - else, if one kernel position of all filters fits: all filters, and
+      the depth split into groups of kernel positions (whole kernel rows,
+      or runs within one row, whose weight rows are contiguous). Each
+      group's im2col columns are copied from the map, its weight rows cast,
+      and its product added to the tile's sums; the epilogue sees the
+      complete sums. The pixel block is as large as fits beside one kernel
+      position of all filters, then the groups as large as fit beside it.
+      Integer sums are exact in any order; float sums taken in groups have
+      kept the bits of one GEMM over all of K in every case tested, which
+      is not a proof;
+    - else: filter blocks (inner loop) of up to half the budget, the pixel
+      block the rest.
 
     The scratch comes from ``gemm_scratch``. For each tile,
     ``epilogue(acc, dst, f0, f1)`` receives the float64 sums ``acc`` of
@@ -379,14 +373,8 @@ def conv_gemm(data: np.ndarray, weights: np.ndarray, stride: int, padding: str, 
     fb = nf if depth * nf <= budget // 2 else max(1, budget // 2 // depth)
     pixels = max(1, (budget - depth * fb) // (depth + fb))
     total = n * out_h * out_w
-    if fb < nf and pixels < total:
-        # this split casts every weight once per pixel tile; keep the im2col
-        # of all pixels instead if a useful filter block still fits beside it
-        one_tile_fb = min(nf, (budget - total * depth) // (depth + total))
-        if one_tile_fb >= min(nf, _ONE_TILE_MIN_FILTERS):
-            fb, pixels = one_tile_fb, total
     group_h, group_w = kh, kw   # kernel rows and columns per depth group
-    if fb < nf and data.dtype.kind == "i" and c_in * nf + 2 * nf + c_in <= budget:
+    if depth * nf > budget // 2 and c_in * nf + 2 * nf + c_in <= budget:
         # all filters, depth in groups of kernel positions; the scratch holds
         # a group's weight rows and im2col columns, the sums and the partial sums
         fb = nf

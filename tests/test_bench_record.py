@@ -69,9 +69,11 @@ def test_seed_lists_and_ranges():
 def test_runs_of_the_same_commits_add_up_and_others_replace_them():
     revs = {"parent": "a" * 40, "change": "b" * 40}
 
-    def runs(seeds):
-        return [{"seed": s, "parent": {"metrics": {"op_s": 0.5}, "failed": 0},
-                 "change": {"metrics": {"op_s": 0.4}, "failed": 1}} for s in seeds]
+    def runs(seeds, parent_failed=0, change_failed=1):
+        return [{"seed": s,
+                 "parent": {"metrics": {"op_s": 0.5}, "failed": parent_failed, "attempted": 10},
+                 "change": {"metrics": {"op_s": 0.4}, "failed": change_failed, "attempted": 10}}
+                for s in seeds]
 
     first = record.add_runs(None, revs, 30, runs(range(1, 6)), [], METRICS[:1])
     assert first["seeds"] == [1, 2, 3, 4, 5] and not first["summary"]["op_s"]["gain_rule_met"]
@@ -79,6 +81,14 @@ def test_runs_of_the_same_commits_add_up_and_others_replace_them():
     assert both["seeds"] == list(range(1, 11)) and both["traced"] == [{"traced": 1}]
     assert both["failed"] == {"parent": 0, "change": 10}
     assert both["summary"]["op_s"]["change_wins"] == 10
-    assert both["summary"]["op_s"]["gain_rule_met"]
+    # faster in every pair, but failing where the parent did not: no gain
+    assert not both["summary"]["op_s"]["gain_rule_met"]
+    # as many failures on both sides keep the gain
+    equal = record.add_runs(None, revs, 30, runs(range(1, 11), 1, 1), [], METRICS[:1])
+    assert equal["summary"]["op_s"]["gain_rule_met"]
+    wrong = runs(range(1, 11), 0, 0)
+    wrong[3]["parent"]["correct"] = False
+    assert not record.add_runs(None, revs, 30, wrong, [], METRICS[:1])["summary"]["op_s"][
+        "gain_rule_met"]
     other = record.add_runs(both, {**revs, "change": "c" * 40}, 30, runs([7]), [], METRICS[:1])
     assert other["seeds"] == [7] and other["change"] == "c" * 40

@@ -328,6 +328,8 @@ _GOOD_BOX = {"x": 1, "y": 1, "w": 2, "h": 2, "class": 0}
 
 @pytest.mark.parametrize("eval_kind, label_text, message", [
     ("accuracy", '{"class": 1', "invalid JSON"),
+    pytest.param("accuracy", "[" * 100000 + "]" * 100000, "invalid JSON",
+                 id="accuracy-deeply_nested"),
     ("accuracy", "[1, 2]", "JSON object"),
     ("accuracy", '"class"', "JSON object"),
     ("accuracy", '{"class": "1"}', "not an integer"),
@@ -507,13 +509,19 @@ def _weights_not_a_name(tmp_path, rng, fused, image):
     return ["flops", "-i", str(fused)]
 
 
+def _deeply_nested_manifest(tmp_path, rng, fused, image):
+    fused.write_text("[" * 100000 + "]" * 100000)
+    return ["flops", "-i", str(fused)]
+
+
 @pytest.mark.parametrize("case", [
     _nan_weight, _negative_sigma2, _in_channels_disagree, _valid_kernel_beyond_map,
     _input_breaks_concat, _quantized_with_batchnorm, _tensor((0, 6, 2), []),
     _tensor((6, 6, 2), np.full((6, 6, 2), np.nan)), _weights_not_a_name,
+    _deeply_nested_manifest,
 ], ids=["nan_weight", "negative_sigma2", "in_channels_disagree", "valid_kernel_beyond_map",
         "input_breaks_concat", "quantized_with_batchnorm", "tensor_height_0", "tensor_nan",
-        "weights_not_a_name"])
+        "weights_not_a_name", "deeply_nested_manifest"])
 def test_malformed_file_content_exits_2(tmp_path, rng, fused_model_path, input_path, capsys,
                                         case):
     argv = case(tmp_path, rng, fused_model_path, input_path)

@@ -213,9 +213,9 @@ def _tiles(data, weights):
 @pytest.mark.parametrize("nf,tiles", [
     # 64 filters fit half the budget: two pixel tiles, the weights cast once
     (64, [(1, 12, 13, 64), (1, 1, 13, 64)]),
-    # 128 do not; the im2col of all 169 pixels fits with 56 filters beside it,
-    # so one pixel tile instead of two tiles that each cast the weights
-    (128, [(1, 13, 13, 56), (1, 13, 13, 56), (1, 13, 13, 16)]),
+    # 128 do not; all 169 pixels and all filters in one tile, the depth in
+    # groups of kernel positions, so each weight is cast once
+    (128, [(1, 13, 13, 128)]),
 ])
 def test_deep_layer_bytes_do_not_depend_on_the_tiling(rng, monkeypatch, nf, tiles):
     # 13x13x512 input, K = 4608, as in TinyYOLOv3-416's conv_7
@@ -237,17 +237,24 @@ def test_deep_layer_bytes_do_not_depend_on_the_tiling(rng, monkeypatch, nf, tile
     assert outputs() == default
 
 
-def _int_tiles(xi, wi, stride, padding):
-    """The (maps, rows, cols, filters) shape of every GEMM tile of an int conv."""
+def _gemm_tiles(fm, weights, stride, padding):
+    """The (maps, rows, cols, filters) shape of every GEMM tile of a conv of a
+    float or int map."""
     shapes = []
-    conv_gemm(xi.data, wi, stride, padding, 1, lambda acc, dst, f0, f1: shapes.append(acc.shape))
+    conv_gemm(fm.data, weights, stride, padding, 1, lambda acc, dst, f0, f1: shapes.append(acc.shape))
     return shapes
 
 
-@pytest.mark.parametrize("hw,c_in,nf", [(13, 512, 128),   # K = 4608, as conv_7
-                                        (26, 384, 160)])  # K = 3456, as conv_12
-@pytest.mark.parametrize("stride,padding", [(1, "same"), (2, "same"), (1, "valid"),
-                                            (2, "valid")])
+# the weights of these layers fill more than half the scratch budget, so the
+# plan keeps all filters in one block and splits the depth
+_DEEP_LAYERS = pytest.mark.parametrize("hw,c_in,nf", [(13, 512, 128),   # K = 4608, as conv_7
+                                                      (26, 384, 160)])  # K = 3456, as conv_12
+_STRIDES = pytest.mark.parametrize("stride,padding", [(1, "same"), (2, "same"), (1, "valid"),
+                                                      (2, "valid")])
+
+
+@_DEEP_LAYERS
+@_STRIDES
 @pytest.mark.parametrize("p", [8, 14])
 def test_depth_split_int_conv_matches_the_unsplit_plan(rng, monkeypatch, hw, c_in, nf,
                                                        stride, padding, p):
@@ -259,15 +266,29 @@ def test_depth_split_int_conv_matches_the_unsplit_plan(rng, monkeypatch, hw, c_i
         q, n_acc, n16 = int_conv_forward(xi, wi, bi, stride, padding, QuantConfig(p=p))
         return q.data.tobytes(), n_acc, n16
 
-    # the float plan splits these filters into blocks; the int plan keeps
-    # all of them in one block and splits the depth instead
     assert 3 * 3 * c_in * nf * 8 > tensor.GEMM_SCRATCH_BYTES // 2
-    assert {shape[3] for shape in _int_tiles(xi, wi, stride, padding)} == {nf}
+    assert {shape[3] for shape in _gemm_tiles(xi, wi, stride, padding)} == {nf}
     split = outputs()
     assert split[2] > 0
     monkeypatch.setattr(tensor, "GEMM_SCRATCH_BYTES", 1 << 30)
-    assert len(_int_tiles(xi, wi, stride, padding)) == 1
+    assert len(_gemm_tiles(xi, wi, stride, padding)) == 1
     assert outputs() == split
+
+
+@_DEEP_LAYERS
+@_STRIDES
+def test_depth_split_float_conv_matches_the_unsplit_plan(rng, monkeypatch, hw, c_in, nf,
+                                                         stride, padding):
+    # float depth groups sum in another order than one GEMM over all of K;
+    # the bytes have matched in every case tested, which this pins
+    fm = feature_map(rng, hw, hw, c_in, lo=-2.0, hi=2.0)
+    fb = _fan_in_bank(rng, 3, c_in, nf)
+    assert 3 * 3 * c_in * nf * 8 > tensor.GEMM_SCRATCH_BYTES // 2
+    assert {shape[3] for shape in _gemm_tiles(fm, fb.weights, stride, padding)} == {nf}
+    split = conv2d(fm, fb, stride, padding).data.tobytes()
+    monkeypatch.setattr(tensor, "GEMM_SCRATCH_BYTES", 1 << 30)
+    assert len(_gemm_tiles(fm, fb.weights, stride, padding)) == 1
+    assert conv2d(fm, fb, stride, padding).data.tobytes() == split
 
 
 def _small_yolo():

@@ -49,14 +49,19 @@ from cnnadapt.tinyyolo import build_tinyyolov3
 from util import feature_map, random_bank, random_bn
 
 # A scratch budget this small splits a 9x9 output of 12 filters into several
-# pixel tiles and filter blocks, so the epilogue sees partial tiles.
+# pixel tiles, so the epilogue sees partial tiles. Under the tiny one, not
+# even one kernel position of 5 channels and 12 filters fits, so the plan
+# splits the filters into blocks and the epilogue sees filter offsets too.
 SMALL_SCRATCH = 2048
+TINY_SCRATCH = 512
 
 
-@pytest.fixture(params=["one_tile", "many_tiles"])
+@pytest.fixture(params=["one_tile", "many_tiles", "filter_blocks"])
 def scratch(request, monkeypatch):
     if request.param == "many_tiles":
         monkeypatch.setattr(tensor, "GEMM_SCRATCH_BYTES", SMALL_SCRATCH)
+    if request.param == "filter_blocks":
+        monkeypatch.setattr(tensor, "GEMM_SCRATCH_BYTES", TINY_SCRATCH)
 
 
 def _separate_float(fm, fb, stride, padding, bn, exponent):

@@ -70,6 +70,11 @@ def test_prune_config_validation():
         PruneConfig(delta_t=0.0)
     with pytest.raises(ValueError):
         PruneConfig(min_filters_per_layer=0)
+    # a NaN step makes every threshold NaN and the sweep never ends
+    for bad in ({"delta_t": np.nan}, {"delta_t": np.inf}, {"t_start": np.nan},
+                {"t_start": np.inf}, {"sparsity_eps": np.nan}):
+        with pytest.raises(ValueError, match="finite"):
+            PruneConfig(**bad)
 
 
 # ---------------------------------------------------------------------------
