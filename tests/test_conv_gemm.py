@@ -241,7 +241,8 @@ def _gemm_tiles(fm, weights, stride, padding):
     """The (maps, rows, cols, filters) shape of every GEMM tile of a conv of a
     float or int map."""
     shapes = []
-    conv_gemm(fm.data, weights, stride, padding, 1, lambda acc, dst, f0, f1: shapes.append(acc.shape))
+    conv_gemm(fm.data, weights, stride, padding, 1,
+              lambda acc, dst, f0, f1: shapes.append(acc.shape))
     return shapes
 
 
