@@ -237,7 +237,7 @@ def int_conv_forward(input: IntFeatureMap, weights: np.ndarray, biases: np.ndarr
     match the saturate-then-shift order. A floored tile inside int16 has
     |sum| <= 2^(15+P) <= 2^29 and cannot have saturated int32, so neither
     scan runs; nor does the int16 scan after the bias add when the tile's range
-    plus the block's bias range stays inside int16. The activation runs on
+    plus the layer's bias range stays inside int16. The activation runs on
     each finished int16 tile and gives the bits of ``quant_leaky_relu``.
     Returns (output, acc32 saturation count, int16 saturation count).
     """
@@ -252,8 +252,9 @@ def int_conv_forward(input: IntFeatureMap, weights: np.ndarray, biases: np.ndarr
     scale = 2.0 ** -config.p
     acc32_lo, acc32_hi = INT32_MIN * scale, np.floor(INT32_MAX * scale)
     counts = [0, 0]  # acc32, int16 saturations
+    bias_lo, bias_hi = int(biases.min()), int(biases.max())
 
-    def requantize(acc, dst, f0, f1):
+    def requantize(acc, dst):
         # every step is exact: acc holds integers below 2^53, scale is a power of two
         acc *= scale
         np.floor(acc, out=acc)
@@ -262,9 +263,8 @@ def int_conv_forward(input: IntFeatureMap, weights: np.ndarray, biases: np.ndarr
             counts[0] += _saturate(acc, acc32_lo, acc32_hi)
             counts[1] += _saturate(acc, INT16_MIN, INT16_MAX)
             lo, hi = max(lo, INT16_MIN), min(hi, INT16_MAX)
-        bias = biases[f0:f1]
-        acc += bias
-        if lo + int(bias.min()) < INT16_MIN or hi + int(bias.max()) > INT16_MAX:
+        acc += biases
+        if lo + bias_lo < INT16_MIN or hi + bias_hi > INT16_MAX:
             counts[1] += _saturate(acc, INT16_MIN, INT16_MAX)
         np.copyto(dst, acc, casting="unsafe")
         if p_alpha is not None:

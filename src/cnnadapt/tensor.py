@@ -23,24 +23,15 @@ after its bias is added. Integer products of int16 operands are integers of
 at most 2^30 in magnitude, so every partial sum of K <= 2^23 of them stays
 below 2^53 and the float64 GEMM computes the integer result exactly.
 
-The GEMM runs in tiles whose float64 scratch (im2col rows, weights cast to
-float64, and the sums) fits in GEMM_SCRATCH_BYTES, by one plan for both
-map types that depends on sizes only. A layer whose weights fit in half the
-budget runs all its filters over tiles of output pixels. A larger layer
-keeps all its filters in one block too and tiles the depth, as an FPGA MAC
-array accumulates over input-channel tiles: K is split into groups of
-kernel positions, each of which copies its im2col columns from the map,
-casts its contiguous weight rows to float64 and adds its partial sums to
-the tile's sums, and the epilogue runs once on the complete sums. So
-TinyYOLOv3-416's conv_7 (K = 4608, 1024 filters) runs one GEMM per kernel
-position, and conv_12 (K = 3456) casts each weight once. Only a layer
-where even one kernel position of all filters does not fit is split into
-filter blocks.
-
-Integer sums are exact in any order. Float depth groups sum in another
-order than one GEMM over all of K; their outputs have kept the bits of the
-unsplit plan in every case tested, as float outputs have across tilings
-down to one pixel and one filter per tile, which is not a proof.
+The GEMM runs in tiles whose float64 scratch fits in GEMM_SCRATCH_BYTES,
+by one plan for both map types that depends on sizes only (``conv_plan``).
+Every tile holds all filters, and a deep layer sums each tile over runs of
+its depth, as an FPGA MAC array accumulates over input-channel tiles, so the
+epilogue runs once on the complete sums. Integer sums are exact in any
+order. Float sums taken in runs add in another order than one GEMM over all
+of K; their outputs have kept the bits of the unsplit plan in every case
+tested, as float outputs have across tilings down to one pixel per tile,
+which is not a proof.
 
 The scratch is one thread-local buffer that grows to the largest layer's
 need: ``model.execute`` holds it open for a whole graph walk
@@ -236,6 +227,8 @@ class BatchNormParams:
             raise ShapeError(f"batchnorm vectors must share one length, got {sorted(lengths)}")
         if (vecs["sigma2"] < 0).any():
             raise ValueError("batchnorm variance must be non-negative")
+        if not np.isfinite(self.epsilon):
+            raise ValueError(f"batchnorm epsilon must be finite, got {self.epsilon}")
         if ((vecs["sigma2"] + np.float32(self.epsilon)) <= 0).any():
             raise ValueError("variance + epsilon must be positive")
         for name, v in vecs.items():
@@ -247,11 +240,11 @@ class BatchNormParams:
         return self.mu.shape[0]
 
 
-# Budget for conv_gemm's float64 scratch per call (window rows, weight block
-# and products); only a layer whose single window row exceeds it goes over.
-# At 8 MiB every TinyYOLOv3-416 layer of both engines runs all its filters
-# in one block: conv_7 (K = 4608, 1024 filters at 13x13) as one pixel tile
-# in 9 depth groups of one kernel position each.
+# Budget for conv_gemm's float64 scratch per call (see conv_plan). A tile
+# takes at least one pixel and a run one weight row, so only a layer with
+# more filters than a third of the budget's float64 elements goes over it.
+# At 8 MiB TinyYOLOv3-416's conv_7 (K = 4608, 1024 filters at 13x13) runs as
+# one pixel tile in 9 runs of one kernel position each.
 GEMM_SCRATCH_BYTES = 8 << 20
 # Largest exact integer GEMM depth: K * 2^30 <= 2^53 (see module docstring).
 MAX_EXACT_INT_DEPTH = 2**23
@@ -321,6 +314,48 @@ def _take_scratch(size: int) -> np.ndarray:
     return _SCRATCH.buf[:size]
 
 
+def conv_plan(n: int, out_h: int, out_w: int, kh: int, kw: int, c_in: int,
+              nf: int) -> tuple[tuple[int, int, int], int]:
+    """The GEMM tile plan of a conv of ``n`` maps with out_h x out_w outputs
+    and (kh, kw, c_in, nf) weights: the output tile (maps, rows, cols) and
+    ``run``, the number of the K = kh*kw*c_in weight rows each GEMM takes.
+
+    The plan reads GEMM_SCRATCH_BYTES at call time and depends on sizes
+    only, never on the dtype, so both engines share it. A tile's float64
+    scratch holds a run's weight rows, the tile's im2col columns for that
+    run, the tile's sums and, when K takes several runs, the partial sums of
+    each later run. Every tile holds all filters, as an FPGA MAC array keeps
+    all output filters and accumulates over input-channel tiles, and a run's
+    weights never take more than half the budget:
+
+    - if all of K fits in half the budget, it is one run, cast once for all
+      tiles, and the tile takes as many pixels as fit beside it;
+    - otherwise the tile takes as many pixels as fit beside one kernel
+      position of weights and columns (at least one pixel), and the run as
+      many weight rows as fit beside the tile within half the budget, cut
+      to whole kernel rows if one row fits, else to whole kernel positions
+      within one row, else to channels within one row.
+
+    So a run is whole kernel rows or part of one row, and its weight rows
+    are contiguous. A tile takes whole maps while they fit, else whole rows
+    of one map, else columns of one row.
+    """
+    budget = GEMM_SCRATCH_BYTES // 8
+    depth, row = kh * kw * c_in, kw * c_in
+    half = budget // 2 // nf   # the most weight rows a run may take
+    if depth <= half:
+        run = depth
+        pixels = max(1, (budget - depth * nf) // (depth + nf))
+    else:
+        pixels = min(n * out_h * out_w, max(1, (budget - c_in * nf) // (2 * nf + c_in)))
+        run = max(1, min(half, (budget - 2 * pixels * nf) // (nf + pixels)))
+        run -= run % (row if run >= row else c_in if run >= c_in else 1)
+    tile_w = min(out_w, pixels)
+    tile_h = max(1, min(out_h, pixels // tile_w))
+    tile_n = max(1, min(n, pixels // (tile_h * tile_w)))
+    return (tile_n, tile_h, tile_w), run
+
+
 def conv_gemm(data: np.ndarray, weights: np.ndarray, stride: int, padding: str, batch: int,
               epilogue) -> np.ndarray:
     """Convolve each of the ``batch`` (h, w, c) maps stacked in ``data`` with
@@ -328,31 +363,16 @@ def conv_gemm(data: np.ndarray, weights: np.ndarray, stride: int, padding: str, 
     (batch * out_h, out_w, nf), in the dtype of ``data``.
 
     Same padding pads each map with zeros; a map that needs no padding is
-    read in place. The output is tiled into pixel blocks (outer loop:
-    several whole maps while they fit, else rows and columns of one map),
-    sized so that the scratch stays within GEMM_SCRATCH_BYTES; the plan
-    depends on sizes only, never on the dtype:
-
-    - weights within half the budget: all filters, cast once, and pixel
-      blocks as large as fit beside them;
-    - else, if one kernel position of all filters fits: all filters, and
-      the depth split into groups of kernel positions (whole kernel rows,
-      or runs within one row, whose weight rows are contiguous). Each
-      group's im2col columns are copied from the map, its weight rows cast,
-      and its product added to the tile's sums; the epilogue sees the
-      complete sums. The pixel block is as large as fits beside one kernel
-      position of all filters, then the groups as large as fit beside it.
-      Integer sums are exact in any order; float sums taken in groups have
-      kept the bits of one GEMM over all of K in every case tested, which
-      is not a proof;
-    - else: filter blocks (inner loop) of up to half the budget, the pixel
-      block the rest.
+    read in place. The GEMMs run ``conv_plan``'s plan: for each output tile,
+    each run copies its im2col columns from the map, casts its weight rows
+    to float64 (a single run once for all tiles) and adds its product to
+    the tile's sums.
 
     The scratch comes from ``gemm_scratch``. For each tile,
-    ``epilogue(acc, dst, f0, f1)`` receives the float64 sums ``acc`` of
-    shape (maps, rows, cols, f1 - f0), a contiguous buffer it may
-    overwrite, and must write the finished values into ``dst``, the tile's
-    slice of the output.
+    ``epilogue(acc, dst)`` receives the complete float64 sums ``acc`` of
+    shape (maps, rows, cols, nf), a contiguous buffer it may overwrite, and
+    must write the finished values into ``dst``, the tile's slice of the
+    output.
     """
     if stride < 1:
         raise ValueError(f"stride must be positive, got {stride}")
@@ -368,35 +388,22 @@ def conv_gemm(data: np.ndarray, weights: np.ndarray, stride: int, padding: str, 
         pl, pr = _same_padding(in_w, kw, stride)
     else:
         pt = pb = pl = pr = 0
-    depth = kh * kw * c_in
-    budget = GEMM_SCRATCH_BYTES // 8
-    fb = nf if depth * nf <= budget // 2 else max(1, budget // 2 // depth)
-    pixels = max(1, (budget - depth * fb) // (depth + fb))
-    total = n * out_h * out_w
-    group_h, group_w = kh, kw   # kernel rows and columns per depth group
-    if depth * nf > budget // 2 and c_in * nf + 2 * nf + c_in <= budget:
-        # all filters, depth in groups of kernel positions; the scratch holds
-        # a group's weight rows and im2col columns, the sums and the partial sums
-        fb = nf
-        pixels = min(total, (budget - c_in * nf) // (2 * nf + c_in))
-        taps = min(kh * kw, (budget - 2 * pixels * nf) // (c_in * (nf + pixels)))
-        group_h, group_w = (taps // kw, kw) if taps >= kw else (1, taps)
-    groups = [(r0, min(r0 + group_h, kh), s0, min(s0 + group_w, kw))
-              for r0 in range(0, kh, group_h) for s0 in range(0, kw, group_w)]
-    tile_w = min(out_w, pixels)
-    tile_h = max(1, min(out_h, pixels // tile_w))
-    tile_n = max(1, min(n, pixels // (tile_h * tile_w)))
+    (tile_n, tile_h, tile_w), run = conv_plan(n, out_h, out_w, kh, kw, c_in, nf)
+    row = kw * c_in
+    # runs (r0, r1, q0, q1): kernel rows r0:r1, and q0:q1 of each row's kw*c_in
+    run_h, run_w = (run // row, row) if run >= row else (1, run)
+    runs = [(r0, min(r0 + run_h, kh), q0, min(q0 + run_w, row))
+            for r0 in range(0, kh, run_h) for q0 in range(0, row, run_w)]
+    last = len(runs) - 1
     pixels = tile_n * tile_h * tile_w
-    group_depth = group_h * group_w * c_in
-    last = len(groups) - 1
 
     with gemm_scratch():
-        # weight block, sums, partial sums (while groups remain), im2col rows
-        w_end = group_depth * fb
-        acc_end = w_end + pixels * fb
-        partial_end = acc_end + (pixels * fb if last else 0)
-        scratch = _take_scratch(partial_end + pixels * group_depth)
-        wblk = scratch[:w_end].reshape(group_depth, fb)
+        # a run's weight rows, sums, partial sums (if several runs), im2col columns
+        w_end = run * nf
+        acc_end = w_end + pixels * nf
+        partial_end = acc_end + (pixels * nf if last else 0)
+        scratch = _take_scratch(partial_end + pixels * run)
+        wblk = scratch[:w_end].reshape(run, nf)
         acc, partial, cols = scratch[w_end:acc_end], scratch[acc_end:partial_end], scratch[partial_end:]
         if pt or pb or pl or pr:
             padded = np.empty((n, in_h + pt + pb, in_w + pl + pr, c_in), dtype=data.dtype)
@@ -407,41 +414,34 @@ def conv_gemm(data: np.ndarray, weights: np.ndarray, stride: int, padding: str, 
             padded[:, pt:pt + in_h, pl:pl + in_w] = maps
         else:
             padded = maps
-        # (n, out_h, out_w, kh, kw, c): window element order matches weights.reshape(depth, nf)
+        # (n, out_h, out_w, kh, kw * c), a view: window element order matches
+        # weights.reshape(K, nf)
         windows = sliding_window_view(padded, (kh, kw), axis=(1, 2))
         windows = windows[:, ::stride, ::stride][:, :out_h, :out_w].transpose(0, 1, 2, 4, 5, 3)
-        w2d = weights.reshape(depth, nf)
+        windows = windows.reshape(n, out_h, out_w, kh, row)
+        w2d = weights.reshape(kh * row, nf)
         out = np.empty((n * out_h, out_w, nf), dtype=data.dtype)
         dst = out.reshape(n, out_h, out_w, nf)
-        cast_once = fb == nf and not last
-        if cast_once:
-            np.copyto(wblk, w2d)
-        for n0, i0, j0 in product(range(0, n, tile_n), range(0, out_h, tile_h),
-                                  range(0, out_w, tile_w)):
+        for t, (n0, i0, j0) in enumerate(product(range(0, n, tile_n), range(0, out_h, tile_h),
+                                                 range(0, out_w, tile_w))):
             n1, i1, j1 = min(n0 + tile_n, n), min(i0 + tile_h, out_h), min(j0 + tile_w, out_w)
             tile = (n1 - n0, i1 - i0, j1 - j0)
             rows = tile[0] * tile[1] * tile[2]
-            for g, (r0, r1, s0, s1) in enumerate(groups):
-                # the group's weight rows k0:k1 are contiguous: whole kernel
-                # rows, or a run within one row
-                k0 = (r0 * kw + s0) * c_in
-                k1 = k0 + (r1 - r0) * (s1 - s0) * c_in
-                a = cols[:rows * (k1 - k0)].reshape(*tile, r1 - r0, s1 - s0, c_in)
-                np.copyto(a, windows[n0:n1, i0:i1, j0:j1, r0:r1, s0:s1])
+            sums = acc[:rows * nf].reshape(rows, nf)
+            for g, (r0, r1, q0, q1) in enumerate(runs):
+                k0 = r0 * row + q0
+                k1 = k0 + (r1 - r0) * (q1 - q0)
+                a = cols[:rows * (k1 - k0)].reshape(*tile, r1 - r0, q1 - q0)
+                np.copyto(a, windows[n0:n1, i0:i1, j0:j1, r0:r1, q0:q1])
                 a = a.reshape(rows, k1 - k0)
-                for f0 in range(0, nf, fb):
-                    f1 = min(f0 + fb, nf)
-                    b = wblk[:k1 - k0, :f1 - f0]
-                    if not cast_once:
-                        np.copyto(b, w2d[k0:k1, f0:f1])
-                    sums = acc[:rows * (f1 - f0)].reshape(rows, f1 - f0)
-                    if g == 0:
-                        np.matmul(a, b, out=sums)
-                    else:
-                        sums += np.matmul(a, b, out=partial[:sums.size].reshape(sums.shape))
-                    if g == last:
-                        epilogue(sums.reshape(*tile, f1 - f0),
-                                 dst[n0:n1, i0:i1, j0:j1, f0:f1], f0, f1)
+                b = wblk[:k1 - k0]
+                if last or t == 0:   # a single run stays cast across tiles
+                    np.copyto(b, w2d[k0:k1])
+                if g == 0:
+                    np.matmul(a, b, out=sums)
+                else:
+                    sums += np.matmul(a, b, out=partial[:sums.size].reshape(sums.shape))
+            epilogue(sums.reshape(*tile, nf), dst[n0:n1, i0:i1, j0:j1])
     return out
 
 
@@ -478,12 +478,12 @@ def conv2d(input: FeatureMap, filters: FilterBank, stride: int = 1,
         alpha = np.float32(leaky_alpha)
     bias = filters.biases
 
-    def epilogue(acc, dst, f0, f1):
-        np.add(acc, bias[f0:f1], out=dst, casting="same_kind")
+    def epilogue(acc, dst):
+        np.add(acc, bias, out=dst, casting="same_kind")
         if batchnorm is not None:
-            dst -= batchnorm.mu[f0:f1]
-            dst *= bn_scale[f0:f1]
-            dst += batchnorm.beta[f0:f1]
+            dst -= batchnorm.mu
+            dst *= bn_scale
+            dst += batchnorm.beta
         if leaky_alpha is not None:
             scaled = spent_scratch(acc, dst)
             np.multiply(dst, alpha, out=scaled)

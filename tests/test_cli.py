@@ -509,6 +509,13 @@ def _weights_not_a_name(tmp_path, rng, fused, image):
     return ["flops", "-i", str(fused)]
 
 
+def _nan_epsilon(tmp_path, rng, fused, image):
+    path = tmp_path / "m.json"
+    save_model(chain_model(rng, [4, 3], hw=6, bn=True), path)
+    _edit_manifest(path, _set_layer("conv_1", "epsilon", float("nan")))
+    return ["params", "-i", str(path)]
+
+
 def _deeply_nested_manifest(tmp_path, rng, fused, image):
     fused.write_text("[" * 100000 + "]" * 100000)
     return ["flops", "-i", str(fused)]
@@ -518,10 +525,10 @@ def _deeply_nested_manifest(tmp_path, rng, fused, image):
     _nan_weight, _negative_sigma2, _in_channels_disagree, _valid_kernel_beyond_map,
     _input_breaks_concat, _quantized_with_batchnorm, _tensor((0, 6, 2), []),
     _tensor((6, 6, 2), np.full((6, 6, 2), np.nan)), _weights_not_a_name,
-    _deeply_nested_manifest,
+    _deeply_nested_manifest, _nan_epsilon,
 ], ids=["nan_weight", "negative_sigma2", "in_channels_disagree", "valid_kernel_beyond_map",
         "input_breaks_concat", "quantized_with_batchnorm", "tensor_height_0", "tensor_nan",
-        "weights_not_a_name", "deeply_nested_manifest"])
+        "weights_not_a_name", "deeply_nested_manifest", "nan_epsilon"])
 def test_malformed_file_content_exits_2(tmp_path, rng, fused_model_path, input_path, capsys,
                                         case):
     argv = case(tmp_path, rng, fused_model_path, input_path)

@@ -23,6 +23,7 @@ from cnnadapt.model import (
     float_infer,
     randomize_weights,
     replace_layer,
+    shape_infer,
 )
 from cnnadapt.pruning import PruneConfig, compute_metric_table, prune_below
 from cnnadapt.quantization import (
@@ -198,23 +199,66 @@ def test_int_conv_requires_int16_operands(width_bits, w_dtype):
 # tile plan and the walk's scratch buffer
 # ---------------------------------------------------------------------------
 
-def _tiles(data, weights):
-    """The (maps, rows, cols, filters) shape of every GEMM tile of a conv."""
+def _gemm_tiles(fm, weights, stride=1, padding="same"):
+    """The (maps, rows, cols, filters) shape of every GEMM tile of a conv of a
+    float or int map."""
     shapes = []
-
-    def epilogue(acc, dst, f0, f1):
-        shapes.append(acc.shape)
-        np.copyto(dst, acc, casting="unsafe")
-
-    conv_gemm(data, weights, 1, "same", 1, epilogue)
+    conv_gemm(fm.data, weights, stride, padding, 1, lambda acc, dst: shapes.append(acc.shape))
     return shapes
+
+
+def _conv_sizes(hw):
+    """(layer id, out_h, out_w, kh, kw, c_in, nf) of each conv of TinyYOLOv3
+    at an hw x hw input."""
+    yolo = replace_layer(build_tinyyolov3(num_classes=80), "input", height=hw, width=hw)
+    shapes = shape_infer(yolo)
+    return [(layer.id, *shapes[layer.id][:2], layer.kernel_h, layer.kernel_w,
+             shapes[layer.inputs[0]][2], layer.num_filters) for layer in yolo.conv_layers()]
+
+
+# TinyYOLOv3-416's plan, which both engines share: the output tile and the
+# run of K rows per GEMM. A run below K is one kernel row (conv_6, conv_9)
+# or one kernel position (conv_7, conv_12) of all filters.
+_TINYYOLO416_PLANS = {
+    "conv_1": ((1, 58, 416), 27), "conv_2": ((1, 28, 208), 144),
+    "conv_3": ((1, 28, 104), 288), "conv_4": ((1, 26, 52), 576),
+    "conv_5": ((1, 20, 26), 1152), "conv_6": ((1, 13, 13), 768),
+    "conv_7": ((1, 13, 13), 512), "conv_8": ((1, 13, 13), 1024),
+    "conv_9": ((1, 13, 13), 768), "conv_10": ((1, 13, 13), 512),
+    "conv_11": ((1, 13, 13), 256), "conv_12": ((1, 26, 26), 384),
+    "conv_13": ((1, 26, 26), 256),
+}
+# at 96x96 all of K would fit beside the few pixels of conv_6, conv_9 and
+# conv_12, but a run's weights stay within half the budget: one kernel row
+_TINYYOLO96_PLANS = {
+    1: {"conv_6": ((1, 3, 3), 768), "conv_9": ((1, 3, 3), 768),
+        "conv_12": ((1, 6, 6), 1152)},
+    4: {"conv_6": ((4, 3, 3), 768), "conv_9": ((4, 3, 3), 768),
+        "conv_12": ((4, 6, 6), 1152)},
+}
+
+
+def test_tinyyolo_conv_plans():
+    plans = {}
+    for lid, out_h, out_w, kh, kw, c_in, nf in _conv_sizes(416):
+        plans[lid] = tensor.conv_plan(1, out_h, out_w, kh, kw, c_in, nf)
+        tile, run = plans[lid]
+        assert run * nf <= tensor.GEMM_SCRATCH_BYTES // 16
+        assert run == kh * kw * c_in or lid in ("conv_6", "conv_7", "conv_9", "conv_12")
+    assert plans == _TINYYOLO416_PLANS
+    for n, want in _TINYYOLO96_PLANS.items():
+        sizes = [size for size in _conv_sizes(96) if size[0] in want]
+        got = {lid: tensor.conv_plan(n, *dims) for lid, *dims in sizes}
+        assert got == want
+        assert all(got[lid][1] * dims[-1] <= tensor.GEMM_SCRATCH_BYTES // 16
+                   for lid, *dims in sizes)
 
 
 @pytest.mark.parametrize("nf,tiles", [
     # 64 filters fit half the budget: two pixel tiles, the weights cast once
     (64, [(1, 12, 13, 64), (1, 1, 13, 64)]),
     # 128 do not; all 169 pixels and all filters in one tile, the depth in
-    # groups of kernel positions, so each weight is cast once
+    # runs of kernel positions, so each weight is cast once
     (128, [(1, 13, 13, 128)]),
 ])
 def test_deep_layer_bytes_do_not_depend_on_the_tiling(rng, monkeypatch, nf, tiles):
@@ -229,27 +273,23 @@ def test_deep_layer_bytes_do_not_depend_on_the_tiling(rng, monkeypatch, nf, tile
         q, n_acc, n16 = int_conv_forward(xi, wi, bi, 1, "same", QuantConfig(p=14))
         return conv2d(fm, fb).data.tobytes(), q.data.tobytes(), n_acc, n16
 
-    assert _tiles(fm.data, fb.weights) == tiles
+    assert _gemm_tiles(fm, fb.weights) == tiles
     default = outputs()
     assert default[2] > 0 and default[3] > 0
     monkeypatch.setattr(tensor, "GEMM_SCRATCH_BYTES", 64 << 10)
-    assert len(_tiles(fm.data, fb.weights)) > 1000
+    # one kernel position of all filters overflows the budget: one-pixel
+    # tiles of all filters, the depth in runs of channels
+    assert _gemm_tiles(fm, fb.weights) == [(1, 1, 1, nf)] * 169
     assert outputs() == default
 
 
-def _gemm_tiles(fm, weights, stride, padding):
-    """The (maps, rows, cols, filters) shape of every GEMM tile of a conv of a
-    float or int map."""
-    shapes = []
-    conv_gemm(fm.data, weights, stride, padding, 1,
-              lambda acc, dst, f0, f1: shapes.append(acc.shape))
-    return shapes
-
-
 # the weights of these layers fill more than half the scratch budget, so the
-# plan keeps all filters in one block and splits the depth
-_DEEP_LAYERS = pytest.mark.parametrize("hw,c_in,nf", [(13, 512, 128),   # K = 4608, as conv_7
-                                                      (26, 384, 160)])  # K = 3456, as conv_12
+# plan keeps all filters in every tile and splits the depth into runs
+_DEEP_LAYERS = pytest.mark.parametrize("hw,c_in,nf", [
+    (13, 512, 128),    # K = 4608, as conv_7
+    (26, 384, 160),    # K = 3456, as conv_12
+    (5, 1024, 1024),   # K = 9216; one kernel position takes the whole budget: channel runs
+])
 _STRIDES = pytest.mark.parametrize("stride,padding", [(1, "same"), (2, "same"), (1, "valid"),
                                                       (2, "valid")])
 

@@ -50,17 +50,18 @@ from util import feature_map, random_bank, random_bn
 
 # A scratch budget this small splits a 9x9 output of 12 filters into several
 # pixel tiles, so the epilogue sees partial tiles. Under the tiny one, not
-# even one kernel position of 5 channels and 12 filters fits, so the plan
-# splits the filters into blocks and the epilogue sees filter offsets too.
+# even one kernel position of 5 channels and 12 filters fits in half the
+# budget, so the plan sums each tile over runs of channels within a kernel
+# row, some of which straddle two kernel positions.
 SMALL_SCRATCH = 2048
 TINY_SCRATCH = 512
 
 
-@pytest.fixture(params=["one_tile", "many_tiles", "filter_blocks"])
+@pytest.fixture(params=["one_tile", "many_tiles", "channel_runs"])
 def scratch(request, monkeypatch):
     if request.param == "many_tiles":
         monkeypatch.setattr(tensor, "GEMM_SCRATCH_BYTES", SMALL_SCRATCH)
-    if request.param == "filter_blocks":
+    if request.param == "channel_runs":
         monkeypatch.setattr(tensor, "GEMM_SCRATCH_BYTES", TINY_SCRATCH)
 
 
