@@ -239,19 +239,15 @@ _TINYYOLO96_PLANS = {
 
 
 def test_tinyyolo_conv_plans():
-    plans = {}
-    for lid, out_h, out_w, kh, kw, c_in, nf in _conv_sizes(416):
-        plans[lid] = tensor.conv_plan(1, out_h, out_w, kh, kw, c_in, nf)
-        tile, run = plans[lid]
-        assert run * nf <= tensor.GEMM_SCRATCH_BYTES // 16
-        assert run == kh * kw * c_in or lid in ("conv_6", "conv_7", "conv_9", "conv_12")
-    assert plans == _TINYYOLO416_PLANS
-    for n, want in _TINYYOLO96_PLANS.items():
-        sizes = [size for size in _conv_sizes(96) if size[0] in want]
-        got = {lid: tensor.conv_plan(n, *dims) for lid, *dims in sizes}
-        assert got == want
-        assert all(got[lid][1] * dims[-1] <= tensor.GEMM_SCRATCH_BYTES // 16
-                   for lid, *dims in sizes)
+    sizes = {hw: {lid: dims for lid, *dims in _conv_sizes(hw)} for hw in (416, 96)}
+    assert set(_TINYYOLO416_PLANS) == set(sizes[416])
+    plans = [(416, 1, _TINYYOLO416_PLANS)] + [(96, n, want)
+                                              for n, want in _TINYYOLO96_PLANS.items()]
+    for hw, n, want in plans:
+        assert {lid: tensor.conv_plan(n, *sizes[hw][lid]) for lid in want} == want
+        for lid, (tile, run) in want.items():
+            nf = sizes[hw][lid][-1]
+            assert run * nf <= tensor.GEMM_SCRATCH_BYTES // 16
 
 
 @pytest.mark.parametrize("nf,tiles", [
