@@ -184,6 +184,9 @@ def _cmd_quantize(args) -> int:
 
 
 def _cmd_infer(args) -> int:
+    if args.report and args.engine != "int":
+        raise PipelineError("--report writes the int engine's overflow stats; "
+                            "use it with --engine int")
     load = _load_float_model if args.engine == "float" else quantization.load_quantized_model
     model = load(args.input_model)
     fm = _load_input_map(args.input, model)

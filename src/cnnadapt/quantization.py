@@ -227,7 +227,11 @@ def int_conv_forward(input: IntFeatureMap, weights: np.ndarray, biases: np.ndarr
     The convolution is a float64 GEMM over int16 operands (``conv_gemm``).
     Each product is an integer of magnitude at most 2^30, so with
     K = kh*kw*c_in <= 2^23 every partial sum stays below 2^53 and the sums
-    are exact; larger K raises ValueError.
+    are exact; larger K raises ValueError. Where K * max|x| * max|w| <= 2^24
+    the GEMM runs in float32 instead (see ``tensor``) and the steps below
+    run on its sums: scaling by a power of two, flooring, the bias add and
+    the int16 cast stay exact there, and since every sum lies within
+    2^24 < 2^31 the acc32 scan finds nothing to clip.
 
     Each tile is scaled by 2^-P and floored first, then its minimum and
     maximum are taken once. Since x -> floor(x * 2^-P) is monotone, clipping
@@ -255,7 +259,8 @@ def int_conv_forward(input: IntFeatureMap, weights: np.ndarray, biases: np.ndarr
     bias_lo, bias_hi = int(biases.min()), int(biases.max())
 
     def requantize(acc, dst):
-        # every step is exact: acc holds integers below 2^53, scale is a power of two
+        # every step is exact: acc holds integers its dtype represents (below
+        # 2^53 in float64, 2^24 in float32) and scale is a power of two
         acc *= scale
         np.floor(acc, out=acc)
         lo, hi = float(acc.min()), float(acc.max())

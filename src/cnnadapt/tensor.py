@@ -23,6 +23,14 @@ after its bias is added. Integer products of int16 operands are integers of
 at most 2^30 in magnitude, so every partial sum of K <= 2^23 of them stays
 below 2^53 and the float64 GEMM computes the integer result exactly.
 
+An integer conv runs its GEMM in float32 instead when
+K * max|x| * max|w| <= 2^24, with max|x| and max|w| taken over the map and
+the weights. Then every product, and every partial sum of any subset of
+them, is an integer of magnitude at most 2^24, which float32 holds exactly:
+whatever order BLAS blocks, fuses or adds them in, and across a deep
+layer's runs, the float32 GEMM gives the integers the float64 one gives. A
+layer over the bound keeps float64. Float maps always take float64.
+
 The GEMM runs in tiles whose float64 scratch fits in GEMM_SCRATCH_BYTES,
 by one plan for both map types that depends on sizes only (``conv_plan``).
 Every tile holds all filters, and a deep layer sums each tile over runs of
@@ -248,6 +256,9 @@ class BatchNormParams:
 GEMM_SCRATCH_BYTES = 8 << 20
 # Largest exact integer GEMM depth: K * 2^30 <= 2^53 (see module docstring).
 MAX_EXACT_INT_DEPTH = 2**23
+# Largest K * max|x| * max|w| of an integer conv that a float32 GEMM sums
+# exactly: float32 holds every integer of magnitude up to 2^24.
+MAX_EXACT_FLOAT32_SUM = 2**24
 
 
 def _same_padding(in_dim: int, kernel: int, stride: int) -> tuple[int, int]:
@@ -330,11 +341,12 @@ def conv_plan(n: int, out_h: int, out_w: int, kh: int, kw: int, c_in: int,
 
     - if all of K fits in half the budget, it is one run, cast once for all
       tiles, and the tile takes as many pixels as fit beside it;
-    - otherwise the tile takes as many pixels as fit beside one kernel
-      position of weights and columns (at least one pixel), and the run as
-      many weight rows as fit beside the tile within half the budget, cut
-      to whole kernel rows if one row fits, else to whole kernel positions
-      within one row, else to channels within one row.
+    - otherwise the tile takes as many pixels as fit beside the weights and
+      columns of the shortest run the cut below can leave, one kernel
+      position or half the budget's rows if fewer (at least one pixel), and
+      the run as many weight rows as fit beside the tile within half the
+      budget, cut to whole kernel rows if one row fits, else to whole kernel
+      positions within one row, else to channels within one row.
 
     So a run is whole kernel rows or part of one row, and its weight rows
     are contiguous. A tile takes whole maps while they fit, else whole rows
@@ -347,7 +359,8 @@ def conv_plan(n: int, out_h: int, out_w: int, kh: int, kw: int, c_in: int,
         run = depth
         pixels = max(1, (budget - depth * nf) // (depth + nf))
     else:
-        pixels = min(n * out_h * out_w, max(1, (budget - c_in * nf) // (2 * nf + c_in)))
+        least = min(c_in, half)
+        pixels = min(n * out_h * out_w, max(1, (budget - least * nf) // (2 * nf + least)))
         run = max(1, min(half, (budget - 2 * pixels * nf) // (nf + pixels)))
         run -= run % (row if run >= row else c_in if run >= c_in else 1)
     tile_w = min(out_w, pixels)
@@ -356,23 +369,39 @@ def conv_plan(n: int, out_h: int, out_w: int, kh: int, kw: int, c_in: int,
     return (tile_n, tile_h, tile_w), run
 
 
+def _gemm_dtype(data: np.ndarray, weights: np.ndarray) -> np.dtype:
+    """The dtype ``conv_gemm`` sums a conv of the map ``data`` with (kh, kw,
+    c_in, nf) ``weights`` in: float32 for an integer map whose sums float32
+    holds exactly, K * max|x| * max|w| <= MAX_EXACT_FLOAT32_SUM with
+    K = kh*kw*c_in (see the module docstring), else float64."""
+    if data.dtype.kind == "i" and weights.size:
+        kh, kw, c_in, _ = weights.shape
+        peak = (max(-int(data.min()), int(data.max()))
+                * max(-int(weights.min()), int(weights.max())))
+        if kh * kw * c_in * peak <= MAX_EXACT_FLOAT32_SUM:
+            return np.dtype(np.float32)
+    return np.dtype(np.float64)
+
+
 def conv_gemm(data: np.ndarray, weights: np.ndarray, stride: int, padding: str, batch: int,
               epilogue) -> np.ndarray:
     """Convolve each of the ``batch`` (h, w, c) maps stacked in ``data`` with
-    (kh, kw, c, nf) weights as float64 GEMMs; returns the outputs stacked,
-    (batch * out_h, out_w, nf), in the dtype of ``data``.
+    (kh, kw, c, nf) weights as GEMMs in ``_gemm_dtype``: float64, or float32
+    for an integer map whose sums float32 holds exactly. Returns the outputs
+    stacked, (batch * out_h, out_w, nf), in the dtype of ``data``.
 
     Same padding pads each map with zeros; a map that needs no padding is
     read in place. The GEMMs run ``conv_plan``'s plan: for each output tile,
     each run copies its im2col columns from the map, casts its weight rows
-    to float64 (a single run once for all tiles) and adds its product to
-    the tile's sums.
+    to the GEMM dtype (a single run once for all tiles) and adds its product
+    to the tile's sums.
 
-    The scratch comes from ``gemm_scratch``. For each tile,
-    ``epilogue(acc, dst)`` receives the complete float64 sums ``acc`` of
-    shape (maps, rows, cols, nf), a contiguous buffer it may overwrite, and
-    must write the finished values into ``dst``, the tile's slice of the
-    output.
+    The scratch comes from ``gemm_scratch``; a float32 GEMM takes its
+    buffers as a float32 view of half as many float64 elements. For each
+    tile, ``epilogue(acc, dst)`` receives the complete sums ``acc`` of shape
+    (maps, rows, cols, nf) in the GEMM dtype, a contiguous buffer it may
+    overwrite, and must write the finished values into ``dst``, the tile's
+    slice of the output.
     """
     if stride < 1:
         raise ValueError(f"stride must be positive, got {stride}")
@@ -396,13 +425,15 @@ def conv_gemm(data: np.ndarray, weights: np.ndarray, stride: int, padding: str, 
             for r0 in range(0, kh, run_h) for q0 in range(0, row, run_w)]
     last = len(runs) - 1
     pixels = tile_n * tile_h * tile_w
+    acc_dtype = _gemm_dtype(data, weights)
 
     with gemm_scratch():
         # a run's weight rows, sums, partial sums (if several runs), im2col columns
         w_end = run * nf
         acc_end = w_end + pixels * nf
         partial_end = acc_end + (pixels * nf if last else 0)
-        scratch = _take_scratch(partial_end + pixels * run)
+        need = partial_end + pixels * run
+        scratch = _take_scratch(-(-need * acc_dtype.itemsize // 8)).view(acc_dtype)[:need]
         wblk = scratch[:w_end].reshape(run, nf)
         acc, partial, cols = scratch[w_end:acc_end], scratch[acc_end:partial_end], scratch[partial_end:]
         if pt or pb or pl or pr:
@@ -446,8 +477,9 @@ def conv_gemm(data: np.ndarray, weights: np.ndarray, stride: int, padding: str, 
 
 
 def spent_scratch(acc: np.ndarray, like: np.ndarray) -> np.ndarray:
-    """The memory of a tile's float64 sums ``acc``, once spent, as an array of
-    the shape and dtype of ``like`` (whose items are no wider than 8 bytes)."""
+    """The memory of a tile's sums ``acc`` (float64 or float32), once spent,
+    as an array of the shape and dtype of ``like``, whose items are no wider
+    than those of ``acc``."""
     return acc.reshape(-1).view(like.dtype)[:like.size].reshape(like.shape)
 
 

@@ -235,6 +235,16 @@ def test_infer_rejects_engine_model_mismatch(tmp_path, fused_model_path, input_p
                 "--engine", "int", "--taps", str(tmp_path / "t2")]) == 2
 
 
+def test_float_infer_refuses_the_int_overflow_report(tmp_path, fused_model_path, input_path,
+                                                     capsys):
+    # the report holds int saturation counts; the float engine has none to write
+    taps, report = tmp_path / "taps", tmp_path / "r.json"
+    assert run(["infer", "-i", str(fused_model_path), "--input", str(input_path),
+                "--engine", "float", "--taps", str(taps), "--report", str(report)]) == 1
+    assert capsys.readouterr().err.startswith("error: --report")
+    assert not report.exists() and not taps.exists()
+
+
 @pytest.mark.parametrize("command", ["infer-float", "infer-int", "compare"])
 def test_input_of_wrong_shape_is_format_error(tmp_path, rng, fused_model_path, capsys, command):
     qpath = tmp_path / "model.q.json"

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import cnnadapt
-from cnnadapt import tensor
+from cnnadapt import quantization, tensor
 from cnnadapt.evaluation import ordered_map
 from cnnadapt.fusion import fuse_model
 from cnnadapt.model import (
@@ -207,6 +207,13 @@ def _gemm_tiles(fm, weights, stride=1, padding="same"):
     return shapes
 
 
+def _gemm_dtypes(fm, weights, stride=1, padding="same"):
+    """The dtypes of the GEMM sums of a conv of a float or int map."""
+    dtypes = set()
+    conv_gemm(fm.data, weights, stride, padding, 1, lambda acc, dst: dtypes.add(acc.dtype.type))
+    return dtypes
+
+
 def _conv_sizes(hw):
     """(layer id, out_h, out_w, kh, kw, c_in, nf) of each conv of TinyYOLOv3
     at an hw x hw input."""
@@ -273,9 +280,33 @@ def test_deep_layer_bytes_do_not_depend_on_the_tiling(rng, monkeypatch, nf, tile
     default = outputs()
     assert default[2] > 0 and default[3] > 0
     monkeypatch.setattr(tensor, "GEMM_SCRATCH_BYTES", 64 << 10)
-    # one kernel position of all filters overflows the budget: one-pixel
-    # tiles of all filters, the depth in runs of channels
-    assert _gemm_tiles(fm, fb.weights) == [(1, 1, 1, nf)] * 169
+    # one kernel position of all filters overflows half the budget: tiles of
+    # one output row sized beside a run of half the budget's weight rows,
+    # the depth in runs of channels
+    assert _gemm_tiles(fm, fb.weights) == [(1, 1, 13, nf)] * 13
+    assert outputs() == default
+
+
+def test_one_pixel_tiles_give_the_bytes_of_one_tile(rng, monkeypatch):
+    # a 4 KiB budget holds one pixel beside a run of 4 of the 144 weight rows
+    fm = feature_map(rng, 6, 6, 16, lo=-2.0, hi=2.0)
+    fb = _fan_in_bank(rng, 3, 16, 64)
+    bi = _extreme_int16(rng, 64, 0.1).astype(np.int16)
+    wide = (IntFeatureMap(_extreme_int16(rng, (6, 6, 16), 0.1), 16),
+            _extreme_int16(rng, (3, 3, 16, 64), 0.1).astype(np.int16))
+    narrow = (IntFeatureMap(rng.integers(-64, 65, size=(6, 6, 16)), 16),
+              rng.integers(-64, 65, size=(3, 3, 16, 64)).astype(np.int16))
+    assert [_gemm_dtypes(*operands) for operands in (wide, narrow)] == [{np.float64},
+                                                                         {np.float32}]
+
+    def outputs():
+        ints = [int_conv_forward(x, w, bi, 1, "same", QuantConfig(p=4)) for x, w in (wide, narrow)]
+        return conv2d(fm, fb).data.tobytes(), [(q.data.tobytes(), a, b) for q, a, b in ints]
+
+    assert _gemm_tiles(fm, fb.weights) == [(1, 6, 6, 64)]
+    default = outputs()
+    monkeypatch.setattr(tensor, "GEMM_SCRATCH_BYTES", 4 << 10)
+    assert _gemm_tiles(fm, fb.weights) == [(1, 1, 1, 64)] * 36
     assert outputs() == default
 
 
@@ -404,6 +435,86 @@ def test_tinyyolo_walks_keep_the_scratch_within_its_budget(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# int: a float32 GEMM while K * max|x| * max|w| <= 2^24
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("max_w,dtype", [(4096, np.float32), (4097, np.float64)])
+def test_int_gemm_takes_float32_up_to_the_exact_bound(sign, max_w, dtype):
+    # K = 1 and max|x| = 4096: K * max|x| * max|w| is 2^24 at max|w| = 4096;
+    # the largest magnitudes sit on opposite signs of x and w
+    x = IntFeatureMap(sign * np.array([[[4096], [-7]], [[0], [12]]]), 16)
+    w = (-sign * np.array([max_w, 5])).reshape(1, 1, 1, 2).astype(np.int16)
+    assert _gemm_dtypes(x, w) == {dtype}
+    assert _gemm_dtypes(FeatureMap(x.data.astype(np.float32)), w.astype(np.float32)) == {
+        np.float64}
+
+
+def test_int_conv_just_past_the_bound_stays_exact():
+    # 8401 * 1999 = 1025 * 2^14 - 1 lies in (2^24, 2^25], where float32 holds
+    # only even integers: it would round the sum up to 1025 * 2^14
+    x = IntFeatureMap(np.array([[[8401]]]), 16)
+    w = np.array([1999], dtype=np.int16).reshape(1, 1, 1, 1)
+    out, _, _ = int_conv_forward(x, w, np.zeros(1, np.int16), 1, "same", QuantConfig(p=14))
+    assert out.data.item() == 1024
+
+
+@pytest.mark.parametrize("padding", ["same", "valid"])
+@pytest.mark.parametrize("p", [0, 8, 14])
+@pytest.mark.parametrize("signs", ["same", "mixed"])
+def test_float32_int_conv_matches_int64_oracle_at_the_bound(rng, padding, p, signs):
+    # K = 2*2*64 = 256 and max|x| = max|w| = 256: K * max|x| * max|w| = 2^24
+    if signs == "same":
+        # every interior sum of filters 0 and 1 is +2^24 or -2^24
+        x = np.full((7, 7, 64), -256)
+        w = rng.integers(-256, 257, size=(2, 2, 64, 4)).astype(np.int16)
+        w[..., 0], w[..., 1] = -256, 256
+    else:
+        x = _extreme_int16(rng, (7, 7, 64), 0.2) // 128
+        w = (_extreme_int16(rng, (2, 2, 64, 4), 0.2) // 128).astype(np.int16)
+        x[0, 0, 0], w[0, 0, 0, 0] = -256, -256
+    b = _extreme_int16(rng, 4, 0.5).astype(np.int16)
+    fm = IntFeatureMap(x, 16)
+    assert _gemm_dtypes(fm, w, 1, padding) == {np.float32}
+    want, want_acc, want_16 = _int_conv_oracle(x, w, b, 1, padding, p)
+    got, n_acc, n16 = int_conv_forward(fm, w, b, 1, padding, QuantConfig(p=p))
+    np.testing.assert_array_equal(got.data, want)
+    assert (n_acc, n16) == (want_acc, want_16) and n_acc == 0
+
+
+def test_fan_in_tinyyolo_int_walk_takes_float32_on_every_layer(monkeypatch):
+    # weights uniform in +-sqrt(3/K), as the benchmark's model has: at P = 8
+    # every layer's K * max|x| * max|w| stays within 2^24; at P = 14 none does
+    rng = np.random.default_rng(13)
+    fused = fuse_model(randomize_weights(build_tinyyolov3(num_classes=80), rng, 0.1))
+    params = {}
+    for layer in fused.conv_layers():
+        shape = fused.params[layer.id].filters.weights.shape
+        bound = np.sqrt(3.0 / (shape[0] * shape[1] * shape[2]))
+        w = rng.uniform(-bound, bound, size=shape).astype(np.float32)
+        params[layer.id] = ConvParams(FilterBank(w, np.zeros(shape[3], np.float32)), None)
+    model = Model(fused.layers, params)
+    image = feature_map(rng, 416, 416, 3, lo=0.0, hi=1.0)
+    gemm, dtypes = quantization.conv_gemm, []
+
+    def spy(data, weights, stride, padding, batch, epilogue):
+        seen = set()
+        dtypes.append(seen)
+
+        def recording(acc, dst):
+            seen.add(acc.dtype.type)
+            epilogue(acc, dst)
+        return gemm(data, weights, stride, padding, batch, recording)
+
+    monkeypatch.setattr(quantization, "conv_gemm", spy)
+    for p, dtype in ((8, np.float32), (14, np.float64)):
+        qmodel = quantize_model(model, QuantConfig(p=p))
+        dtypes.clear()
+        int_infer(qmodel, quantize_input(image, qmodel.config))
+        assert dtypes == [{dtype}] * 13
+
+
+# ---------------------------------------------------------------------------
 # BLAS thread count does not change any bit
 # ---------------------------------------------------------------------------
 
@@ -412,7 +523,7 @@ import hashlib
 
 import numpy as np
 from cnnadapt.quantization import QuantConfig, int_conv_forward
-from cnnadapt.tensor import FeatureMap, FilterBank, IntFeatureMap, conv2d
+from cnnadapt.tensor import FeatureMap, FilterBank, IntFeatureMap, _gemm_dtype, conv2d
 
 rng = np.random.default_rng(7)
 x = rng.uniform(-2, 2, size=(26, 26, 256)).astype(np.float32)
@@ -423,8 +534,14 @@ xi = rng.integers(-2**15, 2**15, size=(26, 26, 256))
 wi = rng.integers(-2**15, 2**15, size=(3, 3, 256, 384)).astype(np.int16)
 bi = rng.integers(-2**15, 2**15, size=384).astype(np.int16)
 q, n_acc, n16 = int_conv_forward(IntFeatureMap(xi, 16), wi, bi, 1, "same", QuantConfig())
+# K * max|x| * max|w| = 2304 * 64 * 64 <= 2^24: a float32 GEMM (sgemm)
+xs = IntFeatureMap(rng.integers(-64, 65, size=(26, 26, 256)), 16)
+ws = rng.integers(-64, 65, size=(3, 3, 256, 384)).astype(np.int16)
+s, s_acc, s16 = int_conv_forward(xs, ws, bi, 1, "same", QuantConfig(p=4))
 print(hashlib.sha256(f.tobytes()).hexdigest())
 print(hashlib.sha256(q.data.tobytes() + repr((n_acc, n16)).encode()).hexdigest())
+print(_gemm_dtype(xs.data, ws).name,
+      hashlib.sha256(s.data.tobytes() + repr((s_acc, s16)).encode()).hexdigest())
 """
 
 
@@ -439,5 +556,5 @@ def _digests(blas_threads: int) -> str:
 
 def test_conv_outputs_do_not_depend_on_blas_thread_count():
     single = _digests(1)
-    assert len(single.split()) == 2
+    assert len(single.split()) == 4 and single.split()[2] == "float32"
     assert _digests(2) == single
