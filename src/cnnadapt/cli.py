@@ -148,6 +148,9 @@ def _cmd_prune(args) -> int:
     model = _load_float_model(args.input_model)
     _require_fused(model, "prune")
     no_prune = {s for s in args.no_prune.split(",") if s}
+    unknown = no_prune - {l.id for l in model.conv_layers()}
+    if unknown:
+        raise ValueError(f"--no-prune names no conv layer: {', '.join(sorted(unknown))}")
     # detection heads keep their filter count: it encodes the output structure
     no_prune |= {l.id for l in model.conv_layers() if l.activation == "linear"}
     config = pruning.PruneConfig(

@@ -121,6 +121,11 @@ class LayerSpec:
                     raise ModelFormatError(f"layer {self.id!r}: input needs positive {name}, got {v}")
 
     @property
+    def bn_epsilon(self) -> float:
+        """Batchnorm epsilon as the manifest stores it; a missing one reads as 0.001."""
+        return 0.001 if self.epsilon is None else self.epsilon
+
+    @property
     def leaky_alpha(self) -> float:
         """Negative slope 2^-act_exponent of a leaky conv."""
         return 2.0 ** -self.act_exponent
@@ -252,6 +257,10 @@ class Model(LayerGraph):
                 raise ShapeError(
                     f"layer {layer.id!r}: batchnorm length {p.batchnorm.num_filters} "
                     f"!= {layer.num_filters} filters")
+            if p.batchnorm is not None and p.batchnorm.epsilon != layer.bn_epsilon:
+                raise ModelFormatError(
+                    f"layer {layer.id!r}: batchnorm epsilon {p.batchnorm.epsilon} "
+                    f"!= layer epsilon {layer.bn_epsilon}")
         shape_infer(self)  # channel bookkeeping must be consistent before any use
 
     def filter_shape(self, layer_id: str) -> tuple[int, int, int, int]:
@@ -600,9 +609,8 @@ def load_model(manifest_path) -> Model:
                 a = arrays[layer.id]
                 bn = None
                 if layer.has_batchnorm:
-                    bn = BatchNormParams(
-                        a["mu"], a["sigma2"], a["gamma"], a["beta"],
-                        layer.epsilon if layer.epsilon is not None else 0.001)
+                    bn = BatchNormParams(a["mu"], a["sigma2"], a["gamma"], a["beta"],
+                                         layer.bn_epsilon)
                 params[layer.id] = ConvParams(FilterBank(a["W"], a["b"]), bn)
         return Model(tuple(layers), params)
 

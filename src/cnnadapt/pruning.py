@@ -210,12 +210,17 @@ def prune_routine(model: Model, config: PruneConfig,
     Metrics and the initial score are computed once beforehand. Thresholds
     form the arithmetic sequence t_start + k * delta_t; the sweep stops at
     the first rejected step, or once the threshold passes the largest
-    metric value (nothing further can change).
+    metric value. Past the largest metric of a filter a layer may still
+    lose, no candidate changes, so an accepted step there jumps to the last.
     """
     if model.has_batchnorm():
         raise PipelineError("model contains batchnorm; run fuse first")
     metrics = compute_metric_table(model, config)
     max_metric = max((float(v.max()) for v in metrics.values() if v.size), default=0.0)
+    keep = config.min_filters_per_layer
+    last_change = max((float(np.sort(v)[-keep - 1]) for v in metrics.values() if v.size > keep),
+                      default=0.0)
+    k_last = (max_metric - config.t_start) // config.delta_t + 1
     initial = float(evaluator(model))
     base_params = count_params(model).total
     base_flops = count_flops(model).total
@@ -248,9 +253,9 @@ def prune_routine(model: Model, config: PruneConfig,
         if not accepted:
             break
         accepted_model, accepted_t = candidate, t
-        if t > max_metric:
+        if t > max_metric or k == k_last and t > last_change:
             break
-        k += 1
+        k = max(k + 1, k_last) if t > last_change else k + 1
 
     report = PruneReport(config.metric, initial, tuple(steps), accepted_t)
     return accepted_model, report

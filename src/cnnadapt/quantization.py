@@ -34,12 +34,11 @@ from .tensor import (
     INT16_MIN,
     INT32_MAX,
     INT32_MIN,
-    MAX_EXACT_INT_DEPTH,
     FeatureMap,
     IntFeatureMap,
     _freeze,
     conv_gemm,
-    spent_scratch,
+    leaky_step,
 )
 
 MAX_SCALE_EXPONENT = 14  # values in [-1, 1] keep int16 headroom
@@ -224,14 +223,10 @@ def int_conv_forward(input: IntFeatureMap, weights: np.ndarray, biases: np.ndarr
     """Quantized convolution: conv -> sat int32 -> rshift P -> sat int16 -> bias
     (saturating), then, if ``p_alpha`` is given, leaky ReLU max(z, z >> p_alpha).
 
-    The convolution is a float64 GEMM over int16 operands (``conv_gemm``).
-    Each product is an integer of magnitude at most 2^30, so with
-    K = kh*kw*c_in <= 2^23 every partial sum stays below 2^53 and the sums
-    are exact; larger K raises ValueError. Where K * max|x| * max|w| <= 2^24
-    the GEMM runs in float32 instead (see ``tensor``) and the steps below
-    run on its sums: scaling by a power of two, flooring, the bias add and
-    the int16 cast stay exact there, and since every sum lies within
-    2^24 < 2^31 the acc32 scan finds nothing to clip.
+    The convolution is ``conv_gemm``'s exact GEMM over int16 operands, which
+    refuses other operands and K = kh*kw*c_in > 2^23 (see ``tensor``). The
+    steps below, by a power-of-two scale, are exact on its float64 or float32
+    sums, and a float32 sum lies within 2^24 < 2^31, so no acc32 sum clips.
 
     Each tile is scaled by 2^-P and floored first, then its minimum and
     maximum are taken once. Since x -> floor(x * 2^-P) is monotone, clipping
@@ -245,22 +240,14 @@ def int_conv_forward(input: IntFeatureMap, weights: np.ndarray, biases: np.ndarr
     each finished int16 tile and gives the bits of ``quant_leaky_relu``.
     Returns (output, acc32 saturation count, int16 saturation count).
     """
-    if input.width_bits != 16 or weights.dtype != np.int16:
-        raise ValueError("integer convolution consumes int16 activations and weights")
     if p_alpha is not None and p_alpha < 0:
         raise ValueError(f"p_alpha must be >= 0, got {p_alpha}")
-    kh, kw, c_in, _ = weights.shape
-    if kh * kw * c_in > MAX_EXACT_INT_DEPTH:
-        raise ValueError(f"conv depth kh*kw*c_in = {kh * kw * c_in} exceeds "
-                         f"{MAX_EXACT_INT_DEPTH}, beyond which float64 sums are not exact")
     scale = 2.0 ** -config.p
     acc32_lo, acc32_hi = INT32_MIN * scale, np.floor(INT32_MAX * scale)
     counts = [0, 0]  # acc32, int16 saturations
     bias_lo, bias_hi = int(biases.min()), int(biases.max())
 
     def requantize(acc, dst):
-        # every step is exact: acc holds integers its dtype represents (below
-        # 2^53 in float64, 2^24 in float32) and scale is a power of two
         acc *= scale
         np.floor(acc, out=acc)
         lo, hi = float(acc.min()), float(acc.max())
@@ -273,9 +260,7 @@ def int_conv_forward(input: IntFeatureMap, weights: np.ndarray, biases: np.ndarr
             counts[1] += _saturate(acc, INT16_MIN, INT16_MAX)
         np.copyto(dst, acc, casting="unsafe")
         if p_alpha is not None:
-            shifted = spent_scratch(acc, dst)
-            np.right_shift(dst, p_alpha, out=shifted)
-            np.maximum(dst, shifted, out=dst)
+            leaky_step(acc, dst, np.right_shift, p_alpha)
 
     out = conv_gemm(input.data, weights, stride, padding, 1, requantize)
     return IntFeatureMap(out, 16), counts[0], counts[1]
@@ -302,8 +287,6 @@ def int_infer(qmodel: QuantizedModel, input: IntFeatureMap,
               taps: bool = False) -> tuple[dict[str, IntFeatureMap], OverflowStats]:
     """Run the integer engine through ``execute``; bit-deterministic for
     identical inputs. Records each conv layer's saturations."""
-    if input.width_bits != 16:
-        raise ValueError("integer engine consumes int16 activations")
     stats = OverflowStats()
 
     def conv(layer, fm, batch):

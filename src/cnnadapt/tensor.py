@@ -13,23 +13,22 @@ mix rows of different maps.
 
 ``maxpool``, ``upsample_nearest``, ``concat`` and ``split_batch`` serve both
 map types: each result is the input map with new data, so an integer map
-keeps its width. The ``_int`` names are aliases of the same functions.
+keeps its width.
 
 Both engines convolve through ``conv_gemm``: the input windows are lowered
-to rows of a (pixels, kh*kw*c) matrix (im2col) and multiplied with the
-(kh*kw*c, filters) weight matrix in float64. Float products of float32
-operands are exact in float64 and each output is rounded to float32 once,
-after its bias is added. Integer products of int16 operands are integers of
-at most 2^30 in magnitude, so every partial sum of K <= 2^23 of them stays
-below 2^53 and the float64 GEMM computes the integer result exactly.
+to rows of a (pixels, K = kh*kw*c) matrix (im2col) and multiplied with the
+(K, filters) weight matrix. A float map takes a float64 GEMM: products of
+float32 operands are exact in float64, and each output is rounded to
+float32 once, after its bias is added.
 
-An integer conv runs its GEMM in float32 instead when
-K * max|x| * max|w| <= 2^24, with max|x| and max|w| taken over the map and
-the weights. Then every product, and every partial sum of any subset of
-them, is an integer of magnitude at most 2^24, which float32 holds exactly:
-whatever order BLAS blocks, fuses or adds them in, and across a deep
-layer's runs, the float32 GEMM gives the integers the float64 one gives. A
-layer over the bound keeps float64. Float maps always take float64.
+An integer conv is summed exactly or refused: the map and the weights must
+be int16 and K <= MAX_EXACT_INT_DEPTH = 2^23. Each product is then an
+integer of at most 2^30 in magnitude, so every partial sum stays below 2^53
+and a float64 GEMM is exact. Where K * max|x| * max|w| <= 2^24 (maxima over
+the map and the weights) the GEMM runs in float32: every product and every
+partial sum of any subset of them is then an integer float32 holds exactly,
+so whatever order BLAS blocks, fuses or adds them in, and across a deep
+layer's runs, it gives the float64 GEMM's integers.
 
 The GEMM runs in tiles whose float64 scratch fits in GEMM_SCRATCH_BYTES,
 by one plan for both map types that depends on sizes only (``conv_plan``).
@@ -48,9 +47,9 @@ own.
 
 Each finished GEMM tile goes through its layer's epilogue while it is still
 in cache: the bias add (the integer engine's requantization), batchnorm if
-the float layer has one, and leaky ReLU, so a conv layer is one call. Leaky
-ReLU with slope 0 <= alpha <= 1 is ``max(z, alpha * z)``, the same value as
-``z if z > 0 else alpha * z`` for every z, signed zeros included.
+the float layer has one, and ``leaky_step``, so a conv layer is one call.
+Leaky ReLU with slope 0 <= alpha <= 1 is ``max(z, alpha * z)``, the same
+value as ``z if z > 0 else alpha * z`` for every z, signed zeros included.
 
 Integer maps are stored in their declared width, int16 or int32. Files
 are written through ``_atomic_write``, so a failed write leaves the old file.
@@ -371,23 +370,27 @@ def conv_plan(n: int, out_h: int, out_w: int, kh: int, kw: int, c_in: int,
 
 def _gemm_dtype(data: np.ndarray, weights: np.ndarray) -> np.dtype:
     """The dtype ``conv_gemm`` sums a conv of the map ``data`` with (kh, kw,
-    c_in, nf) ``weights`` in: float32 for an integer map whose sums float32
-    holds exactly, K * max|x| * max|w| <= MAX_EXACT_FLOAT32_SUM with
-    K = kh*kw*c_in (see the module docstring), else float64."""
-    if data.dtype.kind == "i" and weights.size:
-        kh, kw, c_in, _ = weights.shape
-        peak = (max(-int(data.min()), int(data.max()))
-                * max(-int(weights.min()), int(weights.max())))
-        if kh * kw * c_in * peak <= MAX_EXACT_FLOAT32_SUM:
-            return np.dtype(np.float32)
-    return np.dtype(np.float64)
+    c_in, nf) ``weights`` in, K = kh*kw*c_in: float32 for an integer map with
+    K * max|x| * max|w| <= MAX_EXACT_FLOAT32_SUM, else float64. Raises
+    ValueError for an integer map that breaks the module docstring's contract."""
+    if data.dtype.kind not in "iu":
+        return np.dtype(np.float64)
+    if data.dtype != np.int16 or weights.dtype != np.int16:
+        raise ValueError("integer convolution consumes int16 activations and weights")
+    depth = int(np.prod(weights.shape[:3]))
+    if depth > MAX_EXACT_INT_DEPTH:
+        raise ValueError(f"conv depth kh*kw*c_in = {depth} exceeds "
+                         f"{MAX_EXACT_INT_DEPTH}, beyond which float64 sums are not exact")
+    peak = (max(-int(data.min(initial=0)), int(data.max(initial=0)))
+            * max(-int(weights.min(initial=0)), int(weights.max(initial=0))))
+    return np.dtype(np.float32 if depth * peak <= MAX_EXACT_FLOAT32_SUM else np.float64)
 
 
 def conv_gemm(data: np.ndarray, weights: np.ndarray, stride: int, padding: str, batch: int,
               epilogue) -> np.ndarray:
     """Convolve each of the ``batch`` (h, w, c) maps stacked in ``data`` with
-    (kh, kw, c, nf) weights as GEMMs in ``_gemm_dtype``: float64, or float32
-    for an integer map whose sums float32 holds exactly. Returns the outputs
+    (kh, kw, c, nf) weights as GEMMs in ``_gemm_dtype``, exact for an integer
+    map or refused, by the module docstring's contract. Returns the outputs
     stacked, (batch * out_h, out_w, nf), in the dtype of ``data``.
 
     Same padding pads each map with zeros; a map that needs no padding is
@@ -476,11 +479,13 @@ def conv_gemm(data: np.ndarray, weights: np.ndarray, stride: int, padding: str, 
     return out
 
 
-def spent_scratch(acc: np.ndarray, like: np.ndarray) -> np.ndarray:
-    """The memory of a tile's sums ``acc`` (float64 or float32), once spent,
-    as an array of the shape and dtype of ``like``, whose items are no wider
-    than those of ``acc``."""
-    return acc.reshape(-1).view(like.dtype)[:like.size].reshape(like.shape)
+def leaky_step(acc: np.ndarray, dst: np.ndarray, op, k) -> None:
+    """Leaky ReLU of a finished tile ``dst`` in place, dst = max(dst, op(dst, k)),
+    with op(dst, k) written into the memory of the tile's spent sums ``acc``
+    (float64 or float32), whose items are no narrower than those of ``dst``."""
+    scaled = acc.reshape(-1).view(dst.dtype)[:dst.size].reshape(dst.shape)
+    op(dst, k, out=scaled)
+    np.maximum(dst, scaled, out=dst)
 
 
 def conv2d(input: FeatureMap, filters: FilterBank, stride: int = 1,
@@ -517,9 +522,7 @@ def conv2d(input: FeatureMap, filters: FilterBank, stride: int = 1,
             dst *= bn_scale
             dst += batchnorm.beta
         if leaky_alpha is not None:
-            scaled = spent_scratch(acc, dst)
-            np.multiply(dst, alpha, out=scaled)
-            np.maximum(dst, scaled, out=dst)
+            leaky_step(acc, dst, np.multiply, alpha)
 
     return FeatureMap(conv_gemm(input.data, filters.weights, stride, padding, batch, epilogue))
 
@@ -594,9 +597,6 @@ def concat(a: MapT, b: MapT) -> MapT:
     if a.data.dtype != b.data.dtype:
         raise ValueError(f"concat dtype mismatch: {a.data.dtype} vs {b.data.dtype}")
     return replace(a, data=np.concatenate([a.data, b.data], axis=2))
-
-
-maxpool_int, upsample_nearest_int, concat_int = maxpool, upsample_nearest, concat
 
 
 def split_batch(stacked: MapT, batch: int) -> list[MapT]:

@@ -322,6 +322,17 @@ def test_quantize_saturates_huge_weight_to_positive_max(tmp_path, rng):
         == INT16_MAX
 
 
+def test_prune_rejects_no_prune_ids_that_name_no_conv_layer(tmp_path, rng, fused_model_path,
+                                                            capsys):
+    data = _write_dataset(tmp_path / "data", rng)
+    code = run(["prune", "-i", str(fused_model_path), "-o", str(tmp_path / "p.json"),
+                "--data", str(data), "--no-prune", "conv_9,conv_1x,conv_1"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "error:" in err and "conv_1x, conv_9" in err and "Traceback" not in err
+    assert not (tmp_path / "p.json").exists()
+
+
 def test_prune_rejects_sample_of_wrong_shape(tmp_path, rng, fused_model_path, capsys):
     data = _write_dataset(tmp_path / "data", rng)
     save_tensor(data / "s1.tnsr", feature_map(rng, 5, 6, 2))

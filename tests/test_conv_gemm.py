@@ -195,6 +195,25 @@ def test_int_conv_requires_int16_operands(width_bits, w_dtype):
         int_conv_forward(x, w, np.zeros(1, dtype=np.int16), 1, "same", QuantConfig())
 
 
+def _unused_epilogue(acc, dst):
+    raise AssertionError("a refused conv runs no epilogue")
+
+
+def test_conv_gemm_refuses_an_int32_map():
+    x = np.zeros((2, 2, 1), dtype=np.int32)
+    w = np.zeros((1, 1, 1, 1), dtype=np.int16)
+    with pytest.raises(ValueError, match="int16"):
+        conv_gemm(x, w, 1, "same", 1, _unused_epilogue)
+
+
+def test_conv_gemm_refuses_integer_depth_beyond_exact_float64_range():
+    c_in = MAX_EXACT_INT_DEPTH // 9 + 1  # 3*3*c_in > 2^23
+    x = np.zeros((1, 1, c_in), dtype=np.int16)
+    w = np.zeros((3, 3, c_in, 1), dtype=np.int16)
+    with pytest.raises(ValueError, match="exceeds"):
+        conv_gemm(x, w, 1, "same", 1, _unused_epilogue)
+
+
 # ---------------------------------------------------------------------------
 # tile plan and the walk's scratch buffer
 # ---------------------------------------------------------------------------

@@ -37,13 +37,13 @@ from cnnadapt.tensor import (
     FilterBank,
     IntFeatureMap,
     batchnorm_forward,
-    concat_int,
+    concat,
     conv2d,
     leaky_relu,
     load_tensor,
-    maxpool_int,
+    maxpool,
     save_tensor,
-    upsample_nearest_int,
+    upsample_nearest,
 )
 from cnnadapt.tinyyolo import build_tinyyolov3
 from util import feature_map, random_bank, random_bn
@@ -242,10 +242,10 @@ def test_int_map_ops_keep_the_storage_dtype(tmp_path):
     for width, dtype in ((16, np.int16), (32, np.int32)):
         low = np.iinfo(dtype).min
         fm = IntFeatureMap(np.full((3, 3, 2), low, dtype=dtype), width)
-        pooled = maxpool_int(fm, 2, 1)
+        pooled = maxpool(fm, 2, 1)
         assert pooled.data.dtype == dtype and (pooled.data == low).all()
-        assert upsample_nearest_int(fm, 2).data.dtype == dtype
-        assert concat_int(fm, fm).data.dtype == dtype
+        assert upsample_nearest(fm, 2).data.dtype == dtype
+        assert concat(fm, fm).data.dtype == dtype
         save_tensor(tmp_path / f"m{width}.tnsr", fm)
         loaded = load_tensor(tmp_path / f"m{width}.tnsr")
         assert loaded.data.dtype == dtype and loaded.width_bits == width

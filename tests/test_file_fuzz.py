@@ -1,10 +1,11 @@
-"""Fuzz the file contract: a damaged model, quantized model or tensor file
-either still loads (exit 0) or is refused with exit 2 and an ``error:`` line,
-never with another exit code or an exception out of ``cli.run``.
+"""Fuzz the file contract: a damaged model, quantized model, tensor or label
+file either still loads (exit 0) or is refused with exit 2 and an ``error:``
+line, never with another exit code or an exception out of ``cli.run``.
 
-Each example takes the files of one small saved chain model and damages one
-of them: a cut at any offset, one flipped bit anywhere in a ``.weights`` or
-``.tnsr`` file, or one manifest value replaced by a value of another JSON type.
+Each example takes the files of one small saved chain model, with an input
+tensor or a dataset of samples, and damages one of them: a cut at any
+offset, one flipped bit anywhere in a ``.weights`` or ``.tnsr`` file, or one
+value of a manifest or label replaced by a value of another JSON type.
 """
 import contextlib
 import io
@@ -25,12 +26,20 @@ from util import chain_model, feature_map
 # one value of each JSON type: null, boolean, number, string, array, object
 _JSON_VALUES = [None, True, 0, "x", [], {}]
 
+# per case: the files it damages one at a time, and the command it runs; each
+# of those files and of _WORK_PATHS is a path in the work dir
 _CASES = {
     "float": (["m.json", "m.weights"], ["flops", "-i", "m.json"]),
     "int": (["q.json", "q.weights", "in.tnsr"],
             ["infer", "-i", "q.json", "--input", "in.tnsr", "--engine", "int",
              "--taps", "taps"]),
+    # a large threshold step keeps each sweep to a few steps
+    "dataset": (["f.json", "f.weights", "data/s0.tnsr", "data/s0.json", "data/s1.tnsr",
+                 "data/s1.json"],
+                ["prune", "-i", "f.json", "-o", "p.json", "--data", "data",
+                 "--delta-t", "0.5"]),
 }
+_WORK_PATHS = ("taps", "data", "p.json")
 
 
 def _json_type(value) -> str:
@@ -80,13 +89,19 @@ def _damaged(draw, files: dict[str, bytes]) -> tuple[str, bytes]:
 
 @pytest.fixture(scope="module")
 def saved_dir(tmp_path_factory):
-    """Pristine float files, quantized files and input tensor."""
+    """Pristine float, fused and quantized files, input tensor and dataset."""
     directory = tmp_path_factory.mktemp("pristine")
     rng = np.random.default_rng(11)
     model = chain_model(rng, [4, 3], hw=6, in_channels=2, bn=True, scale=0.3)
     save_model(model, directory / "m.json")
-    save_quantized_model(quantize_model(fuse_model(model)), directory / "q.json")
+    fused = fuse_model(model)
+    save_model(fused, directory / "f.json")
+    save_quantized_model(quantize_model(fused), directory / "q.json")
     save_tensor(directory / "in.tnsr", feature_map(rng, 6, 6, 2))
+    (directory / "data").mkdir()
+    for i in range(2):
+        save_tensor(directory / f"data/s{i}.tnsr", feature_map(rng, 6, 6, 2))
+        (directory / f"data/s{i}.json").write_text(json.dumps({"class": i}))
     return directory
 
 
@@ -102,9 +117,10 @@ def test_damaged_files_exit_0_or_2(saved_dir, work_dir, case, data):
     names, argv = _CASES[case]
     files = {name: (saved_dir / name).read_bytes() for name in names}
     damaged_name, damaged = data.draw(_damaged(files))
+    (work_dir / "data").mkdir(exist_ok=True)
     for name, content in files.items():
         (work_dir / name).write_bytes(damaged if name == damaged_name else content)
-    argv = [str(work_dir / a) if a in names or a == "taps" else a for a in argv]
+    argv = [str(work_dir / a) if a in names or a in _WORK_PATHS else a for a in argv]
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
         code = run(argv)

@@ -200,6 +200,21 @@ def test_save_load_roundtrip_bit_exact(tmp_path, rng):
     assert [l.id for l in back.layers] == [l.id for l in model.layers]
 
 
+def test_batchnorm_epsilon_must_match_the_layer_epsilon(rng):
+    # the manifest stores only the layer's epsilon: a model whose batchnorm
+    # epsilon differs would reload as another model under the same digest
+    model = chain_model(rng, [3], hw=4, bn=True, epsilon=0.001)
+    fb = model.params["conv_1"].filters
+    with pytest.raises(ModelFormatError, match="epsilon"):
+        Model(model.layers, {"conv_1": ConvParams(fb, random_bn(rng, 3, epsilon=0.5))})
+    # a layer without an epsilon reads as the loader's default, 0.001
+    layers = (model.layers[0], conv_spec("conv_1", "input", 3, act="leaky", has_bias=False,
+                                         has_batchnorm=True, epsilon=None))
+    Model(layers, {"conv_1": ConvParams(fb, random_bn(rng, 3, epsilon=0.001))})
+    with pytest.raises(ModelFormatError, match="epsilon"):
+        Model(layers, {"conv_1": ConvParams(fb, random_bn(rng, 3, epsilon=0.0))})
+
+
 def test_load_error_names_missing_record(tmp_path, rng):
     model = chain_model(rng, [2, 3], hw=4)
     save_model(model, tmp_path / "m.json")

@@ -274,6 +274,34 @@ def test_routine_constant_evaluator_prunes_to_max(rng):
     assert all(l.num_filters == 1 for l in pruned.conv_layers())
 
 
+def test_routine_jumps_over_thresholds_that_cannot_change_the_candidate(rng):
+    # one filter of large norm, which the one-filter floor keeps: past the
+    # other norms every candidate is the same model, so the sweep goes
+    # straight to the first threshold past the largest norm
+    model = chain_model(rng, [3], hw=4)
+    fb = model.params["conv_1"].filters
+    w = fb.weights.copy()
+    w[..., 0] *= 1000
+    model = Model(model.layers, {"conv_1": ConvParams(FilterBank(w, fb.biases), None)})
+    config = PruneConfig(delta_t=0.5)
+    norms = compute_metric_table(model, config)["conv_1"]
+    assert norms[0] > 2000 * config.delta_t > 40 * max(norms[1:])
+    evaluated = []
+
+    def evaluator(m):
+        evaluated.append(m)
+        if len(evaluated) > 40:
+            raise RuntimeError("the sweep evaluates the same candidate again and again")
+        return 1.0
+
+    pruned, report = prune_routine(model, config, evaluator)
+    assert all(s.accepted for s in report.steps)
+    assert report.final_threshold > norms[0]
+    assert report.steps[-2].threshold > max(norms[1:])
+    assert report.steps[-2].filters_removed == report.steps[-1].filters_removed == {"conv_1": 2}
+    assert pruned.layer("conv_1").num_filters == 1
+
+
 def test_routine_thresholds_form_arithmetic_sequence(rng):
     model = chain_model(rng, [3], hw=4)
     config = PruneConfig(delta_map=1.0, t_start=0.0, delta_t=0.02)

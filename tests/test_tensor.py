@@ -14,17 +14,14 @@ from cnnadapt.tensor import (
     IntFeatureMap,
     batchnorm_forward,
     concat,
-    concat_int,
     conv2d,
     conv_output_shape,
     leaky_relu,
     load_tensor,
     maxpool,
-    maxpool_int,
     save_tensor,
     split_batch,
     upsample_nearest,
-    upsample_nearest_int,
 )
 from util import bank, identity_bank
 
@@ -256,7 +253,7 @@ def test_maxpool_size1_stride1_idempotent(rng):
 
 def test_maxpool_int_matches_float_semantics(rng):
     vals = rng.integers(-1000, 1000, size=(5, 5, 2))
-    got = maxpool_int(IntFeatureMap(vals, 16), 2, 2)
+    got = maxpool(IntFeatureMap(vals, 16), 2, 2)
     want = maxpool(FeatureMap(vals.astype(np.float32)), 2, 2)
     np.testing.assert_array_equal(got.data.astype(np.float32), want.data)
 
@@ -306,12 +303,6 @@ def test_concat_spatial_mismatch_raises():
     b = FeatureMap(np.zeros((3, 2, 1), dtype=np.float32))
     with pytest.raises(ShapeError):
         concat(a, b)
-
-
-def test_int_op_names_are_the_generic_ops():
-    assert maxpool_int is maxpool
-    assert upsample_nearest_int is upsample_nearest
-    assert concat_int is concat
 
 
 @pytest.mark.parametrize("width", [16, 32])
