@@ -228,7 +228,14 @@ def _batched_outputs(model: Model, inputs: Sequence[FeatureMap]) -> list[list[Fe
 
 
 def _top1(output: FeatureMap) -> int:
-    return int(np.argmax(output.data.mean(axis=(0, 1))))
+    """Argmax of the channel means, taken in float32; if a float32 sum
+    overflows, every mean is taken again in float64, where the mean of
+    finite float32 values is finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = output.data.mean(axis=(0, 1))
+    if not np.isfinite(means).all():
+        means = output.data.mean(axis=(0, 1), dtype=np.float64)
+    return int(np.argmax(means))
 
 
 def predict_class(model: Model, fm: FeatureMap) -> int:

@@ -95,13 +95,14 @@ def compute_metric_table(model: Model, config: PruneConfig) -> FilterMetricTable
     return table
 
 
-def _select_removals(metric: np.ndarray, threshold: float, min_keep: int) -> list[int]:
-    nf = len(metric)
-    below = [i for i in range(nf) if metric[i] < threshold]  # strictly below
-    cap = max(nf - min_keep, 0)
+def _select_removals(metric: np.ndarray, threshold: float, min_keep: int) -> np.ndarray:
+    """Sorted indices of the filters whose metric lies strictly below the
+    threshold; past the cap of nf - min_keep, the least important by
+    (metric, index)."""
+    below = np.flatnonzero(metric < threshold)
+    cap = max(len(metric) - min_keep, 0)
     if len(below) > cap:
-        by_importance = sorted(below, key=lambda i: (metric[i], i))
-        below = sorted(by_importance[:cap])
+        below = np.sort(below[np.lexsort((below, metric[below]))[:cap]])
     return below
 
 
@@ -122,44 +123,34 @@ def prune_below(model: Model, metrics: FilterMetricTable, threshold: float,
                              f"layer has {nf} filters")
     orig_shapes = shape_infer(model)
 
-    kept: dict[str, list[int]] = {}      # surviving ORIGINAL output-channel indices
+    kept: dict[str, np.ndarray] = {}    # surviving ORIGINAL output-channel indices, sorted
     removed: dict[str, list[int]] = {}
     layers = []
     params: dict[str, ConvParams] = {}
     for layer in model.layers:
         if layer.kind == "input":
-            kept[layer.id] = list(range(layer.channels))
+            kept[layer.id] = np.arange(layer.channels)
             layers.append(layer)
         elif layer.kind == "conv":
             fb = model.params[layer.id].filters
-            kept_in = kept[layer.inputs[0]]
             if layer.id in config.no_prune:
-                removed_idx: list[int] = []
+                removed_idx = np.arange(0)
             elif layer.id not in metrics:
                 raise ShapeError(f"metric table is missing prunable layer {layer.id!r}")
             else:
                 removed_idx = _select_removals(metrics[layer.id], threshold,
                                                config.min_filters_per_layer)
-            dropped = set(removed_idx)
-            keep_f = [i for i in range(fb.num_filters) if i not in dropped]
-            # one contiguous take per axis that loses an index
-            w = fb.weights
-            if len(kept_in) < fb.in_channels:
-                w = w.take(kept_in, axis=2)
-            if len(keep_f) < fb.num_filters:
-                w = w.take(keep_f, axis=3)
-            new_fb = FilterBank(w, fb.biases[keep_f])
-            params[layer.id] = ConvParams(new_fb, None)
+            keep_f = np.delete(np.arange(fb.num_filters), removed_idx)
+            params[layer.id] = ConvParams(fb.select(kept[layer.inputs[0]], keep_f), None)
             layers.append(replace(layer, num_filters=len(keep_f)))
             kept[layer.id] = keep_f
-            removed[layer.id] = removed_idx
+            removed[layer.id] = removed_idx.tolist()
         elif layer.kind in ("maxpool", "upsample", "output_marker"):
             kept[layer.id] = kept[layer.inputs[0]]
             layers.append(layer)
         elif layer.kind == "concat":
             a, b = layer.inputs
-            offset = orig_shapes[a][2]
-            kept[layer.id] = kept[a] + [offset + j for j in kept[b]]
+            kept[layer.id] = np.concatenate([kept[a], orig_shapes[a][2] + kept[b]])
             layers.append(layer)
         else:
             raise ShapeError(f"cannot propagate channel removal through {layer.kind!r}")

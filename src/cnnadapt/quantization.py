@@ -12,6 +12,7 @@ input to output.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -39,6 +40,7 @@ from .tensor import (
     _freeze,
     conv_gemm,
     leaky_step,
+    peak_magnitude,
 )
 
 MAX_SCALE_EXPONENT = 14  # values in [-1, 1] keep int16 headroom
@@ -134,6 +136,11 @@ class QuantConvParams:
         object.__setattr__(self, "weights", _freeze(w))
         object.__setattr__(self, "biases", _freeze(b))
 
+    @cached_property
+    def weight_peak(self) -> int:
+        """max|w|, scanned on first use: every int conv of the layer needs it."""
+        return peak_magnitude(self.weights)
+
 
 @dataclass(frozen=True)
 class QuantizedModel(LayerGraph):
@@ -219,7 +226,8 @@ def quantize_input(input: FeatureMap, config: QuantConfig = QuantConfig()) -> In
 
 def int_conv_forward(input: IntFeatureMap, weights: np.ndarray, biases: np.ndarray,
                      stride: int, padding: str, config: QuantConfig, *,
-                     p_alpha: int | None = None) -> tuple[IntFeatureMap, int, int]:
+                     p_alpha: int | None = None,
+                     weight_peak: int | None = None) -> tuple[IntFeatureMap, int, int]:
     """Quantized convolution: conv -> sat int32 -> rshift P -> sat int16 -> bias
     (saturating), then, if ``p_alpha`` is given, leaky ReLU max(z, z >> p_alpha).
 
@@ -238,6 +246,7 @@ def int_conv_forward(input: IntFeatureMap, weights: np.ndarray, biases: np.ndarr
     scan runs; nor does the int16 scan after the bias add when the tile's range
     plus the layer's bias range stays inside int16. The activation runs on
     each finished int16 tile and gives the bits of ``quant_leaky_relu``.
+    ``weight_peak``, max|w| if the caller holds it, goes to ``conv_gemm``.
     Returns (output, acc32 saturation count, int16 saturation count).
     """
     if p_alpha is not None and p_alpha < 0:
@@ -262,7 +271,8 @@ def int_conv_forward(input: IntFeatureMap, weights: np.ndarray, biases: np.ndarr
         if p_alpha is not None:
             leaky_step(acc, dst, np.right_shift, p_alpha)
 
-    out = conv_gemm(input.data, weights, stride, padding, 1, requantize)
+    out = conv_gemm(input.data, weights, stride, padding, 1, requantize,
+                    weight_peak=weight_peak)
     return IntFeatureMap(out, 16), counts[0], counts[1]
 
 
@@ -293,7 +303,8 @@ def int_infer(qmodel: QuantizedModel, input: IntFeatureMap,
         qp = qmodel.qparams[layer.id]
         out, n_acc, n16 = int_conv_forward(
             fm, qp.weights, qp.biases, layer.stride, layer.padding, qmodel.config,
-            p_alpha=layer.act_exponent if layer.activation == "leaky" else None)
+            p_alpha=layer.act_exponent if layer.activation == "leaky" else None,
+            weight_peak=qp.weight_peak)
         stats.record(layer.id, n_acc, n16)
         return out
 

@@ -190,6 +190,36 @@ class FilterBank:
         object.__setattr__(self, "weights", _freeze(w))
         object.__setattr__(self, "biases", _freeze(b))
 
+    def select(self, channels: np.ndarray, filters: np.ndarray) -> "FilterBank":
+        """The bank of the given input ``channels`` and ``filters`` (non-empty
+        integer index arrays, in their order), gathered by one ``take``.
+
+        Every kernel position's channels x filters block comes from one take
+        over a (kh*kw, c_in*nf) view, or over (kh*kw, c_in, nf) when every
+        filter stays in order; a bank that keeps both whole is returned as
+        is. The result skips the constructor's finite scan: it holds values
+        of this bank, which passed it."""
+        kh, kw, c_in, nf = self.weights.shape
+        channels, filters = np.asarray(channels, np.intp), np.asarray(filters, np.intp)
+        for idx, size, what in ((channels, c_in, "input channel"), (filters, nf, "filter")):
+            if idx.ndim != 1 or not idx.size:
+                raise ShapeError(f"select needs a non-empty vector of {what} indices")
+            if idx.min() < 0 or idx.max() >= size:
+                raise IndexError(f"{what} index out of range [0, {size})")
+        all_in = np.array_equal(channels, np.arange(c_in))
+        all_f = np.array_equal(filters, np.arange(nf))
+        if all_in and all_f:
+            return self
+        if all_f:
+            w = self.weights.reshape(kh * kw, c_in, nf).take(channels, axis=1)
+        else:
+            w = self.weights.reshape(kh * kw, c_in * nf).take(
+                np.add.outer(channels * nf, filters).reshape(-1), axis=1)
+        bank = object.__new__(FilterBank)
+        object.__setattr__(bank, "weights", _freeze(w.reshape(kh, kw, len(channels), len(filters))))
+        object.__setattr__(bank, "biases", _freeze(self.biases[filters]))
+        return bank
+
     @property
     def kernel_h(self) -> int:
         return self.weights.shape[0]
@@ -368,10 +398,17 @@ def conv_plan(n: int, out_h: int, out_w: int, kh: int, kw: int, c_in: int,
     return (tile_n, tile_h, tile_w), run
 
 
-def _gemm_dtype(data: np.ndarray, weights: np.ndarray) -> np.dtype:
+def peak_magnitude(a: np.ndarray) -> int:
+    """max|a| of an integer array as a Python int (0 when empty)."""
+    return max(-int(a.min(initial=0)), int(a.max(initial=0)))
+
+
+def _gemm_dtype(data: np.ndarray, weights: np.ndarray,
+                weight_peak: int | None = None) -> np.dtype:
     """The dtype ``conv_gemm`` sums a conv of the map ``data`` with (kh, kw,
     c_in, nf) ``weights`` in, K = kh*kw*c_in: float32 for an integer map with
-    K * max|x| * max|w| <= MAX_EXACT_FLOAT32_SUM, else float64. Raises
+    K * max|x| * max|w| <= MAX_EXACT_FLOAT32_SUM, else float64. ``weight_peak``
+    is max|w| if the caller holds it; else the weights are scanned. Raises
     ValueError for an integer map that breaks the module docstring's contract."""
     if data.dtype.kind not in "iu":
         return np.dtype(np.float64)
@@ -381,17 +418,20 @@ def _gemm_dtype(data: np.ndarray, weights: np.ndarray) -> np.dtype:
     if depth > MAX_EXACT_INT_DEPTH:
         raise ValueError(f"conv depth kh*kw*c_in = {depth} exceeds "
                          f"{MAX_EXACT_INT_DEPTH}, beyond which float64 sums are not exact")
-    peak = (max(-int(data.min(initial=0)), int(data.max(initial=0)))
-            * max(-int(weights.min(initial=0)), int(weights.max(initial=0))))
+    if weight_peak is None:
+        weight_peak = peak_magnitude(weights)
+    peak = peak_magnitude(data) * weight_peak
     return np.dtype(np.float32 if depth * peak <= MAX_EXACT_FLOAT32_SUM else np.float64)
 
 
 def conv_gemm(data: np.ndarray, weights: np.ndarray, stride: int, padding: str, batch: int,
-              epilogue) -> np.ndarray:
+              epilogue, *, weight_peak: int | None = None) -> np.ndarray:
     """Convolve each of the ``batch`` (h, w, c) maps stacked in ``data`` with
     (kh, kw, c, nf) weights as GEMMs in ``_gemm_dtype``, exact for an integer
     map or refused, by the module docstring's contract. Returns the outputs
-    stacked, (batch * out_h, out_w, nf), in the dtype of ``data``.
+    stacked, (batch * out_h, out_w, nf), in the dtype of ``data``. An integer
+    conv's caller may pass max|w| as ``weight_peak`` to spare ``_gemm_dtype``
+    its scan of the weights.
 
     Same padding pads each map with zeros; a map that needs no padding is
     read in place. The GEMMs run ``conv_plan``'s plan: for each output tile,
@@ -428,7 +468,7 @@ def conv_gemm(data: np.ndarray, weights: np.ndarray, stride: int, padding: str, 
             for r0 in range(0, kh, run_h) for q0 in range(0, row, run_w)]
     last = len(runs) - 1
     pixels = tile_n * tile_h * tile_w
-    acc_dtype = _gemm_dtype(data, weights)
+    acc_dtype = _gemm_dtype(data, weights, weight_peak)
 
     with gemm_scratch():
         # a run's weight rows, sums, partial sums (if several runs), im2col columns

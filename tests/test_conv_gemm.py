@@ -28,6 +28,7 @@ from cnnadapt.model import (
 from cnnadapt.pruning import PruneConfig, compute_metric_table, prune_below
 from cnnadapt.quantization import (
     QuantConfig,
+    QuantConvParams,
     int_conv_forward,
     int_infer,
     quantize_input,
@@ -467,6 +468,10 @@ def test_int_gemm_takes_float32_up_to_the_exact_bound(sign, max_w, dtype):
     assert _gemm_dtypes(x, w) == {dtype}
     assert _gemm_dtypes(FeatureMap(x.data.astype(np.float32)), w.astype(np.float32)) == {
         np.float64}
+    # the peak a quantized layer caches picks what the scan of its weights picks
+    peak = QuantConvParams(w, np.zeros(2, np.int16)).weight_peak
+    assert peak == max_w
+    assert tensor._gemm_dtype(x.data, w, peak) == tensor._gemm_dtype(x.data, w) == dtype
 
 
 def test_int_conv_just_past_the_bound_stays_exact():
@@ -516,14 +521,14 @@ def test_fan_in_tinyyolo_int_walk_takes_float32_on_every_layer(monkeypatch):
     image = feature_map(rng, 416, 416, 3, lo=0.0, hi=1.0)
     gemm, dtypes = quantization.conv_gemm, []
 
-    def spy(data, weights, stride, padding, batch, epilogue):
+    def spy(data, weights, stride, padding, batch, epilogue, **kwargs):
         seen = set()
         dtypes.append(seen)
 
         def recording(acc, dst):
             seen.add(acc.dtype.type)
             epilogue(acc, dst)
-        return gemm(data, weights, stride, padding, batch, recording)
+        return gemm(data, weights, stride, padding, batch, recording, **kwargs)
 
     monkeypatch.setattr(quantization, "conv_gemm", spy)
     for p, dtype in ((8, np.float32), (14, np.float64)):

@@ -1,6 +1,8 @@
 """Fuzz the file contract: a damaged model, quantized model, tensor or label
 file either still loads (exit 0) or is refused with exit 2 and an ``error:``
-line, never with another exit code or an exception out of ``cli.run``.
+line, never with another exit code or an exception out of ``cli.run``. The
+one exit 1 allowed is ``compare`` refusing a quantized model of other
+weights, a usage error.
 
 Each example takes the files of one small saved chain model, with an input
 tensor or a dataset of samples, and damages one of them: a cut at any
@@ -10,6 +12,7 @@ value of a manifest or label replaced by a value of another JSON type.
 import contextlib
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -30,6 +33,7 @@ _JSON_VALUES = [None, True, 0, "x", [], {}]
 # of those files and of _WORK_PATHS is a path in the work dir
 _CASES = {
     "float": (["m.json", "m.weights"], ["flops", "-i", "m.json"]),
+    "fuse": (["m.json", "m.weights"], ["fuse", "-i", "m.json", "-o", "fz.json"]),
     "int": (["q.json", "q.weights", "in.tnsr"],
             ["infer", "-i", "q.json", "--input", "in.tnsr", "--engine", "int",
              "--taps", "taps"]),
@@ -38,8 +42,13 @@ _CASES = {
                  "data/s1.json"],
                 ["prune", "-i", "f.json", "-o", "p.json", "--data", "data",
                  "--delta-t", "0.5"]),
+    "compare": (["f.json", "f.weights", "q.json", "q.weights", "in.tnsr"],
+                ["compare", "--float-model", "f.json", "--quant-model", "q.json",
+                 "--input", "in.tnsr"]),
 }
-_WORK_PATHS = ("taps", "data", "p.json")
+_WORK_PATHS = ("taps", "data", "p.json", "fz.json")
+# compare's exit 1: the quantized model's source digest names other weights
+_OTHER_WEIGHTS = "was not quantized from"
 
 
 def _json_type(value) -> str:
@@ -124,7 +133,39 @@ def test_damaged_files_exit_0_or_2(saved_dir, work_dir, case, data):
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
         code = run(argv)
-    assert code in (0, 2), err.getvalue()
-    if code == 2:
-        assert "error:" in err.getvalue()
-    assert "Traceback" not in err.getvalue()
+    _check_exit(code, err.getvalue(), allow_other_weights=case == "compare")
+
+
+def _check_exit(code: int, err: str, allow_other_weights: bool = False) -> None:
+    if allow_other_weights and code == 1:
+        assert _OTHER_WEIGHTS in err, err
+    else:
+        assert code in (0, 2), err
+    if code:
+        assert "error:" in err
+    assert "Traceback" not in err
+
+
+
+def test_prune_survives_a_bias_beyond_float32_sums(saved_dir, tmp_path):
+    """Bit 6 of the last byte of the fused weights makes the last bias
+    -3.4e38: the float32 channel means the top-1 takes then overflow, which
+    must neither warn nor escape as a traceback."""
+    for name in ("f.json", "data"):
+        src = saved_dir / name
+        if src.is_dir():
+            (tmp_path / name).mkdir()
+            for f in src.iterdir():
+                (tmp_path / name / f.name).write_bytes(f.read_bytes())
+        else:
+            (tmp_path / name).write_bytes(src.read_bytes())
+    weights = bytearray((saved_dir / "f.weights").read_bytes())
+    weights[-1] ^= 1 << 6
+    (tmp_path / "f.weights").write_bytes(bytes(weights))
+    err = io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = run(["prune", "-i", str(tmp_path / "f.json"), "-o", str(tmp_path / "p.json"),
+                        "--data", str(tmp_path / "data"), "--delta-t", "0.5"])
+    _check_exit(code, err.getvalue())

@@ -1,10 +1,22 @@
 """Filter metrics, structural removal with channel propagation, threshold sweep."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from cnnadapt.analysis import count_flops, count_params
 from cnnadapt.errors import EvaluatorError, PipelineError, ShapeError
-from cnnadapt.model import ConvParams, LayerSpec, Model, float_infer, shape_infer
+from cnnadapt.fusion import fuse_model
+from cnnadapt.model import (
+    ConvParams,
+    LayerSpec,
+    Model,
+    float_infer,
+    model_digest,
+    randomize_weights,
+    replace_layer,
+    shape_infer,
+)
 from cnnadapt.pruning import (
     PruneConfig,
     compute_metric_table,
@@ -14,6 +26,7 @@ from cnnadapt.pruning import (
     prune_routine,
 )
 from cnnadapt.tensor import FeatureMap, FilterBank
+from cnnadapt.tinyyolo import build_tinyyolov3
 from util import bank, chain_model, conv_spec, feature_map
 
 
@@ -230,6 +243,118 @@ def test_params_and_flops_never_increase_under_pruning(rng):
         pruned, _ = prune_below(model, table, t, config)
         assert count_params(pruned).total <= p0
         assert count_flops(pruned).total <= f0
+
+
+# ---------------------------------------------------------------------------
+# one gather per layer: parity with per-axis takes and sorted-list removals
+# ---------------------------------------------------------------------------
+
+def _reference_removals(metric, threshold, min_keep):
+    nf = len(metric)
+    below = [i for i in range(nf) if metric[i] < threshold]
+    cap = max(nf - min_keep, 0)
+    if len(below) > cap:
+        by_importance = sorted(below, key=lambda i: (metric[i], i))
+        below = sorted(by_importance[:cap])
+    return below
+
+
+def _reference_prune_below(model, metrics, threshold, config):
+    """prune_below with Python index lists and one take per axis that loses
+    an index, each result rebuilt through the checked FilterBank constructor."""
+    orig_shapes = shape_infer(model)
+    kept, removed, layers, params = {}, {}, [], {}
+    for layer in model.layers:
+        if layer.kind == "input":
+            kept[layer.id] = list(range(layer.channels))
+        elif layer.kind == "conv":
+            fb = model.params[layer.id].filters
+            kept_in = kept[layer.inputs[0]]
+            removed_idx = ([] if layer.id in config.no_prune else
+                           _reference_removals(metrics[layer.id], threshold,
+                                               config.min_filters_per_layer))
+            keep_f = [i for i in range(fb.num_filters) if i not in set(removed_idx)]
+            w = fb.weights
+            if len(kept_in) < fb.in_channels:
+                w = w.take(kept_in, axis=2)
+            if len(keep_f) < fb.num_filters:
+                w = w.take(keep_f, axis=3)
+            params[layer.id] = ConvParams(FilterBank(w, fb.biases[keep_f]), None)
+            layer = replace(layer, num_filters=len(keep_f))
+            kept[layer.id], removed[layer.id] = keep_f, removed_idx
+        elif layer.kind == "concat":
+            a, b = layer.inputs
+            kept[layer.id] = kept[a] + [orig_shapes[a][2] + j for j in kept[b]]
+        else:
+            kept[layer.id] = kept[layer.inputs[0]]
+        layers.append(layer)
+    return Model(tuple(layers), params), removed
+
+
+@pytest.fixture(scope="module")
+def small_yolo():
+    """Fused TinyYOLOv3 with one class at a 64x64 input: the full graph, with
+    route_1's concat of the upsampled conv_11 and conv_5."""
+    rng = np.random.default_rng(14)
+    model = replace_layer(build_tinyyolov3(num_classes=1), "input", height=64, width=64)
+    return fuse_model(randomize_weights(model, rng, 0.1))
+
+
+@pytest.mark.parametrize("min_keep,extra_no_prune", [(1, ()), (24, ("conv_5",))])
+def test_prune_below_matches_the_per_axis_reference(small_yolo, min_keep, extra_no_prune):
+    rng = np.random.default_rng(min_keep)
+    heads = {l.id for l in small_yolo.conv_layers() if l.activation == "linear"}
+    config = PruneConfig(min_filters_per_layer=min_keep,
+                         no_prune=frozenset(heads | set(extra_no_prune)))
+    # metrics on a grid of eight values, so most filters tie with others
+    metrics = {l.id: rng.integers(0, 8, l.num_filters) / 4.0
+               for l in small_yolo.conv_layers() if l.id not in config.no_prune}
+    seen = set()
+    for t in [0.0, 0.05, 0.1, 0.25, 0.3, 0.5, 0.6, 0.75, 0.8, 1.0, 1.1, 1.25, 1.4, 1.5,
+              1.6, 1.75, 1.76, 2.0, 2.5, 3.0]:
+        got, removed = prune_below(small_yolo, metrics, t, config)
+        want, want_removed = _reference_prune_below(small_yolo, metrics, t, config)
+        assert removed == want_removed
+        assert all(type(i) is int for idx in removed.values() for i in idx)
+        assert got.layers == want.layers
+        for lid, p in want.params.items():
+            assert got.params[lid].filters.weights.tobytes() == p.filters.weights.tobytes()
+            assert got.params[lid].filters.biases.tobytes() == p.filters.biases.tobytes()
+        assert model_digest(got) == model_digest(want)
+        for lid, idx in removed.items():
+            if lid not in config.no_prune and len(idx) < np.count_nonzero(metrics[lid] < t):
+                seen.add("cap")
+        if removed["conv_11"] and removed["conv_5"]:
+            seen.add("both concat branches")
+    # the caps bit, and route_1's offset applied to a pruned conv_5 branch
+    assert "cap" in seen
+    assert "both concat branches" in seen or "conv_5" in config.no_prune
+
+
+@pytest.mark.parametrize("sorted_idx", [True, False])
+def test_filter_bank_select_matches_the_checked_constructor(rng, sorted_idx):
+    fb = bank(rng.uniform(-1, 1, (3, 2, 7, 9)), rng.uniform(-1, 1, 9))
+    for channels, filters in ([[0, 3, 6], [1, 2, 8]], [list(range(7)), [0, 4]],
+                              [[2, 5], list(range(9))], [[6], [8]]):
+        if not sorted_idx:
+            channels, filters = channels[::-1], filters[::-1]
+        got = fb.select(np.array(channels), np.array(filters))
+        want = FilterBank(fb.weights[:, :, channels][..., filters], fb.biases[filters])
+        for a, b in ((got.weights, want.weights), (got.biases, want.biases)):
+            assert a.flags.c_contiguous and not a.flags.writeable
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+    assert fb.select(np.arange(7), np.arange(9)) is fb
+
+
+def test_filter_bank_select_refuses_empty_or_out_of_range_indices(rng):
+    fb = bank(rng.uniform(-1, 1, (1, 1, 3, 4)))
+    with pytest.raises(ShapeError, match="non-empty"):
+        fb.select(np.arange(0), np.arange(4))
+    # filter 4 of channel 0 would alias filter 0 of channel 1 in the flat view
+    for channels, filters in (([0], [4]), ([3], [0]), ([-1], [0]), ([0], [-1])):
+        with pytest.raises(IndexError, match="out of range"):
+            fb.select(np.array(channels), np.array(filters))
 
 
 # ---------------------------------------------------------------------------

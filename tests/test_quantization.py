@@ -7,9 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cnnadapt.errors import ModelFormatError, PipelineError, ShapeError
+from cnnadapt import tensor
 from cnnadapt.model import (
     ConvParams,
     Model,
+    execute,
     load_model,
     model_digest,
     record_chunks,
@@ -381,6 +383,36 @@ def test_int_infer_taps_cover_every_layer(rng):
     assert set(trace) == {"input", "conv_1", "conv_2"}
     outputs, _ = int_infer(qmodel, x)
     assert set(outputs) == {"conv_2"}
+
+
+def test_int_infer_scans_each_layer_weights_once(rng, monkeypatch):
+    # weights of 4 at P = 12 saturate, and make every layer sum in float64
+    model = chain_model(rng, [4, 3], hw=5, in_channels=2, scale=4.0)
+    qmodel = quantize_model(model, QuantConfig(p=12))
+    assert not any("weight_peak" in vars(qp) for qp in qmodel.qparams.values())
+    x = quantize_input(feature_map(rng, 5, 5, 2, lo=-4, hi=4), qmodel.config)
+    want_stats = OverflowStats()
+
+    def scanning_conv(layer, fm, batch):
+        qp = qmodel.qparams[layer.id]
+        out, n_acc, n16 = int_conv_forward(
+            fm, qp.weights, qp.biases, layer.stride, layer.padding, qmodel.config,
+            p_alpha=layer.act_exponent if layer.activation == "leaky" else None)
+        want_stats.record(layer.id, n_acc, n16)
+        return out
+
+    want = execute(qmodel, [x], scanning_conv, taps=True)
+    assert want_stats.total > 0
+    scanned, peak = [], tensor.peak_magnitude
+    monkeypatch.setattr(tensor, "peak_magnitude", lambda a: scanned.append(a.ndim) or peak(a))
+    for _ in range(2):
+        got, stats = int_infer(qmodel, x, taps=True)
+        assert {lid: m.data.tobytes() for lid, m in got.items()} == {
+            lid: m.data.tobytes() for lid, m in want.items()}
+        assert stats.to_dict() == want_stats.to_dict()
+    # the walks scanned their maps, never the weights again
+    assert scanned == [3] * 4
+    assert all(vars(qp)["weight_peak"] == peak(qp.weights) for qp in qmodel.qparams.values())
 
 
 def test_int_engine_tracks_float_engine(rng):
