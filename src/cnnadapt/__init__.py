@@ -1,5 +1,8 @@
 """Adapt float CNNs for integer inference: fuse, prune, quantize, compare."""
 
+from types import ModuleType as _ModuleType
+
+
 from .errors import (
     CnnAdaptError,
     EvaluatorError,
@@ -79,68 +82,5 @@ from .tinyyolo import build_tinyyolov3
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BatchNormParams",
-    "ConvParams",
-    "CnnAdaptError",
-    "Detection",
-    "EvaluatorError",
-    "FeatureMap",
-    "FilterBank",
-    "FlopReport",
-    "GroundTruthBox",
-    "IntFeatureMap",
-    "LayerSpec",
-    "Model",
-    "ModelFormatError",
-    "MseReport",
-    "OverflowStats",
-    "ParamReport",
-    "PipelineError",
-    "PruneConfig",
-    "PruneReport",
-    "PruneStep",
-    "QuantConfig",
-    "QuantizedModel",
-    "ShapeError",
-    "accuracy_evaluator",
-    "batchnorm_forward",
-    "build_tinyyolov3",
-    "compare_traces",
-    "compute_metric_table",
-    "concat",
-    "conv2d",
-    "count_flops",
-    "count_params",
-    "dequantize",
-    "evaluate_map",
-    "filter_sparsity",
-    "float_infer",
-    "frobenius_norms",
-    "fuse_layer",
-    "fuse_model",
-    "int_infer",
-    "iou",
-    "leaky_relu",
-    "load_dataset",
-    "load_model",
-    "load_quantized_model",
-    "load_tensor",
-    "map_evaluator",
-    "maxpool",
-    "model_digest",
-    "ordered_map",
-    "prune_below",
-    "prune_routine",
-    "quant_leaky_relu",
-    "quantize_input",
-    "quantize_model",
-    "quantize_tensor",
-    "randomize_weights",
-    "rshift",
-    "save_model",
-    "save_quantized_model",
-    "save_tensor",
-    "shape_infer",
-    "upsample_nearest",
-]
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -53,9 +53,7 @@ class FlopReport:
     def to_dict(self, reference: "FlopReport | None" = None) -> dict:
         d = {
             "report_version": REPORT_VERSION,
-            "layers": [{"layer_id": l.layer_id, "conv_flops": l.conv_flops,
-                        "batchnorm_flops": l.batchnorm_flops, "total": l.total}
-                       for l in self.layers],
+            "layers": [{**asdict(l), "total": l.total} for l in self.layers],
             "conv_total": self.conv_total,
             "batchnorm_total": self.batchnorm_total,
             "total": self.total,
@@ -142,11 +140,8 @@ class ParamReport:
         pct = {lid: (share, cum) for lid, share, cum in self.percentages()}
         return {
             "report_version": REPORT_VERSION,
-            "layers": [{"layer_id": l.layer_id, "weights": l.weights, "biases": l.biases,
-                        "batchnorm": l.batchnorm, "total": l.total,
-                        "pct_of_model": pct[l.layer_id][0],
-                        "cumulative_pct": pct[l.layer_id][1]}
-                       for l in self.layers],
+            "layers": [{**asdict(l), "total": l.total, "pct_of_model": pct[l.layer_id][0],
+                        "cumulative_pct": pct[l.layer_id][1]} for l in self.layers],
             "total": self.total,
         }
 
@@ -191,8 +186,7 @@ class MseReport:
     def to_dict(self) -> dict:
         return {
             "report_version": REPORT_VERSION,
-            "layers": [{"layer_id": e.layer_id, "n_elements": e.n_elements, "mse": e.mse}
-                       for e in self.entries],
+            "layers": [asdict(e) for e in self.entries],
             "max_mse": self.max_mse,
         }
 

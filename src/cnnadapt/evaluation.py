@@ -284,10 +284,9 @@ def _truth_boxes(sample: Sample) -> list[GroundTruthBox]:
 
 
 def map_evaluator(samples: Iterable[Sample], iou_threshold: float = 0.5,
-                  score_threshold: float = 0.5,
-                  postprocessor: Callable[[FeatureMap, float], list[Detection]]
-                  = decode_regression_head) -> Callable[[Model], float]:
-    """mAP over {"boxes": [...]} labels, decoding raw head outputs via postprocessor."""
+                  score_threshold: float = 0.5) -> Callable[[Model], float]:
+    """mAP over {"boxes": [...]} labels, decoding raw head outputs with
+    ``decode_regression_head``."""
     samples = list(samples)
     bad = [s.name for s in samples if "boxes" not in s.label]
     if bad:
@@ -296,7 +295,7 @@ def map_evaluator(samples: Iterable[Sample], iou_threshold: float = 0.5,
     inputs = [s.input for s in samples]
 
     def evaluate(model: Model) -> float:
-        predictions = [[det for out in outs for det in postprocessor(out, score_threshold)]
+        predictions = [[det for out in outs for det in decode_regression_head(out, score_threshold)]
                        for outs in _batched_outputs(model, inputs)]
         return evaluate_map(predictions, truths, iou_threshold)
 

@@ -12,7 +12,7 @@ import math
 import os
 import struct
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -483,8 +483,7 @@ def save_model(model: Model, manifest_path) -> None:
     write_model_files(model, manifest_path, _weight_records(model), DTYPE_FLOAT32)
 
 
-def read_model_files(manifest_path, dtype_code: int,
-                     suffixes: Callable[[LayerSpec], Sequence[str]]
+def read_model_files(manifest_path, dtype_code: int
                      ) -> tuple[dict, list[LayerSpec], dict[str, dict[str, np.ndarray]]]:
     """Read a manifest and its weights blob; returns (manifest, layers,
     {conv id: {suffix: array}}).
@@ -492,11 +491,11 @@ def read_model_files(manifest_path, dtype_code: int,
     The manifest must be quantized (carry a ``quantization`` block) exactly
     when ``dtype_code`` is int16; this is checked before the blob is opened.
     The blob is read record by record, each payload straight into its array
-    once it is known to fit in the rest of the file. ``suffixes(layer)``
-    names a conv layer's records ("W", "b", ...): each must be present, of
-    ``dtype_code`` and shaped as the spec implies, W (kh, kw, c_in, nf) and
-    every other record (nf,). Any other record is stray. Every fault raises
-    ModelFormatError.
+    once it is known to fit in the rest of the file. A conv layer's records
+    are W and b, plus gamma, beta, mu and sigma2 if it has batchnorm: each
+    must be present, of ``dtype_code`` and shaped as the spec implies,
+    W (kh, kw, c_in, nf) and every other record (nf,). Any other record is
+    stray. Every fault raises ModelFormatError.
     """
     manifest_path = os.fspath(manifest_path)
     try:
@@ -573,7 +572,7 @@ def read_model_files(manifest_path, dtype_code: int,
         if layer.kind != "conv":
             continue
         arrays[layer.id] = {}
-        for suffix in suffixes(layer):
+        for suffix in ("W", "b") + (_BN_SUFFIXES if layer.has_batchnorm else ()):
             name = f"{layer.id}.{suffix}"
             if name not in records:
                 raise ModelFormatError(f"{weights_path}: missing weight record {name!r} "
@@ -600,9 +599,7 @@ def read_model_files(manifest_path, dtype_code: int,
 def load_model(manifest_path) -> Model:
     """Load a float model; load(save(m)) round-trips every bit."""
     with file_content(manifest_path):
-        _, layers, arrays = read_model_files(
-            manifest_path, DTYPE_FLOAT32,
-            lambda l: ("W", "b") + (_BN_SUFFIXES if l.has_batchnorm else ()))
+        _, layers, arrays = read_model_files(manifest_path, DTYPE_FLOAT32)
         params = {}
         for layer in layers:
             if layer.kind == "conv":

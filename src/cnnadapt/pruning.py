@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -152,8 +152,6 @@ def prune_below(model: Model, metrics: FilterMetricTable, threshold: float,
             a, b = layer.inputs
             kept[layer.id] = np.concatenate([kept[a], orig_shapes[a][2] + kept[b]])
             layers.append(layer)
-        else:
-            raise ShapeError(f"cannot propagate channel removal through {layer.kind!r}")
     return Model(tuple(layers), params), removed
 
 
@@ -167,14 +165,7 @@ class PruneStep:
     accepted: bool
 
     def to_dict(self) -> dict:
-        return {
-            "threshold": self.threshold,
-            "filters_removed": dict(self.filters_removed),
-            "score": self.score,
-            "param_reduction_pct": self.param_reduction_pct,
-            "flop_reduction_pct": self.flop_reduction_pct,
-            "accepted": self.accepted,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -209,8 +200,8 @@ def prune_routine(model: Model, config: PruneConfig,
     metrics = compute_metric_table(model, config)
     max_metric = max((float(v.max()) for v in metrics.values() if v.size), default=0.0)
     keep = config.min_filters_per_layer
-    last_change = max((float(np.sort(v)[-keep - 1]) for v in metrics.values() if v.size > keep),
-                      default=0.0)
+    last_change = max((float(v[_select_removals(v, np.inf, keep)].max(initial=0.0))
+                       for v in metrics.values()), default=0.0)
     k_last = (max_metric - config.t_start) // config.delta_t + 1
     initial = float(evaluator(model))
     base_params = count_params(model).total

@@ -145,7 +145,8 @@ class QuantConvParams:
 @dataclass(frozen=True)
 class QuantizedModel(LayerGraph):
     """Same layer graph as the source model with int16 parameters; validated
-    as ``Model`` validates its graph and shapes."""
+    as ``Model`` validates its graph and shapes. Every leaky conv shifts by
+    the config's ``p_alpha``."""
 
     layers: tuple[LayerSpec, ...]
     qparams: dict[str, QuantConvParams]
@@ -158,6 +159,9 @@ class QuantizedModel(LayerGraph):
         for layer in self.layers:
             if layer.kind == "conv" and layer.has_batchnorm:
                 raise PipelineError(f"layer {layer.id!r} still carries batchnorm")
+            if layer.activation == "leaky" and layer.act_exponent != self.config.p_alpha:
+                raise PipelineError(f"layer {layer.id!r} has act_exponent {layer.act_exponent}, "
+                                    f"but p_alpha is {self.config.p_alpha}")
         self._check_graph(self.qparams)
         shape_infer(self)
 
@@ -166,31 +170,23 @@ class QuantizedModel(LayerGraph):
 
 
 @dataclass
-class LayerOverflow:
-    acc32_saturations: int = 0
-    int16_saturations: int = 0
-
-
-@dataclass
 class OverflowStats:
-    layers: dict[str, LayerOverflow] = field(default_factory=dict)
+    """Per conv layer, {"acc32_saturations": n, "int16_saturations": n}."""
+
+    layers: dict[str, dict[str, int]] = field(default_factory=dict)
 
     def record(self, layer_id: str, acc32: int, int16: int) -> None:
-        entry = self.layers.setdefault(layer_id, LayerOverflow())
-        entry.acc32_saturations += acc32
-        entry.int16_saturations += int16
+        entry = self.layers.setdefault(layer_id, {"acc32_saturations": 0, "int16_saturations": 0})
+        entry["acc32_saturations"] += acc32
+        entry["int16_saturations"] += int16
 
     @property
     def total(self) -> int:
-        return sum(l.acc32_saturations + l.int16_saturations for l in self.layers.values())
+        return sum(sum(counts.values()) for counts in self.layers.values())
 
     def to_dict(self) -> dict:
-        return {
-            "layers": {lid: {"acc32_saturations": l.acc32_saturations,
-                             "int16_saturations": l.int16_saturations}
-                       for lid, l in self.layers.items()},
-            "total": self.total,
-        }
+        return {"layers": {lid: dict(counts) for lid, counts in self.layers.items()},
+                "total": self.total}
 
 
 def quantize_model(model: Model, config: QuantConfig = QuantConfig()) -> QuantizedModel:
@@ -330,8 +326,7 @@ def save_quantized_model(qmodel: QuantizedModel, manifest_path) -> None:
 def load_quantized_model(manifest_path) -> QuantizedModel:
     """Load a quantized model written by ``save_quantized_model``."""
     with file_content(manifest_path):
-        manifest, layers, arrays = read_model_files(manifest_path, DTYPE_INT16,
-                                                    lambda l: ("W", "b"))
+        manifest, layers, arrays = read_model_files(manifest_path, DTYPE_INT16)
         quant = manifest["quantization"]
         if not isinstance(quant, dict):
             raise ModelFormatError(f"{manifest_path}: quantization block must be a JSON object")

@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+from cnnadapt import pruning
 from cnnadapt.cli import run
 from cnnadapt.model import (
     ConvParams,
@@ -164,6 +165,31 @@ def test_prune_pipeline_with_report(tmp_path, rng, fused_model_path, caplog):
     pruned = load_model(out)
     # delta_map=1.0 accepts everything: prunable layers collapse to the floor
     assert all(l.num_filters == 1 for l in pruned.conv_layers())
+
+
+def test_prune_with_the_sparsity_metric(tmp_path, rng, fused_model_path):
+    data = _write_dataset(tmp_path / "data", rng)
+    out = tmp_path / "pruned.json"
+    report = tmp_path / "prune.json"
+    assert run(["prune", "-i", str(fused_model_path), "-o", str(out), "--data", str(data),
+                "--metric", "sparsity", "--eps", "0.2", "--delta-t", "0.05",
+                "--delta-map", "1.0", "--report", str(report)]) == 0
+    payload = json.loads(report.read_text())
+    assert payload["metric"] == "sparsity"
+    # every step removed what prune_below removes from the table at --eps
+    fused = load_model(fused_model_path)
+    removed_at = {}
+    for eps in (0.2, pruning.DEFAULT_SPARSITY_EPS):
+        config = pruning.PruneConfig(metric="sparsity", sparsity_eps=eps)
+        table = pruning.compute_metric_table(fused, config)
+        removed_at[eps] = [{lid: len(idx) for lid, idx in
+                            pruning.prune_below(fused, table, s["threshold"], config)[1].items()}
+                           for s in payload["steps"]]
+    assert [s["filters_removed"] for s in payload["steps"]] == removed_at[0.2]
+    assert removed_at[0.2] != removed_at[pruning.DEFAULT_SPARSITY_EPS]
+    final = payload["steps"][-1]["filters_removed"]
+    assert [l.num_filters for l in load_model(out).conv_layers()] == \
+           [l.num_filters - final[l.id] for l in fused.conv_layers()]
 
 
 def test_quantize_then_infer_and_compare(tmp_path, rng, fused_model_path, input_path, capsys):
@@ -409,6 +435,9 @@ def _set_layer(name, key, value):
                  id="p_alpha_beyond_15"),
     pytest.param(lambda m: m.update(quantization=[8, 4]), "JSON object",
                  id="quantization_not_an_object"),
+    # every leaky layer of the file shifts by 4
+    pytest.param(lambda m: m["quantization"].update(p_alpha=1), "p_alpha is 1",
+                 id="p_alpha_disagrees_with_layers"),
 ])
 def test_int_infer_rejects_malformed_quantized_manifest(tmp_path, fused_model_path, input_path,
                                                         capsys, edit, message):

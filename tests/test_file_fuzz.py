@@ -45,8 +45,12 @@ _CASES = {
     "compare": (["f.json", "f.weights", "q.json", "q.weights", "in.tnsr"],
                 ["compare", "--float-model", "f.json", "--quant-model", "q.json",
                  "--input", "in.tnsr"]),
+    "quantize": (["f.json", "f.weights"], ["quantize", "-i", "f.json", "-o", "qz.json"]),
+    "params": (["m.json", "m.weights"], ["params", "-i", "m.json", "--per-layer"]),
+    "flops_ref": (["f.json", "f.weights", "m.json", "m.weights"],
+                  ["flops", "-i", "f.json", "--ref", "m.json", "--per-layer"]),
 }
-_WORK_PATHS = ("taps", "data", "p.json", "fz.json")
+_WORK_PATHS = ("taps", "data", "p.json", "fz.json", "qz.json")
 # compare's exit 1: the quantized model's source digest names other weights
 _OTHER_WEIGHTS = "was not quantized from"
 

@@ -66,6 +66,11 @@ def test_sparsity_examples():
     assert filter_sparsity(zeros, eps=0.0)[0] == 1.0  # strict |w| < 0 never holds
 
 
+def test_sparsity_refuses_a_negative_eps():
+    with pytest.raises(ValueError, match="eps must be >= 0"):
+        filter_sparsity(bank(np.ones((1, 1, 1, 1), dtype=np.float32)), eps=-0.1)
+
+
 def test_metric_table_skips_no_prune(rng):
     model = chain_model(rng, [3, 2], hw=4)
     config = PruneConfig(no_prune=frozenset({"conv_2"}))
@@ -555,3 +560,64 @@ def test_routine_oracle_matches_exhaustive_grid(rng):
            [l.num_filters for l in direct.conv_layers()]
     # the accepted model keeps every important filter
     assert survivors(pruned) >= important
+
+
+def test_routine_sparsity_removes_planted_near_zero_filters_first(rng):
+    """The sparsity metric through the sweep: filters whose weights are
+    (partly) near zero go first, and the sweep stops where the step-by-step
+    grid walk does."""
+    # per layer, how many of each filter's weights are near zero (|w| < eps)
+    near_zero = {"conv_1": [0, 18, 9, 0, 18, 2],   # 3x3x2 = 18 weights per filter
+                 "conv_2": [40, 0, 0, 54, 0]}       # 3x3x6 = 54 weights per filter
+    layers = [LayerSpec(id="input", kind="input", height=4, width=4, channels=2)]
+    params = {}
+    prev, c_in = "input", 2
+    for n, (lid, counts) in enumerate(near_zero.items()):
+        nf = len(counts)
+        layers.append(conv_spec(lid, prev, nf, 3))
+        shape = (3, 3, c_in, nf)
+        w = rng.uniform(0.1, 0.5, size=shape) * rng.choice([-1, 1], size=shape)
+        flat = w.reshape(-1, nf)
+        for j, count in enumerate(counts):
+            flat[:count, j] *= 1e-4
+        # each filter's bias tags it, so the evaluator can tell which survive
+        params[lid] = ConvParams(bank(w, 10 * n + np.arange(nf)), None)
+        prev, c_in = lid, nf
+    model = Model(tuple(layers), params)
+    config = PruneConfig(metric="sparsity", delta_map=0.01, delta_t=0.1)
+    table = compute_metric_table(model, config)
+    for lid, counts in near_zero.items():
+        per_filter = model.params[lid].filters.weights[..., 0].size
+        np.testing.assert_allclose(table[lid], 1 - np.array(counts) / per_filter)
+
+    def survivors(m):
+        return {(lid, int(b) - 10 * n) for n, lid in enumerate(near_zero)
+                for b in m.params[lid].filters.biases}
+
+    # the dense filters and the one with 2 of 18 near zero matter
+    important = {(lid, j) for lid, counts in near_zero.items()
+                 for j, s in enumerate(table[lid]) if s > 0.8}
+
+    def evaluator(m):
+        return len(survivors(m) & important) / len(important)
+
+    pruned, report = prune_routine(model, config, evaluator)
+    assert report.metric == "sparsity"
+    first = next(s for s in report.steps if sum(s.filters_removed.values()))
+    assert first.filters_removed == {"conv_1": 2, "conv_2": 1}   # the all-near-zero filters
+
+    expected_t = None
+    k = 0
+    while True:
+        t = k * config.delta_t
+        cand, _ = prune_below(model, table, t, config)
+        if 1.0 - evaluator(cand) > config.delta_map:
+            break
+        expected_t = t
+        if t > max(float(v.max()) for v in table.values()):
+            break
+        k += 1
+    assert report.final_threshold == expected_t
+    _, removed = prune_below(model, table, expected_t, config)
+    assert removed == {"conv_1": [1, 2, 4], "conv_2": [0, 3]}
+    assert survivors(pruned) == important

@@ -240,6 +240,15 @@ def test_quantized_model_rejects_batchnorm_layers(rng):
         QuantizedModel(model.layers, {}, QuantConfig(), source_digest="")
 
 
+def test_quantized_model_refuses_a_leaky_shift_other_than_p_alpha(rng):
+    # the slope is stored in the config and in each leaky layer; they must agree
+    qmodel = quantize_model(chain_model(rng, [2, 3], hw=4, act="leaky"), QuantConfig(p_alpha=4))
+    with pytest.raises(PipelineError, match="act_exponent 4, but p_alpha is 1"):
+        QuantizedModel(qmodel.layers, qmodel.qparams, QuantConfig(p_alpha=1), source_digest="")
+    linear = quantize_model(chain_model(rng, [2], hw=4, act="linear"))
+    QuantizedModel(linear.layers, linear.qparams, QuantConfig(p_alpha=1), source_digest="")
+
+
 @pytest.mark.parametrize("case, error", [
     ("missing", ModelFormatError), ("attached", ModelFormatError),
     ("in_channels", ShapeError), ("num_filters", ShapeError)])
