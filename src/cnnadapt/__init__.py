@@ -7,6 +7,7 @@ from .errors import (
     CnnAdaptError,
     EvaluatorError,
     ModelFormatError,
+    NumericalError,
     PipelineError,
     ShapeError,
 )

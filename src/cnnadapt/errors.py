@@ -14,6 +14,10 @@ class ModelFormatError(CnnAdaptError, ValueError):
     """A manifest, weights blob or tensor file is malformed."""
 
 
+class NumericalError(CnnAdaptError, ArithmeticError):
+    """A computation on finite operands left the float32 range."""
+
+
 class PipelineError(CnnAdaptError, RuntimeError):
     """A transform was applied out of order (e.g. quantize before fuse)."""
 

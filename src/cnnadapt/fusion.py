@@ -14,7 +14,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .errors import PipelineError, ShapeError
+from .errors import NumericalError, PipelineError, ShapeError
 from .model import ConvParams, Model
 from .tensor import BatchNormParams, FilterBank
 
@@ -28,10 +28,15 @@ def fuse_layer(filters: FilterBank, bn: BatchNormParams) -> FilterBank:
     scale = bn.gamma.astype(np.float64) / denom
     # float64 products rounded once to float32, cast through the ufunc's
     # small buffers: no weight-sized float64 temporary
-    fused_w = np.multiply(filters.weights, scale, dtype=np.float64, casting="unsafe",
-                          out=np.empty_like(filters.weights))
-    fused_b = (scale * (filters.biases.astype(np.float64) - bn.mu) + bn.beta).astype(np.float32)
-    return FilterBank(fused_w, fused_b)
+    with np.errstate(over="ignore"):
+        fused_w = np.multiply(filters.weights, scale, dtype=np.float64, casting="unsafe",
+                              out=np.empty_like(filters.weights))
+        fused_b = (scale * (filters.biases.astype(np.float64) - bn.mu)
+                   + bn.beta).astype(np.float32)
+    try:
+        return FilterBank(fused_w, fused_b)
+    except ValueError as e:   # finite operands, so a fused value left float32's range
+        raise NumericalError(f"fused parameters overflowed float32: {e}") from e
 
 
 def fuse_model(model: Model) -> Model:

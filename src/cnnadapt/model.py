@@ -24,6 +24,7 @@ from .tensor import (
     FeatureMap,
     FilterBank,
     IntFeatureMap,
+    _NUMPY_DTYPES,
     _atomic_write,
     concat,
     conv2d,
@@ -405,7 +406,6 @@ def randomize_weights(model: Model, rng: np.random.Generator,
 # Manifest + weights blob serialization
 # ---------------------------------------------------------------------------
 
-_RECORD_DTYPES = {DTYPE_FLOAT32: np.dtype("<f4"), DTYPE_INT16: np.dtype("<i2")}
 _BN_SUFFIXES = ("gamma", "beta", "mu", "sigma2")
 
 
@@ -418,7 +418,7 @@ def record_chunks(records: Iterable[tuple[str, np.ndarray]],
     payload is the array itself when it is already C-contiguous in the record
     dtype, so concatenating the chunks gives the blob without copying it.
     """
-    dtype = _RECORD_DTYPES[dtype_code]
+    dtype = _NUMPY_DTYPES[dtype_code]
     yield _WEIGHTS_MAGIC + struct.pack("<I", _WEIGHTS_VERSION)
     for name, arr in records:
         encoded = name.encode("utf-8")
@@ -557,10 +557,10 @@ def read_model_files(manifest_path, dtype_code: int
             except UnicodeDecodeError as e:
                 raise ModelFormatError(f"{weights_path}: record name is not UTF-8 ({e})") from e
             code, rank = head[name_len:]
-            if code not in _RECORD_DTYPES:
+            if code not in _NUMPY_DTYPES:
                 raise ModelFormatError(f"{weights_path}: record {name!r} has unknown dtype {code}")
             dims = struct.unpack(f"<{rank}I", take(4 * rank, f"record {name!r} dims"))
-            dtype = _RECORD_DTYPES[code]
+            dtype = _NUMPY_DTYPES[code]
             # a forged dims header must not make it allocate more than the file holds
             if math.prod(dims) * dtype.itemsize > size - fh.tell():
                 raise ModelFormatError(f"{weights_path}: truncated record {name!r} payload")
@@ -578,9 +578,9 @@ def read_model_files(manifest_path, dtype_code: int
                 raise ModelFormatError(f"{weights_path}: missing weight record {name!r} "
                                        f"for layer {layer.id!r}")
             arr = records[name]
-            if arr.dtype != _RECORD_DTYPES[dtype_code]:
+            if arr.dtype != _NUMPY_DTYPES[dtype_code]:
                 raise ModelFormatError(
-                    f"{weights_path}: record {name!r} is not {_RECORD_DTYPES[dtype_code].name}")
+                    f"{weights_path}: record {name!r} is not {_NUMPY_DTYPES[dtype_code].name}")
             if suffix == "W":
                 expected = (layer.kernel_h, layer.kernel_w,
                             arr.shape[2] if arr.ndim == 4 else -1, layer.num_filters)

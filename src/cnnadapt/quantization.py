@@ -217,7 +217,7 @@ def quantize_model(model: Model, config: QuantConfig = QuantConfig()) -> Quantiz
 def quantize_input(input: FeatureMap, config: QuantConfig = QuantConfig()) -> IntFeatureMap:
     """Quantize a (pre-normalized, values ~[0, 1]) input image to int16."""
     q, _ = quantize_tensor(input.data, config.p)
-    return IntFeatureMap(q, 16)
+    return IntFeatureMap(q)
 
 
 def int_conv_forward(input: IntFeatureMap, weights: np.ndarray, biases: np.ndarray,
@@ -269,7 +269,7 @@ def int_conv_forward(input: IntFeatureMap, weights: np.ndarray, biases: np.ndarr
 
     out = conv_gemm(input.data, weights, stride, padding, 1, requantize,
                     weight_peak=weight_peak)
-    return IntFeatureMap(out, 16), counts[0], counts[1]
+    return IntFeatureMap(out), counts[0], counts[1]
 
 
 def _saturate(a: np.ndarray, lo: int, hi: int) -> int:
@@ -286,7 +286,7 @@ def quant_leaky_relu(z: IntFeatureMap, p_alpha: int) -> IntFeatureMap:
     if p_alpha < 0:
         raise ValueError(f"p_alpha must be >= 0, got {p_alpha}")
     out = np.where(z.data > 0, z.data, z.data >> p_alpha)
-    return IntFeatureMap(out, z.width_bits)
+    return IntFeatureMap(out)
 
 
 def int_infer(qmodel: QuantizedModel, input: IntFeatureMap,

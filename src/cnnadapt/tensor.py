@@ -13,7 +13,7 @@ mix rows of different maps.
 
 ``maxpool``, ``upsample_nearest``, ``concat`` and ``split_batch`` serve both
 map types: each result is the input map with new data, so an integer map
-keeps its width.
+stays int16.
 
 Both engines convolve through ``conv_gemm``: the input windows are lowered
 to rows of a (pixels, K = kh*kw*c) matrix (im2col) and multiplied with the
@@ -51,8 +51,8 @@ the float layer has one, and ``leaky_step``, so a conv layer is one call.
 Leaky ReLU with slope 0 <= alpha <= 1 is ``max(z, alpha * z)``, the same
 value as ``z if z > 0 else alpha * z`` for every z, signed zeros included.
 
-Integer maps are stored in their declared width, int16 or int32. Files
-are written through ``_atomic_write``, so a failed write leaves the old file.
+Integer maps hold int16, the int engine's activation width. Files are
+written through ``_atomic_write``, so a failed write leaves the old file.
 """
 from __future__ import annotations
 
@@ -67,15 +67,15 @@ from typing import Iterable, TypeVar
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ModelFormatError, ShapeError, file_content
+from .errors import ModelFormatError, NumericalError, ShapeError, file_content
 
 INT16_MIN, INT16_MAX = -(2**15), 2**15 - 1
 INT32_MIN, INT32_MAX = -(2**31), 2**31 - 1
 
-# dtype codes used by the tensor container and the weights blob
+# dtype codes of the tensor container and the weights blob, and their dtypes
 DTYPE_FLOAT32 = 0
 DTYPE_INT16 = 1
-DTYPE_INT32 = 2
+_NUMPY_DTYPES = {DTYPE_FLOAT32: np.dtype("<f4"), DTYPE_INT16: np.dtype("<i2")}
 
 _TENSOR_MAGIC = b"TNSR"
 _TENSOR_VERSION = 1
@@ -140,28 +140,22 @@ class FeatureMap(_Map):
 
 @dataclass(frozen=True)
 class IntFeatureMap(_Map):
-    """Integer activation tensor with a declared storage width (16 or 32 bits).
+    """Integer activation tensor, held as int16.
 
-    Data is held as int16 or int32, the declared two's-complement width.
     Integer data of any other dtype is range-checked, then cast.
     """
 
     data: np.ndarray
-    width_bits: int = 16
 
     def __post_init__(self):
         arr = np.asarray(self.data)
         if not np.issubdtype(arr.dtype, np.integer):
             raise ValueError(f"integer feature map requires integer data, got {arr.dtype}")
         self._check_rank(arr)
-        if self.width_bits not in (16, 32):
-            raise ValueError(f"width_bits must be 16 or 32, got {self.width_bits}")
-        dtype = np.dtype(np.int16 if self.width_bits == 16 else np.int32)
-        if arr.dtype != dtype:
-            info = np.iinfo(dtype)
-            if arr.size and (int(arr.min()) < info.min or int(arr.max()) > info.max):
-                raise ValueError(f"values exceed int{self.width_bits} range")
-            arr = arr.astype(dtype)
+        if arr.dtype != np.int16:
+            if arr.size and (int(arr.min()) < INT16_MIN or int(arr.max()) > INT16_MAX):
+                raise ValueError("values exceed int16 range")
+            arr = arr.astype(np.int16)
         object.__setattr__(self, "data", _freeze(arr))
 
 
@@ -541,14 +535,13 @@ def conv2d(input: FeatureMap, filters: FilterBank, stride: int = 1,
     the bias add, so identical inputs always produce identical bits. The
     batchnorm and the activation run on each finished tile in float32 and
     give the bits of ``batchnorm_forward`` and ``leaky_relu`` applied to the
-    whole map.
+    whole map. An output beyond the float32 range raises NumericalError.
     """
     nf = filters.num_filters
     if batchnorm is not None:
         if batchnorm.num_filters != nf:
             raise ShapeError(
                 f"feature map has {nf} channels but batchnorm has {batchnorm.num_filters}")
-        bn_scale = _batchnorm_scale(batchnorm)
     if leaky_alpha is not None:
         if not 0 <= leaky_alpha <= 1:
             raise ValueError(f"fused leaky slope must lie in [0, 1], got {leaky_alpha}")
@@ -564,7 +557,13 @@ def conv2d(input: FeatureMap, filters: FilterBank, stride: int = 1,
         if leaky_alpha is not None:
             leaky_step(acc, dst, np.multiply, alpha)
 
-    return FeatureMap(conv_gemm(input.data, filters.weights, stride, padding, batch, epilogue))
+    with np.errstate(over="ignore", invalid="ignore"):
+        bn_scale = None if batchnorm is None else _batchnorm_scale(batchnorm)
+        out = conv_gemm(input.data, filters.weights, stride, padding, batch, epilogue)
+    try:
+        return FeatureMap(out)
+    except ValueError as e:   # finite operands, so an output left float32's range
+        raise NumericalError(f"conv output overflowed float32: {e}") from e
 
 
 def _batchnorm_scale(params: BatchNormParams) -> np.ndarray:
@@ -648,13 +647,6 @@ def split_batch(stacked: MapT, batch: int) -> list[MapT]:
 # Tensor container file ("TNSR")
 # ---------------------------------------------------------------------------
 
-_NUMPY_DTYPES = {
-    DTYPE_FLOAT32: np.dtype("<f4"),
-    DTYPE_INT16: np.dtype("<i2"),
-    DTYPE_INT32: np.dtype("<i4"),
-}
-
-
 def _atomic_write(path, chunks: Iterable[bytes | memoryview]) -> None:
     """Write ``chunks`` to a temp file, then rename it over ``path``.
 
@@ -674,12 +666,9 @@ def _atomic_write(path, chunks: Iterable[bytes | memoryview]) -> None:
 
 def save_tensor(path, fm: FeatureMap | IntFeatureMap) -> None:
     """Write a feature map: magic, version u32, dtype u8, rank u8, dims u32, raw data."""
-    if isinstance(fm, FeatureMap):
-        code = DTYPE_FLOAT32
-    elif isinstance(fm, IntFeatureMap):
-        code = DTYPE_INT16 if fm.width_bits == 16 else DTYPE_INT32
-    else:
+    if not isinstance(fm, (FeatureMap, IntFeatureMap)):
         raise TypeError(f"cannot serialize {type(fm).__name__}")
+    code = DTYPE_FLOAT32 if isinstance(fm, FeatureMap) else DTYPE_INT16
     header = _TENSOR_MAGIC + struct.pack("<IBB3I", _TENSOR_VERSION, code, 3, *fm.shape)
     payload = np.ascontiguousarray(fm.data, dtype=_NUMPY_DTYPES[code])
     _atomic_write(path, [header, memoryview(payload.reshape(-1)).cast("B")])
@@ -710,6 +699,4 @@ def load_tensor(path) -> FeatureMap | IntFeatureMap:
         if got != expected:
             raise ModelFormatError(f"{path}: payload is {got} bytes, expected {expected}")
     with file_content(path):
-        if code == DTYPE_FLOAT32:
-            return FeatureMap(data)
-        return IntFeatureMap(data, 16 if code == DTYPE_INT16 else 32)
+        return (FeatureMap if code == DTYPE_FLOAT32 else IntFeatureMap)(data)

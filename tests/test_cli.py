@@ -5,6 +5,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from cnnadapt.tensor import (
     DTYPE_FLOAT32,
     DTYPE_INT16,
     INT16_MAX,
+    FeatureMap,
     FilterBank,
     save_tensor,
 )
@@ -587,3 +589,73 @@ def test_malformed_file_content_exits_2(tmp_path, rng, fused_model_path, input_p
     err = capsys.readouterr().err
     assert code == 2
     assert "error:" in err and "Traceback" not in err
+
+
+def _int32_tensor(tmp_path, fused, qpath, image):
+    image.write_bytes(b"TNSR" + struct.pack("<IBB3I", 1, 2, 3, 6, 6, 2)
+                      + np.zeros(72, "<i4").tobytes())
+    return ["infer", "-i", str(fused), "--input", str(image), "--engine", "float",
+            "--taps", str(tmp_path / "taps")]
+
+
+def _records_in(code):
+    """Rewrite the blob of the float (code int16) or quantized (code float32)
+    model with the fused model's records stored in ``code``."""
+    def case(tmp_path, fused, qpath, image):
+        path = fused if code == DTYPE_INT16 else qpath
+        records = _weight_records(load_model(fused))
+        path.with_suffix(".weights").write_bytes(
+            b"".join(bytes(c) for c in record_chunks(records, code)))
+        if path == fused:
+            return ["flops", "-i", str(fused)]
+        return ["infer", "-i", str(qpath), "--input", str(image), "--engine", "int",
+                "--taps", str(tmp_path / "taps")]
+    return case
+
+
+@pytest.mark.parametrize("case, message", [
+    (_int32_tensor, "unsupported rank 3 or dtype 2"),
+    (_records_in(DTYPE_INT16), "record 'conv_1.W' is not float32"),
+    (_records_in(DTYPE_FLOAT32), "record 'conv_1.W' is not int16"),
+], ids=["int32_tensor", "float_manifest_int16_records", "quantized_manifest_float32_records"])
+def test_file_of_a_dtype_its_reader_does_not_take_exits_2(tmp_path, fused_model_path,
+                                                          input_path, capsys, case, message):
+    qpath = tmp_path / "model.q.json"
+    assert run(["quantize", "-i", str(fused_model_path), "-o", str(qpath)]) == 0
+    argv = case(tmp_path, fused_model_path, qpath, input_path)
+    capsys.readouterr()
+    code = run(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("error:") == 1 and message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["infer-float", "compare", "prune"])
+def test_activation_overflow_exits_2(tmp_path, rng, capsys, command):
+    """conv_1's weights of 3e38 on an all-ones input give outputs beyond
+    float32: a numerical failure, refused without a RuntimeWarning."""
+    model = chain_model(rng, [4, 3], hw=6, in_channels=2)
+    fb = model.params["conv_1"].filters
+    huge = ConvParams(FilterBank(np.full(fb.weights.shape, 3e38, np.float32), fb.biases))
+    path, qpath = tmp_path / "m.json", tmp_path / "m.q.json"
+    save_model(Model(model.layers, {**model.params, "conv_1": huge}), path)
+    assert run(["quantize", "-i", str(path), "-o", str(qpath)]) == 0
+    image = tmp_path / "ones.tnsr"
+    save_tensor(image, FeatureMap(np.ones((6, 6, 2), np.float32)))
+    data = tmp_path / "data"
+    data.mkdir()
+    save_tensor(data / "s0.tnsr", FeatureMap(np.ones((6, 6, 2), np.float32)))
+    (data / "s0.json").write_text(json.dumps({"class": 0}))
+    argv = {"infer-float": ["infer", "-i", str(path), "--input", str(image), "--engine", "float",
+                            "--taps", str(tmp_path / "taps")],
+            "compare": ["compare", "--float-model", str(path), "--quant-model", str(qpath),
+                        "--input", str(image)],
+            "prune": ["prune", "-i", str(path), "-o", str(tmp_path / "p.json"),
+                      "--data", str(data)]}[command]
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = run(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("error:") == 1 and "overflow" in err and "Traceback" not in err

@@ -34,6 +34,9 @@ _JSON_VALUES = [None, True, 0, "x", [], {}]
 _CASES = {
     "float": (["m.json", "m.weights"], ["flops", "-i", "m.json"]),
     "fuse": (["m.json", "m.weights"], ["fuse", "-i", "m.json", "-o", "fz.json"]),
+    "infer_float": (["m.json", "m.weights", "in.tnsr"],
+                    ["infer", "-i", "m.json", "--input", "in.tnsr", "--engine", "float",
+                     "--taps", "taps"]),
     "int": (["q.json", "q.weights", "in.tnsr"],
             ["infer", "-i", "q.json", "--input", "in.tnsr", "--engine", "int",
              "--taps", "taps"]),

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from cnnadapt.analysis import count_flops, count_params
-from cnnadapt.errors import PipelineError, ShapeError
+from cnnadapt.errors import NumericalError, PipelineError, ShapeError
 from cnnadapt.fusion import fuse_layer, fuse_model
 from cnnadapt.model import float_infer, model_digest
 from cnnadapt.pruning import frobenius_norms
@@ -36,6 +36,14 @@ def test_fuse_layer_length_mismatch_raises(rng):
     fb = random_bank(rng, 3, 2, 4)
     with pytest.raises(ShapeError):
         fuse_layer(fb, random_bn(rng, 3))
+
+
+def test_fuse_layer_refuses_parameters_beyond_float32(rng):
+    # gamma 3e38 over sqrt(sigma2 + eps) ~ 0.03: every fused value overflows
+    nf = 3
+    bn = BatchNormParams(np.zeros(nf), np.full(nf, 1e-45), np.full(nf, 3e38), np.zeros(nf))
+    with pytest.raises(NumericalError, match="overflowed float32"):
+        fuse_layer(random_bank(rng, 3, 2, nf), bn)
 
 
 def test_dual_path_single_layer_oracle(rng):

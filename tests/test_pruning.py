@@ -89,9 +89,12 @@ def test_prune_config_validation():
     with pytest.raises(ValueError):
         PruneConfig(min_filters_per_layer=0)
     # a NaN step makes every threshold NaN and the sweep never ends
-    for bad in ({"delta_t": np.nan}, {"delta_t": np.inf}, {"t_start": np.nan},
-                {"t_start": np.inf}, {"sparsity_eps": np.nan}):
-        with pytest.raises(ValueError, match="finite"):
+    for bad, message in (({"delta_t": np.nan}, "finite"), ({"delta_t": np.inf}, "finite"),
+                         ({"t_start": np.nan}, "finite"), ({"t_start": np.inf}, "finite"),
+                         ({"sparsity_eps": np.nan}, "finite"),
+                         ({"t_start": -0.5}, "t_start must be >= 0"),
+                         ({"sparsity_eps": -1e-3}, "sparsity_eps must be >= 0")):
+        with pytest.raises(ValueError, match=message):
             PruneConfig(**bad)
 
 

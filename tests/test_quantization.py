@@ -292,7 +292,7 @@ def test_quant_conv_params_validation():
 def test_quantize_input_examples():
     fm = FeatureMap(np.array([[[0.0, 1.0, 0.299]]], dtype=np.float32))
     q = quantize_input(fm)
-    assert q.width_bits == 16
+    assert q.data.dtype == np.int16
     np.testing.assert_array_equal(q.data[0, 0], [0, 256, 77])
 
 
@@ -301,7 +301,7 @@ def test_quantize_input_examples():
 # ---------------------------------------------------------------------------
 
 def _one_cell(value):
-    return IntFeatureMap(np.array([[[value]]], dtype=np.int64), 16)
+    return IntFeatureMap(np.array([[[value]]], dtype=np.int64))
 
 
 def test_int_conv_single_tap_example():
@@ -316,7 +316,7 @@ def test_int_conv_single_tap_example():
 def test_int_conv_zero_input_broadcasts_bias():
     w = np.zeros((1, 1, 2, 3), dtype=np.int16)
     b = np.array([5, -7, 0], dtype=np.int16)
-    x = IntFeatureMap(np.zeros((2, 2, 2), dtype=np.int64), 16)
+    x = IntFeatureMap(np.zeros((2, 2, 2), dtype=np.int64))
     out, _, _ = int_conv_forward(x, w, b, 1, "same", QuantConfig())
     np.testing.assert_array_equal(out.data, np.broadcast_to([5, -7, 0], (2, 2, 3)))
 
@@ -325,7 +325,7 @@ def test_int_conv_identity_weight(rng):
     # w = 1.0 -> 256; (X * 256) >> 8 == X exactly
     w = np.array([[[[256]]]], dtype=np.int16)
     b = np.zeros(1, dtype=np.int16)
-    x = IntFeatureMap(rng.integers(-256, 257, size=(3, 3, 1)), 16)
+    x = IntFeatureMap(rng.integers(-256, 257, size=(3, 3, 1)))
     out, n_acc, n16 = int_conv_forward(x, w, b, 1, "same", QuantConfig())
     np.testing.assert_array_equal(out.data, x.data)
     assert n_acc == 0 and n16 == 0
@@ -346,7 +346,7 @@ def test_int_conv_channel_mismatch():
 
 
 def test_quant_leaky_examples():
-    z = IntFeatureMap(np.array([[[100, -32, -17, 0]]], dtype=np.int64), 16)
+    z = IntFeatureMap(np.array([[[100, -32, -17, 0]]], dtype=np.int64))
     out = quant_leaky_relu(z, 4)
     np.testing.assert_array_equal(out.data[0, 0], [100, -2, -2, 0])
     with pytest.raises(ValueError):
@@ -354,7 +354,7 @@ def test_quant_leaky_examples():
 
 
 def test_quant_leaky_zero_exponent_is_identity_on_negatives():
-    z = IntFeatureMap(np.array([[[-5, 7]]], dtype=np.int64), 16)
+    z = IntFeatureMap(np.array([[[-5, 7]]], dtype=np.int64))
     np.testing.assert_array_equal(quant_leaky_relu(z, 0).data[0, 0], [-5, 7])
 
 
@@ -376,12 +376,9 @@ def test_int_infer_runs_and_is_deterministic(rng):
 def test_int_infer_validates_input(rng):
     model = chain_model(rng, [2], hw=4, in_channels=1)
     qmodel = quantize_model(model)
-    wrong_shape = IntFeatureMap(np.zeros((3, 3, 1), dtype=np.int64), 16)
+    wrong_shape = IntFeatureMap(np.zeros((3, 3, 1), dtype=np.int64))
     with pytest.raises(ShapeError, match="input shape"):
         int_infer(qmodel, wrong_shape)
-    wide = IntFeatureMap(np.zeros((4, 4, 1), dtype=np.int64), 32)
-    with pytest.raises(ValueError, match="int16"):
-        int_infer(qmodel, wide)
 
 
 def test_int_infer_taps_cover_every_layer(rng):

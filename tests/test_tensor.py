@@ -1,4 +1,5 @@
 """Numerical primitives: convolution, batchnorm, activations, pooling, container IO."""
+import struct
 import tracemalloc
 
 import numpy as np
@@ -253,7 +254,7 @@ def test_maxpool_size1_stride1_idempotent(rng):
 
 def test_maxpool_int_matches_float_semantics(rng):
     vals = rng.integers(-1000, 1000, size=(5, 5, 2))
-    got = maxpool(IntFeatureMap(vals, 16), 2, 2)
+    got = maxpool(IntFeatureMap(vals), 2, 2)
     want = maxpool(FeatureMap(vals.astype(np.float32)), 2, 2)
     np.testing.assert_array_equal(got.data.astype(np.float32), want.data)
 
@@ -305,22 +306,21 @@ def test_concat_spatial_mismatch_raises():
         concat(a, b)
 
 
-@pytest.mark.parametrize("width", [16, 32])
+@pytest.mark.parametrize("width", [16])
 def test_map_ops_keep_the_integer_map_type(rng, width):
-    fm = IntFeatureMap(rng.integers(-1000, 1000, size=(4, 4, 2)), width)
+    fm = IntFeatureMap(rng.integers(-1000, 1000, size=(4, 4, 2)))
     results = [maxpool(fm, 2, 2), upsample_nearest(fm, 2), concat(fm, fm),
                *split_batch(fm, 2)]
     for out in results:
-        assert isinstance(out, IntFeatureMap) and out.width_bits == width
+        assert isinstance(out, IntFeatureMap) and out.data.dtype == np.dtype(f"int{width}")
     assert [out.shape for out in results] == [(2, 2, 2), (8, 8, 2), (4, 4, 4),
                                               (2, 4, 2), (2, 4, 2)]
 
 
 def test_concat_rejects_operands_of_different_dtypes():
     f = FeatureMap(np.zeros((2, 2, 1), dtype=np.float32))
-    i16 = IntFeatureMap(np.zeros((2, 2, 1), dtype=np.int16), 16)
-    i32 = IntFeatureMap(np.zeros((2, 2, 1), dtype=np.int32), 32)
-    for a, b in ((f, i16), (i16, f), (i16, i32), (i32, i16)):
+    i16 = IntFeatureMap(np.zeros((2, 2, 1), dtype=np.int16))
+    for a, b in ((f, i16), (i16, f)):
         with pytest.raises(ValueError, match="dtype mismatch"):
             concat(a, b)
 
@@ -342,14 +342,11 @@ def test_feature_map_validation():
 
 
 def test_int_feature_map_range_checks():
-    IntFeatureMap(np.array([[[32767, -32768]]]), 16)
+    IntFeatureMap(np.array([[[32767, -32768]]]))
     with pytest.raises(ValueError):
-        IntFeatureMap(np.array([[[32768]]]), 16)
-    IntFeatureMap(np.array([[[2**31 - 1]]]), 32)
+        IntFeatureMap(np.array([[[32768]]]))
     with pytest.raises(ValueError):
-        IntFeatureMap(np.array([[[1.5]]]).astype(np.float64), 16)
-    with pytest.raises(ValueError):
-        IntFeatureMap(np.array([[[1]]]), 8)
+        IntFeatureMap(np.array([[[1.5]]]).astype(np.float64))
 
 
 def test_filter_bank_validation():
@@ -375,19 +372,27 @@ def test_tensor_container_roundtrip_float(tmp_path, rng):
 
 
 def test_tensor_container_roundtrip_int(tmp_path, rng):
-    for bits in (16, 32):
-        fm = IntFeatureMap(rng.integers(-30000, 30000, size=(3, 3, 2)), bits)
-        path = tmp_path / f"x{bits}.tnsr"
-        save_tensor(path, fm)
-        back = load_tensor(path)
-        assert isinstance(back, IntFeatureMap) and back.width_bits == bits
-        np.testing.assert_array_equal(back.data, fm.data)
+    fm = IntFeatureMap(rng.integers(-30000, 30000, size=(3, 3, 2)))
+    path = tmp_path / "x.tnsr"
+    save_tensor(path, fm)
+    back = load_tensor(path)
+    assert isinstance(back, IntFeatureMap) and back.data.dtype == np.int16
+    np.testing.assert_array_equal(back.data, fm.data)
 
 
 def test_tensor_container_rejects_garbage(tmp_path):
     path = tmp_path / "bad.tnsr"
     path.write_bytes(b"NOPE" + b"\x00" * 32)
     with pytest.raises(ModelFormatError):
+        load_tensor(path)
+
+
+def test_tensor_container_refuses_the_int32_code(tmp_path):
+    # code 2 was int32 maps, which no engine makes or reads
+    path = tmp_path / "wide.tnsr"
+    path.write_bytes(b"TNSR" + struct.pack("<IBB3I", 1, 2, 3, 2, 2, 1)
+                     + np.zeros(4, "<i4").tobytes())
+    with pytest.raises(ModelFormatError, match="unsupported rank 3 or dtype 2"):
         load_tensor(path)
 
 
@@ -427,7 +432,7 @@ def test_load_tensor_holds_its_payload_once(tmp_path, rng):
 
 
 @pytest.mark.parametrize("fm", [FeatureMap(np.zeros((4, 4, 0), np.float32)),
-                                IntFeatureMap(np.zeros((4, 4, 0), np.int16), 16)],
+                                IntFeatureMap(np.zeros((4, 4, 0), np.int16))],
                          ids=["float", "int16"])
 def test_zero_channel_map_roundtrips(tmp_path, fm):
     save_tensor(tmp_path / "t.tnsr", fm)
