@@ -12,6 +12,16 @@ with the run length of BENCHMARK.json, and the side that runs first
 alternates from pair to pair. ``--trace`` adds one traced run per side, on
 the first seed, for the per-layer metrics.
 
+On the first seed, one more child per side measures allocation peaks apart
+from the timed runs: it imports ``perfbench/workloads.py`` from that side's
+export and, under ``tracemalloc`` and with one evaluator worker so that no
+two threads allocate at once, builds the workload (``alloc_setup_mb``) and
+runs one warm-up operation and ``ALLOC_OPS`` measured ones (``alloc_op_mb``,
+their median). Each figure is the traced peak above what was traced just
+before, in MB of 10^6 bytes. ``tracemalloc`` sees numpy's buffers but not
+those OpenBLAS allocates itself, and it counts allocated bytes whether or
+not their pages are ever touched, so these figures are not RSS.
+
 The workload's entry in BENCH_<pr>.json (other workloads' entries are kept;
 runs of the same two commits are added to those already there) holds every
 run (its end-to-end metrics, ``attempted``, ``failed`` and its ``env``
@@ -21,6 +31,7 @@ quartiles, the change's win count, and whether the pairs meet the gain rule
 wider than the parent's interquartile range, every run correct, and a failed
 share of attempted operations no larger than the parent's) and the metric's
 regression bound.
+The allocation peaks are stored per side under ``alloc``.
 
 Standard library only.
 """
@@ -29,6 +40,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -38,6 +50,27 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 OUT_DIR = Path(__file__).resolve().parent / "out"
+ALLOC_OPS = 3
+
+# Run in a side's export: argv is the workload, the seed and 1 for smoke sizes.
+_ALLOC_CHILD = """
+import json, os, statistics, sys, tempfile, tracemalloc
+sys.path[:0] = [os.path.abspath("src"), os.path.abspath(".")]
+from perfbench import workloads
+
+def peak_mb(fn):
+    tracemalloc.reset_peak()
+    before = tracemalloc.get_traced_memory()[0]
+    result = fn()
+    return result, (tracemalloc.get_traced_memory()[1] - before) / 1e6
+
+name, seed, smoke, n_ops = sys.argv[1], int(sys.argv[2]), sys.argv[3] == "1", int(sys.argv[4])
+with tempfile.TemporaryDirectory() as work_dir:
+    tracemalloc.start()
+    wl, setup = peak_mb(lambda: workloads.WORKLOADS[name](seed, smoke, work_dir))
+    ops = [peak_mb(lambda: wl.op(i))[1] for i in range(n_ops + 1)]
+print(json.dumps({"alloc_setup_mb": setup, "alloc_op_mb": statistics.median(ops[1:])}))
+"""
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -134,6 +167,20 @@ def bench_run(checkout: str, workload: str, seed: int, seconds: float, trace: bo
             "env": json.loads(lines[0])["env"]}
 
 
+def alloc_run(checkout: str, workload: str, seed: int, smoke: bool = False) -> dict:
+    """Allocation peaks of one workload in ``checkout``: ``alloc_setup_mb``
+    and ``alloc_op_mb`` (see the module docstring)."""
+    done = subprocess.run(
+        [sys.executable, "-c", _ALLOC_CHILD, workload, str(seed), str(int(smoke)),
+         str(ALLOC_OPS)],
+        cwd=checkout, capture_output=True, text=True, timeout=3600,
+        env={**os.environ, "CNNADAPT_THREADS": "1"})
+    if done.returncode != 0:
+        raise RuntimeError(f"allocation run failed in {checkout} (exit {done.returncode}):\n"
+                           f"{done.stderr[-2000:]}")
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
 def parse_args(argv):
     p = argparse.ArgumentParser(description="alternating parent/change perfbench pairs")
     p.add_argument("--pr", type=int, required=True, help="writes BENCH_<pr>.json")
@@ -166,6 +213,9 @@ def main(argv=None) -> int:
                 pair[side] = bench_run(checkouts[side], args.workload, seed, seconds, False)
                 print(f"seed {seed} {side}: {pair[side]['metrics']}", file=sys.stderr)
             pairs.append(pair)
+        alloc = {side: alloc_run(checkouts[side], args.workload, args.seeds[0])
+                 for side in ("parent", "change")}
+        print(f"alloc: {alloc}", file=sys.stderr)
         if args.trace:
             traced.append({side: bench_run(checkouts[side], args.workload, args.seeds[0],
                                            seconds, True) for side in ("parent", "change")})
@@ -174,6 +224,7 @@ def main(argv=None) -> int:
     record = json.loads(path.read_text()) if path.exists() else {"pr": args.pr, "workloads": {}}
     entry = add_runs(record["workloads"].get(args.workload), revs, seconds, pairs, traced,
                      spec["end_to_end"])
+    entry["alloc"] = alloc
     record["workloads"][args.workload] = entry
     path.write_text(json.dumps(record, indent=1) + "\n")
     print(json.dumps({args.workload: entry["summary"]}, indent=1))

@@ -91,9 +91,7 @@ def count_flops(model: Model) -> FlopReport:
     """Per-conv FLOPs (2 * kh * kw * c_in * out_h * out_w * nf, plus batchnorm)."""
     shapes = shape_infer(model)
     layers = []
-    for layer in model.layers:
-        if layer.kind != "conv":
-            continue
+    for layer in model.conv_layers():
         fb = model.params[layer.id].filters
         oh, ow, _ = shapes[layer.id]
         conv = 2 * fb.kernel_h * fb.kernel_w * fb.in_channels * oh * ow * fb.num_filters
@@ -159,9 +157,7 @@ class ParamReport:
 
 def count_params(model: Model) -> ParamReport:
     layers = []
-    for layer in model.layers:
-        if layer.kind != "conv":
-            continue
+    for layer in model.conv_layers():
         fb = model.params[layer.id].filters
         layers.append(LayerParamCount(
             layer_id=layer.id,

@@ -269,15 +269,10 @@ def run(argv=None) -> int:
         return EXIT_USAGE
     try:
         return _COMMANDS[args.command](args)
-    except ModelFormatError as e:
+    except (CnnAdaptError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_FAILURE
-    except (PipelineError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except (CnnAdaptError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_FAILURE
+        misuse = isinstance(e, (PipelineError, ValueError)) and not isinstance(e, ModelFormatError)
+        return EXIT_USAGE if misuse else EXIT_FAILURE
 
 
 def main() -> None:

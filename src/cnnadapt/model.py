@@ -40,9 +40,20 @@ MANIFEST_VERSION = 1
 _WEIGHTS_MAGIC = b"CNNW"
 _WEIGHTS_VERSION = 1
 
-LAYER_KINDS = ("input", "conv", "maxpool", "upsample", "concat", "output_marker")
-_INT_FIELDS = ("num_filters", "kernel_h", "kernel_w", "stride", "act_exponent", "size",
-               "factor", "height", "width", "channels")
+# kind -> (number of inputs, the integer fields it needs positive, in the
+# order the manifest writes them); conv's other fields follow its own rules.
+_KINDS = {
+    "input": (0, ("height", "width", "channels")),
+    "conv": (1, ("num_filters", "kernel_h", "kernel_w", "stride")),
+    "maxpool": (1, ("size", "stride")),
+    "upsample": (1, ("factor",)),
+    "concat": (2, ()),
+    "output_marker": (1, ()),
+}
+LAYER_KINDS = tuple(_KINDS)
+# a tuple, not a set, so the first bad field reported does not depend on hashing
+_INT_FIELDS = tuple(dict.fromkeys(
+    name for _, required in _KINDS.values() for name in required)) + ("act_exponent",)
 _BOOL_FIELDS = ("has_bias", "has_batchnorm", "fused")
 # Largest leaky slope exponent: an int16 right shift by more bits is constant.
 MAX_ACT_EXPONENT = 15
@@ -50,12 +61,12 @@ MAX_ACT_EXPONENT = 15
 
 @dataclass(frozen=True)
 class LayerSpec:
-    """One node of the layer DAG; kind-specific attributes are optional fields."""
+    """One node of the layer DAG; kind-specific attributes are optional fields,
+    and ``_KINDS`` names the ones each kind requires."""
 
     id: str
     kind: str
     inputs: tuple[str, ...] = ()
-    # conv
     num_filters: Optional[int] = None
     kernel_h: Optional[int] = None
     kernel_w: Optional[int] = None
@@ -67,11 +78,8 @@ class LayerSpec:
     act_exponent: Optional[int] = None      # negative-slope exponent for leaky
     fused: bool = False
     epsilon: Optional[float] = None         # stored batchnorm epsilon
-    # maxpool
     size: Optional[int] = None
-    # upsample
     factor: Optional[int] = None
-    # input
     height: Optional[int] = None
     width: Optional[int] = None
     channels: Optional[int] = None
@@ -90,17 +98,18 @@ class LayerSpec:
                 not isinstance(self.epsilon, (int, float)) or isinstance(self.epsilon, bool)):
             raise ModelFormatError(f"layer {self.id!r}: epsilon must be a number, "
                                    f"got {self.epsilon!r}")
-        if self.kind not in LAYER_KINDS:
+        if self.kind not in _KINDS:
             raise ModelFormatError(f"layer {self.id!r}: unknown kind {self.kind!r}")
-        n_inputs = {"input": 0, "concat": 2}.get(self.kind, 1)
+        n_inputs, required = _KINDS[self.kind]
         if len(self.inputs) != n_inputs:
             raise ModelFormatError(
                 f"layer {self.id!r}: kind {self.kind} takes {n_inputs} inputs, got {len(self.inputs)}")
+        for name in required:
+            v = getattr(self, name)
+            if v is None or v < 1:
+                raise ModelFormatError(
+                    f"layer {self.id!r}: {self.kind} needs positive {name}, got {v}")
         if self.kind == "conv":
-            for name in ("num_filters", "kernel_h", "kernel_w", "stride"):
-                v = getattr(self, name)
-                if v is None or v < 1:
-                    raise ModelFormatError(f"layer {self.id!r}: conv needs positive {name}, got {v}")
             if self.padding not in ("same", "valid"):
                 raise ModelFormatError(f"layer {self.id!r}: bad padding {self.padding!r}")
             if self.activation not in ("linear", "leaky"):
@@ -109,17 +118,6 @@ class LayerSpec:
                     self.act_exponent is None or not 0 <= self.act_exponent <= MAX_ACT_EXPONENT):
                 raise ModelFormatError(f"layer {self.id!r}: leaky activation needs act_exponent "
                                        f"in [0, {MAX_ACT_EXPONENT}], got {self.act_exponent}")
-        elif self.kind == "maxpool":
-            if not self.size or self.size < 1 or not self.stride or self.stride < 1:
-                raise ModelFormatError(f"layer {self.id!r}: maxpool needs positive size and stride")
-        elif self.kind == "upsample":
-            if not self.factor or self.factor < 1:
-                raise ModelFormatError(f"layer {self.id!r}: upsample needs positive factor")
-        elif self.kind == "input":
-            for name in ("height", "width", "channels"):
-                v = getattr(self, name)
-                if v is None or v < 1:
-                    raise ModelFormatError(f"layer {self.id!r}: input needs positive {name}, got {v}")
 
     @property
     def bn_epsilon(self) -> float:
@@ -133,21 +131,15 @@ class LayerSpec:
 
     def to_json_dict(self) -> dict:
         d = {"id": self.id, "kind": self.kind, "inputs": list(self.inputs)}
+        d.update((name, getattr(self, name)) for name in _KINDS[self.kind][1])
         if self.kind == "conv":
-            d.update(num_filters=self.num_filters, kernel_h=self.kernel_h,
-                     kernel_w=self.kernel_w, stride=self.stride, padding=self.padding,
-                     has_bias=self.has_bias, has_batchnorm=self.has_batchnorm,
-                     activation=self.activation, fused=self.fused)
+            d.update(padding=self.padding, has_bias=self.has_bias,
+                     has_batchnorm=self.has_batchnorm, activation=self.activation,
+                     fused=self.fused)
             if self.activation == "leaky":
                 d["act_exponent"] = self.act_exponent
             if self.has_batchnorm:
                 d["epsilon"] = self.epsilon
-        elif self.kind == "maxpool":
-            d.update(size=self.size, stride=self.stride)
-        elif self.kind == "upsample":
-            d.update(factor=self.factor)
-        elif self.kind == "input":
-            d.update(height=self.height, width=self.width, channels=self.channels)
         return d
 
     @classmethod
@@ -268,7 +260,7 @@ class Model(LayerGraph):
         return self.params[layer_id].filters.weights.shape
 
     def has_batchnorm(self) -> bool:
-        return any(l.kind == "conv" and l.has_batchnorm for l in self.layers)
+        return any(l.has_batchnorm for l in self.conv_layers())
 
 
 # InferenceTrace: ordered mapping layer id -> FeatureMap
@@ -428,9 +420,7 @@ def record_chunks(records: Iterable[tuple[str, np.ndarray]],
 
 
 def _weight_records(model: Model) -> Iterator[tuple[str, np.ndarray]]:
-    for layer in model.layers:
-        if layer.kind != "conv":
-            continue
+    for layer in model.conv_layers():
         p = model.params[layer.id]
         yield f"{layer.id}.W", p.filters.weights
         yield f"{layer.id}.b", p.filters.biases

@@ -130,7 +130,6 @@ def prune_below(model: Model, metrics: FilterMetricTable, threshold: float,
     for layer in model.layers:
         if layer.kind == "input":
             kept[layer.id] = np.arange(layer.channels)
-            layers.append(layer)
         elif layer.kind == "conv":
             fb = model.params[layer.id].filters
             if layer.id in config.no_prune:
@@ -142,16 +141,15 @@ def prune_below(model: Model, metrics: FilterMetricTable, threshold: float,
                                                config.min_filters_per_layer)
             keep_f = np.delete(np.arange(fb.num_filters), removed_idx)
             params[layer.id] = ConvParams(fb.select(kept[layer.inputs[0]], keep_f), None)
-            layers.append(replace(layer, num_filters=len(keep_f)))
             kept[layer.id] = keep_f
             removed[layer.id] = removed_idx.tolist()
-        elif layer.kind in ("maxpool", "upsample", "output_marker"):
-            kept[layer.id] = kept[layer.inputs[0]]
-            layers.append(layer)
+            layer = replace(layer, num_filters=len(keep_f))
         elif layer.kind == "concat":
             a, b = layer.inputs
             kept[layer.id] = np.concatenate([kept[a], orig_shapes[a][2] + kept[b]])
-            layers.append(layer)
+        else:  # maxpool, upsample, output_marker
+            kept[layer.id] = kept[layer.inputs[0]]
+        layers.append(layer)
     return Model(tuple(layers), params), removed
 
 

@@ -314,10 +314,9 @@ def int_infer(qmodel: QuantizedModel, input: IntFeatureMap,
 def save_quantized_model(qmodel: QuantizedModel, manifest_path) -> None:
     """Write the manifest, with its quantization block, and the int16 weights blob."""
     records = []
-    for layer in qmodel.layers:
-        if layer.kind == "conv":
-            qp = qmodel.qparams[layer.id]
-            records += [(f"{layer.id}.W", qp.weights), (f"{layer.id}.b", qp.biases)]
+    for layer in qmodel.conv_layers():
+        qp = qmodel.qparams[layer.id]
+        records += [(f"{layer.id}.W", qp.weights), (f"{layer.id}.b", qp.biases)]
     write_model_files(qmodel, manifest_path, records, DTYPE_INT16,
                       quantization={"p": qmodel.config.p, "p_alpha": qmodel.config.p_alpha,
                                     "source_digest": qmodel.source_digest})

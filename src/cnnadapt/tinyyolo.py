@@ -26,16 +26,12 @@ def head_filters(num_classes: int) -> int:
 
 
 def _conv(idx: int, src: str, nf: int, kernel: int, head: bool = False) -> LayerSpec:
-    if head:
-        return LayerSpec(
-            id=f"conv_{idx}", kind="conv", inputs=(src,),
-            num_filters=nf, kernel_h=kernel, kernel_w=kernel, stride=1, padding="same",
-            has_bias=True, has_batchnorm=False, activation="linear")
     return LayerSpec(
         id=f"conv_{idx}", kind="conv", inputs=(src,),
         num_filters=nf, kernel_h=kernel, kernel_w=kernel, stride=1, padding="same",
-        has_bias=False, has_batchnorm=True, activation="leaky",
-        act_exponent=DEFAULT_ACT_EXPONENT, epsilon=DEFAULT_EPSILON)
+        has_bias=head, has_batchnorm=not head, activation="linear" if head else "leaky",
+        act_exponent=None if head else DEFAULT_ACT_EXPONENT,
+        epsilon=None if head else DEFAULT_EPSILON)
 
 
 def build_tinyyolov3(num_classes: int = 80) -> Model:
@@ -72,22 +68,21 @@ def build_tinyyolov3(num_classes: int = 80) -> Model:
         LayerSpec(id="out_2", kind="output_marker", inputs=("conv_13",)),
     ]
 
-    in_channels = {
-        "conv_1": 3, "conv_2": 16, "conv_3": 32, "conv_4": 64, "conv_5": 128,
-        "conv_6": 256, "conv_7": 512, "conv_8": 1024, "conv_9": 256,
-        "conv_10": 512, "conv_11": 256, "conv_12": 128 + 256, "conv_13": 256,
-    }
+    channels: dict[str, int] = {}  # output channels of each layer so far
     params = {}
     for layer in layers:
-        if layer.kind != "conv":
-            continue
-        fb = zero_filter_bank(layer.kernel_h, layer.kernel_w,
-                              in_channels[layer.id], layer.num_filters)
-        bn = None
-        if layer.has_batchnorm:
+        if layer.kind == "input":
+            channels[layer.id] = layer.channels
+        elif layer.kind == "conv":
             nf = layer.num_filters
-            bn = BatchNormParams(
-                mu=np.zeros(nf), sigma2=np.ones(nf), gamma=np.ones(nf),
-                beta=np.zeros(nf), epsilon=DEFAULT_EPSILON)
-        params[layer.id] = ConvParams(fb, bn)
+            fb = zero_filter_bank(layer.kernel_h, layer.kernel_w, channels[layer.inputs[0]], nf)
+            bn = None
+            if layer.has_batchnorm:
+                bn = BatchNormParams(
+                    mu=np.zeros(nf), sigma2=np.ones(nf), gamma=np.ones(nf),
+                    beta=np.zeros(nf), epsilon=DEFAULT_EPSILON)
+            params[layer.id] = ConvParams(fb, bn)
+            channels[layer.id] = nf
+        else:
+            channels[layer.id] = sum(channels[i] for i in layer.inputs)
     return Model(tuple(layers), params)
