@@ -18,9 +18,10 @@ export and, under ``tracemalloc`` and with one evaluator worker so that no
 two threads allocate at once, builds the workload (``alloc_setup_mb``) and
 runs one warm-up operation and ``ALLOC_OPS`` measured ones (``alloc_op_mb``,
 their median). Each figure is the traced peak above what was traced just
-before, in MB of 10^6 bytes. ``tracemalloc`` sees numpy's buffers but not
-those OpenBLAS allocates itself, and it counts allocated bytes whether or
-not their pages are ever touched, so these figures are not RSS.
+before, in MiB, the unit of ``peak_rss_mb``. ``tracemalloc`` sees numpy's
+buffers but not those OpenBLAS allocates itself, and it counts allocated
+bytes whether or not their pages are ever touched, so these figures are
+not RSS.
 
 The workload's entry in BENCH_<pr>.json (other workloads' entries are kept;
 runs of the same two commits are added to those already there) holds every
@@ -30,8 +31,7 @@ quartiles, the change's win count, and whether the pairs meet the gain rule
 (at least 10 pairs, the change better in at least 9 of 10, by a median gap
 wider than the parent's interquartile range, every run correct, and a failed
 share of attempted operations no larger than the parent's) and the metric's
-regression bound.
-The allocation peaks are stored per side under ``alloc``.
+regression bound. The allocation peaks are stored per side under ``alloc``.
 
 Standard library only.
 """
@@ -62,7 +62,7 @@ def peak_mb(fn):
     tracemalloc.reset_peak()
     before = tracemalloc.get_traced_memory()[0]
     result = fn()
-    return result, (tracemalloc.get_traced_memory()[1] - before) / 1e6
+    return result, (tracemalloc.get_traced_memory()[1] - before) / 2**20
 
 name, seed, smoke, n_ops = sys.argv[1], int(sys.argv[2]), sys.argv[3] == "1", int(sys.argv[4])
 with tempfile.TemporaryDirectory() as work_dir:

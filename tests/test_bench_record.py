@@ -1,5 +1,7 @@
-"""The summary that bench/record.py writes into BENCH_<pr>.json, on fixed numbers."""
+"""The summary that bench/record.py writes into BENCH_<pr>.json, on fixed numbers,
+and its allocation peaks."""
 import importlib.util
+import shutil
 from pathlib import Path
 
 import pytest
@@ -92,3 +94,17 @@ def test_runs_of_the_same_commits_add_up_and_others_replace_them():
         "gain_rule_met"]
     other = record.add_runs(both, {**revs, "change": "c" * 40}, 30, runs([7]), [], METRICS[:1])
     assert other["seeds"] == [7] and other["change"] == "c" * 40
+
+
+def test_allocation_peaks_of_two_exports_of_one_tree_agree(tmp_path):
+    """tracemalloc peaks do not depend on the directory a checkout sits in,
+    unlike the benchmark's peak RSS."""
+    peaks = []
+    for name in ("one", "two"):
+        for part in ("src", "perfbench"):
+            shutil.copytree(_PATH.parent.parent / part, tmp_path / name / part,
+                            ignore=shutil.ignore_patterns("__pycache__", "out"))
+        peaks.append(record.alloc_run(str(tmp_path / name), "infer416", 3, smoke=True))
+    for key in ("alloc_setup_mb", "alloc_op_mb"):
+        assert peaks[0][key] > 0
+        assert peaks[1][key] == pytest.approx(peaks[0][key], rel=1e-4)

@@ -28,6 +28,7 @@ from cnnadapt.tensor import (
     INT16_MAX,
     FeatureMap,
     FilterBank,
+    IntFeatureMap,
     save_tensor,
 )
 from cnnadapt.tinyyolo import build_tinyyolov3
@@ -568,6 +569,11 @@ def _nan_epsilon(tmp_path, rng, fused, image):
     return ["params", "-i", str(path)]
 
 
+def _no_weights_block(tmp_path, rng, fused, image):
+    _edit_manifest(fused, lambda m: m.pop("weights"))
+    return ["flops", "-i", str(fused)]
+
+
 def _deeply_nested_manifest(tmp_path, rng, fused, image):
     fused.write_text("[" * 100000 + "]" * 100000)
     return ["flops", "-i", str(fused)]
@@ -577,10 +583,10 @@ def _deeply_nested_manifest(tmp_path, rng, fused, image):
     _nan_weight, _negative_sigma2, _in_channels_disagree, _valid_kernel_beyond_map,
     _input_breaks_concat, _quantized_with_batchnorm, _tensor((0, 6, 2), []),
     _tensor((6, 6, 2), np.full((6, 6, 2), np.nan)), _weights_not_a_name,
-    _deeply_nested_manifest, _nan_epsilon,
+    _deeply_nested_manifest, _nan_epsilon, _no_weights_block,
 ], ids=["nan_weight", "negative_sigma2", "in_channels_disagree", "valid_kernel_beyond_map",
         "input_breaks_concat", "quantized_with_batchnorm", "tensor_height_0", "tensor_nan",
-        "weights_not_a_name", "deeply_nested_manifest", "nan_epsilon"])
+        "weights_not_a_name", "deeply_nested_manifest", "nan_epsilon", "no_weights_block"])
 def test_malformed_file_content_exits_2(tmp_path, rng, fused_model_path, input_path, capsys,
                                         case):
     argv = case(tmp_path, rng, fused_model_path, input_path)
@@ -613,11 +619,35 @@ def _records_in(code):
     return case
 
 
+def _int16_input(command):
+    """``command`` given an int16 tensor where it reads a float input map."""
+    def case(tmp_path, fused, qpath, image):
+        save_tensor(image, IntFeatureMap(np.zeros((6, 6, 2), np.int16)))
+        if command == "compare":
+            return ["compare", "--float-model", str(fused), "--quant-model", str(qpath),
+                    "--input", str(image)]
+        return ["infer", "-i", str(fused if command == "float" else qpath), "--input", str(image),
+                "--engine", command, "--taps", str(tmp_path / "taps")]
+    return case
+
+
+def _int16_sample(tmp_path, fused, qpath, image):
+    data = _write_dataset(tmp_path / "data", np.random.default_rng(0))
+    save_tensor(data / "s1.tnsr", IntFeatureMap(np.zeros((6, 6, 2), np.int16)))
+    return ["prune", "-i", str(fused), "-o", str(tmp_path / "p.json"), "--data", str(data)]
+
+
 @pytest.mark.parametrize("case, message", [
     (_int32_tensor, "unsupported rank 3 or dtype 2"),
     (_records_in(DTYPE_INT16), "record 'conv_1.W' is not float32"),
     (_records_in(DTYPE_FLOAT32), "record 'conv_1.W' is not int16"),
-], ids=["int32_tensor", "float_manifest_int16_records", "quantized_manifest_float32_records"])
+    (_int16_input("float"), "expected a float32 tensor"),
+    (_int16_input("int"), "expected a float32 tensor"),
+    (_int16_input("compare"), "expected a float32 tensor"),
+    (_int16_sample, "s1.tnsr is not a float tensor"),
+], ids=["int32_tensor", "float_manifest_int16_records", "quantized_manifest_float32_records",
+        "int16_input_float_engine", "int16_input_int_engine", "int16_input_compare",
+        "int16_prune_sample"])
 def test_file_of_a_dtype_its_reader_does_not_take_exits_2(tmp_path, fused_model_path,
                                                           input_path, capsys, case, message):
     qpath = tmp_path / "model.q.json"

@@ -21,6 +21,7 @@ from cnnadapt.model import (
     model_digest,
     randomize_weights,
     record_chunks,
+    replace_layer,
     save_model,
     shape_infer,
     zero_filter_bank,
@@ -88,6 +89,37 @@ def test_batchnorm_flag_must_match_params():
 def test_unknown_layer_kind_rejected():
     with pytest.raises(ModelFormatError, match="unknown kind"):
         LayerSpec(id="x", kind="shortcut", inputs=("a",))
+
+
+# kind, a valid set of its fields, its number of inputs, the fields it needs positive
+_KIND_RULES = [
+    ("input", dict(height=4, width=4, channels=2), 0, ("height", "width", "channels")),
+    ("conv", dict(num_filters=3, kernel_h=3, kernel_w=1, stride=1, padding="same",
+                  activation="linear"), 1, ("num_filters", "kernel_h", "kernel_w", "stride")),
+    ("maxpool", dict(size=2, stride=2), 1, ("size", "stride")),
+    ("upsample", dict(factor=2), 1, ("factor",)),
+    ("concat", {}, 2, ()),
+    ("output_marker", {}, 1, ()),
+]
+
+
+@pytest.mark.parametrize("kind, fields, n_inputs, required", _KIND_RULES,
+                         ids=[rule[0] for rule in _KIND_RULES])
+def test_layer_spec_refuses_wrong_input_count_and_missing_fields(kind, fields, n_inputs,
+                                                                 required):
+    def spec(n, **changes):
+        return LayerSpec(id="x", kind=kind, inputs=tuple(f"src_{i}" for i in range(n)),
+                         **{**fields, **changes})
+
+    assert spec(n_inputs).to_json_dict()["kind"] == kind
+    for n in {n_inputs - 1, n_inputs + 1} - {-1}:
+        with pytest.raises(ModelFormatError, match=f"takes {n_inputs} inputs, got {n}"):
+            spec(n)
+    for name in required:
+        for bad in (0, None):
+            with pytest.raises(ModelFormatError,
+                               match=f"layer 'x': {kind} needs positive {name}, got {bad}"):
+                spec(n_inputs, **{name: bad})
 
 
 def test_channel_mismatch_fails_shape_inference():
@@ -324,6 +356,25 @@ def test_digest_and_saved_weights_are_frozen(tmp_path):
     assert model_digest(model) == _FROZEN_MODEL_DIGEST
     assert _sha256_file(tmp_path / "m.weights") == _FROZEN_WEIGHTS_SHA256
     assert _sha256_file(tmp_path / "q.weights") == _FROZEN_QUANT_WEIGHTS_SHA256
+
+
+# Frozen bytes of a TinyYOLOv3 manifest, float and quantized: every layer kind's
+# fields, in the order the manifest writes them.
+_FROZEN_TINYYOLO_MANIFEST_SHA256 = (
+    "4120d6ea8f64a886701d020684f115884097f04619ca48991e40e687d1f48afa")
+_FROZEN_TINYYOLO_QUANT_MANIFEST_SHA256 = (
+    "bfa7ec72bcf7d4d2258007e358ec7e7e48d68c7849afa8f80c36cde2da03101f")
+
+
+def test_saved_manifests_of_every_layer_kind_are_frozen(tmp_path):
+    model = replace_layer(build_tinyyolov3(num_classes=1), "input", height=32, width=32)
+    model = randomize_weights(model, np.random.default_rng(7))
+    assert {l.kind for l in model.layers} == {
+        "input", "conv", "maxpool", "upsample", "concat", "output_marker"}
+    save_model(model, tmp_path / "m.json")
+    save_quantized_model(quantize_model(fuse_model(model)), tmp_path / "q.json")
+    assert _sha256_file(tmp_path / "m.json") == _FROZEN_TINYYOLO_MANIFEST_SHA256
+    assert _sha256_file(tmp_path / "q.json") == _FROZEN_TINYYOLO_QUANT_MANIFEST_SHA256
 
 
 def test_digest_hashes_manifest_then_saved_blob(tmp_path, rng):
