@@ -16,7 +16,8 @@ On the first seed, one more child per side measures allocation peaks apart
 from the timed runs: it imports ``perfbench/workloads.py`` from that side's
 export and, under ``tracemalloc`` and with one evaluator worker so that no
 two threads allocate at once, builds the workload (``alloc_setup_mb``) and
-runs one warm-up operation and ``ALLOC_OPS`` measured ones (``alloc_op_mb``,
+runs ``ALLOC_WARMUP`` warm-up operations, by which the op peaks have
+stopped drifting down, then ``ALLOC_OPS`` measured ones (``alloc_op_mb``,
 their median). Each figure is the traced peak above what was traced just
 before, in MiB, the unit of ``peak_rss_mb``. ``tracemalloc`` sees numpy's
 buffers but not those OpenBLAS allocates itself, and it counts allocated
@@ -50,9 +51,11 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 OUT_DIR = Path(__file__).resolve().parent / "out"
+ALLOC_WARMUP = 3
 ALLOC_OPS = 3
 
-# Run in a side's export: argv is the workload, the seed and 1 for smoke sizes.
+# Run in a side's export: argv is the workload, the seed, 1 for smoke sizes,
+# and the numbers of warm-up and measured ops.
 _ALLOC_CHILD = """
 import json, os, statistics, sys, tempfile, tracemalloc
 sys.path[:0] = [os.path.abspath("src"), os.path.abspath(".")]
@@ -64,12 +67,13 @@ def peak_mb(fn):
     result = fn()
     return result, (tracemalloc.get_traced_memory()[1] - before) / 2**20
 
-name, seed, smoke, n_ops = sys.argv[1], int(sys.argv[2]), sys.argv[3] == "1", int(sys.argv[4])
+name, seed, smoke = sys.argv[1], int(sys.argv[2]), sys.argv[3] == "1"
+n_warmup, n_ops = int(sys.argv[4]), int(sys.argv[5])
 with tempfile.TemporaryDirectory() as work_dir:
     tracemalloc.start()
     wl, setup = peak_mb(lambda: workloads.WORKLOADS[name](seed, smoke, work_dir))
-    ops = [peak_mb(lambda: wl.op(i))[1] for i in range(n_ops + 1)]
-print(json.dumps({"alloc_setup_mb": setup, "alloc_op_mb": statistics.median(ops[1:])}))
+    ops = [peak_mb(lambda: wl.op(i))[1] for i in range(n_warmup + n_ops)]
+print(json.dumps({"alloc_setup_mb": setup, "alloc_op_mb": statistics.median(ops[n_warmup:])}))
 """
 
 
@@ -172,7 +176,7 @@ def alloc_run(checkout: str, workload: str, seed: int, smoke: bool = False) -> d
     and ``alloc_op_mb`` (see the module docstring)."""
     done = subprocess.run(
         [sys.executable, "-c", _ALLOC_CHILD, workload, str(seed), str(int(smoke)),
-         str(ALLOC_OPS)],
+         str(ALLOC_WARMUP), str(ALLOC_OPS)],
         cwd=checkout, capture_output=True, text=True, timeout=3600,
         env={**os.environ, "CNNADAPT_THREADS": "1"})
     if done.returncode != 0:

@@ -11,7 +11,7 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
@@ -40,20 +40,28 @@ MANIFEST_VERSION = 1
 _WEIGHTS_MAGIC = b"CNNW"
 _WEIGHTS_VERSION = 1
 
-# kind -> (number of inputs, the integer fields it needs positive, in the
-# order the manifest writes them); conv's other fields follow its own rules.
+# kind -> (number of inputs, the integer fields it needs positive, its other
+# fields), the fields in the order the manifest writes them. A layer may set
+# no field its kind does not list.
 _KINDS = {
-    "input": (0, ("height", "width", "channels")),
-    "conv": (1, ("num_filters", "kernel_h", "kernel_w", "stride")),
-    "maxpool": (1, ("size", "stride")),
-    "upsample": (1, ("factor",)),
-    "concat": (2, ()),
-    "output_marker": (1, ()),
+    "input": (0, ("height", "width", "channels"), ()),
+    "conv": (1, ("num_filters", "kernel_h", "kernel_w", "stride"),
+             ("padding", "has_bias", "has_batchnorm", "activation", "fused",
+              "act_exponent", "epsilon")),
+    "maxpool": (1, ("size", "stride"), ()),
+    "upsample": (1, ("factor",), ()),
+    "concat": (2, (), ()),
+    "output_marker": (1, (), ()),
 }
+# each kind's fields in manifest order
+_KIND_FIELDS = {kind: required + other for kind, (_, required, other) in _KINDS.items()}
+# conv fields that only some convs own
+_OWNED_IF = {"act_exponent": lambda l: l.activation == "leaky",
+             "epsilon": lambda l: l.has_batchnorm}
 LAYER_KINDS = tuple(_KINDS)
 # a tuple, not a set, so the first bad field reported does not depend on hashing
 _INT_FIELDS = tuple(dict.fromkeys(
-    name for _, required in _KINDS.values() for name in required)) + ("act_exponent",)
+    name for _, required, _ in _KINDS.values() for name in required)) + ("act_exponent",)
 _BOOL_FIELDS = ("has_bias", "has_batchnorm", "fused")
 # Largest leaky slope exponent: an int16 right shift by more bits is constant.
 MAX_ACT_EXPONENT = 15
@@ -98,9 +106,12 @@ class LayerSpec:
                 not isinstance(self.epsilon, (int, float)) or isinstance(self.epsilon, bool)):
             raise ModelFormatError(f"layer {self.id!r}: epsilon must be a number, "
                                    f"got {self.epsilon!r}")
+        if not self.id or any(c in self.id for c in "/\\\0"):
+            raise ModelFormatError(f"layer id {self.id!r} must be a non-empty file name "
+                                   "without '/', '\\' or NUL")
         if self.kind not in _KINDS:
             raise ModelFormatError(f"layer {self.id!r}: unknown kind {self.kind!r}")
-        n_inputs, required = _KINDS[self.kind]
+        n_inputs, required, _ = _KINDS[self.kind]
         if len(self.inputs) != n_inputs:
             raise ModelFormatError(
                 f"layer {self.id!r}: kind {self.kind} takes {n_inputs} inputs, got {len(self.inputs)}")
@@ -118,6 +129,15 @@ class LayerSpec:
                     self.act_exponent is None or not 0 <= self.act_exponent <= MAX_ACT_EXPONENT):
                 raise ModelFormatError(f"layer {self.id!r}: leaky activation needs act_exponent "
                                        f"in [0, {MAX_ACT_EXPONENT}], got {self.act_exponent}")
+        for name, default in _FIELD_DEFAULTS.items():
+            if getattr(self, name) != default and not self._owns(name):
+                raise ModelFormatError(
+                    f"layer {self.id!r}: {name} is set, but this {self.kind} does not use it")
+
+    def _owns(self, name: str) -> bool:
+        """Whether this layer's kind lists ``name`` and, where ``_OWNED_IF``
+        names it, this layer owns it."""
+        return name in _KIND_FIELDS[self.kind] and (name not in _OWNED_IF or _OWNED_IF[name](self))
 
     @property
     def bn_epsilon(self) -> float:
@@ -131,15 +151,8 @@ class LayerSpec:
 
     def to_json_dict(self) -> dict:
         d = {"id": self.id, "kind": self.kind, "inputs": list(self.inputs)}
-        d.update((name, getattr(self, name)) for name in _KINDS[self.kind][1])
-        if self.kind == "conv":
-            d.update(padding=self.padding, has_bias=self.has_bias,
-                     has_batchnorm=self.has_batchnorm, activation=self.activation,
-                     fused=self.fused)
-            if self.activation == "leaky":
-                d["act_exponent"] = self.act_exponent
-            if self.has_batchnorm:
-                d["epsilon"] = self.epsilon
+        d.update((name, getattr(self, name)) for name in _KIND_FIELDS[self.kind]
+                 if self._owns(name))
         return d
 
     @classmethod
@@ -156,6 +169,11 @@ class LayerSpec:
         if not (isinstance(inputs, list) and all(isinstance(i, str) for i in inputs)):
             raise ModelFormatError(f"layer {d['id']!r}: inputs must be a list of layer ids")
         return cls(**{k: (tuple(v) if k == "inputs" else v) for k, v in d.items()})
+
+
+# every LayerSpec field after id, kind and inputs, with its default; built
+# once, since tuples built per layer would linger on the interpreter's free lists
+_FIELD_DEFAULTS = {f.name: f.default for f in fields(LayerSpec)[3:]}
 
 
 @dataclass(frozen=True)
@@ -485,7 +503,8 @@ def read_model_files(manifest_path, dtype_code: int
     are W and b, plus gamma, beta, mu and sigma2 if it has batchnorm: each
     must be present, of ``dtype_code`` and shaped as the spec implies,
     W (kh, kw, c_in, nf) and every other record (nf,). Any other record is
-    stray. Every fault raises ModelFormatError.
+    stray, and a name may name one record only. Every fault raises
+    ModelFormatError.
     """
     manifest_path = os.fspath(manifest_path)
     try:
@@ -549,6 +568,8 @@ def read_model_files(manifest_path, dtype_code: int
             code, rank = head[name_len:]
             if code not in _NUMPY_DTYPES:
                 raise ModelFormatError(f"{weights_path}: record {name!r} has unknown dtype {code}")
+            if name in records:
+                raise ModelFormatError(f"{weights_path}: repeated weight record {name!r}")
             dims = struct.unpack(f"<{rank}I", take(4 * rank, f"record {name!r} dims"))
             dtype = _NUMPY_DTYPES[code]
             # a forged dims header must not make it allocate more than the file holds

@@ -11,8 +11,8 @@ input to output.
 """
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -40,8 +40,9 @@ from .tensor import (
     _freeze,
     conv_gemm,
     leaky_step,
-    peak_magnitude,
 )
+
+log = logging.getLogger(__name__)
 
 MAX_SCALE_EXPONENT = 14  # values in [-1, 1] keep int16 headroom
 QUANTIZE_CHUNK = 1 << 16  # quantize_tensor's elements per pass: 512 KiB float64 buffers
@@ -136,11 +137,6 @@ class QuantConvParams:
         object.__setattr__(self, "weights", _freeze(w))
         object.__setattr__(self, "biases", _freeze(b))
 
-    @cached_property
-    def weight_peak(self) -> int:
-        """max|w|, scanned on first use: every int conv of the layer needs it."""
-        return peak_magnitude(self.weights)
-
 
 @dataclass(frozen=True)
 class QuantizedModel(LayerGraph):
@@ -215,15 +211,17 @@ def quantize_model(model: Model, config: QuantConfig = QuantConfig()) -> Quantiz
 
 
 def quantize_input(input: FeatureMap, config: QuantConfig = QuantConfig()) -> IntFeatureMap:
-    """Quantize a (pre-normalized, values ~[0, 1]) input image to int16."""
-    q, _ = quantize_tensor(input.data, config.p)
+    """Quantize a (pre-normalized, values ~[0, 1]) input image to int16,
+    logging a warning with the count of values that saturate."""
+    q, saturated = quantize_tensor(input.data, config.p)
+    if saturated:
+        log.warning("%d input values saturated during quantization", saturated)
     return IntFeatureMap(q)
 
 
 def int_conv_forward(input: IntFeatureMap, weights: np.ndarray, biases: np.ndarray,
                      stride: int, padding: str, config: QuantConfig, *,
-                     p_alpha: int | None = None,
-                     weight_peak: int | None = None) -> tuple[IntFeatureMap, int, int]:
+                     p_alpha: int | None = None) -> tuple[IntFeatureMap, int, int]:
     """Quantized convolution: conv -> sat int32 -> rshift P -> sat int16 -> bias
     (saturating), then, if ``p_alpha`` is given, leaky ReLU max(z, z >> p_alpha).
 
@@ -242,7 +240,6 @@ def int_conv_forward(input: IntFeatureMap, weights: np.ndarray, biases: np.ndarr
     scan runs; nor does the int16 scan after the bias add when the tile's range
     plus the layer's bias range stays inside int16. The activation runs on
     each finished int16 tile and gives the bits of ``quant_leaky_relu``.
-    ``weight_peak``, max|w| if the caller holds it, goes to ``conv_gemm``.
     Returns (output, acc32 saturation count, int16 saturation count).
     """
     if p_alpha is not None and p_alpha < 0:
@@ -267,8 +264,7 @@ def int_conv_forward(input: IntFeatureMap, weights: np.ndarray, biases: np.ndarr
         if p_alpha is not None:
             leaky_step(acc, dst, np.right_shift, p_alpha)
 
-    out = conv_gemm(input.data, weights, stride, padding, 1, requantize,
-                    weight_peak=weight_peak)
+    out = conv_gemm(input.data, weights, stride, padding, 1, requantize)
     return IntFeatureMap(out), counts[0], counts[1]
 
 
@@ -299,8 +295,7 @@ def int_infer(qmodel: QuantizedModel, input: IntFeatureMap,
         qp = qmodel.qparams[layer.id]
         out, n_acc, n16 = int_conv_forward(
             fm, qp.weights, qp.biases, layer.stride, layer.padding, qmodel.config,
-            p_alpha=layer.act_exponent if layer.activation == "leaky" else None,
-            weight_peak=qp.weight_peak)
+            p_alpha=layer.act_exponent if layer.activation == "leaky" else None)
         stats.record(layer.id, n_acc, n16)
         return out
 

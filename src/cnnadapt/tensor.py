@@ -84,7 +84,7 @@ _TENSOR_HEADER_BYTES = 22   # magic, version u32, dtype u8, rank u8, 3 dims u32
 
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
-    a.flags.writeable = False
+    a.setflags(write=False)  # the flags.writeable setter may leave a small block allocated
     return a
 
 
@@ -397,12 +397,10 @@ def peak_magnitude(a: np.ndarray) -> int:
     return max(-int(a.min(initial=0)), int(a.max(initial=0)))
 
 
-def _gemm_dtype(data: np.ndarray, weights: np.ndarray,
-                weight_peak: int | None = None) -> np.dtype:
+def _gemm_dtype(data: np.ndarray, weights: np.ndarray) -> np.dtype:
     """The dtype ``conv_gemm`` sums a conv of the map ``data`` with (kh, kw,
     c_in, nf) ``weights`` in, K = kh*kw*c_in: float32 for an integer map with
-    K * max|x| * max|w| <= MAX_EXACT_FLOAT32_SUM, else float64. ``weight_peak``
-    is max|w| if the caller holds it; else the weights are scanned. Raises
+    K * max|x| * max|w| <= MAX_EXACT_FLOAT32_SUM, else float64. Raises
     ValueError for an integer map that breaks the module docstring's contract."""
     if data.dtype.kind not in "iu":
         return np.dtype(np.float64)
@@ -412,20 +410,16 @@ def _gemm_dtype(data: np.ndarray, weights: np.ndarray,
     if depth > MAX_EXACT_INT_DEPTH:
         raise ValueError(f"conv depth kh*kw*c_in = {depth} exceeds "
                          f"{MAX_EXACT_INT_DEPTH}, beyond which float64 sums are not exact")
-    if weight_peak is None:
-        weight_peak = peak_magnitude(weights)
-    peak = peak_magnitude(data) * weight_peak
+    peak = peak_magnitude(data) * peak_magnitude(weights)
     return np.dtype(np.float32 if depth * peak <= MAX_EXACT_FLOAT32_SUM else np.float64)
 
 
 def conv_gemm(data: np.ndarray, weights: np.ndarray, stride: int, padding: str, batch: int,
-              epilogue, *, weight_peak: int | None = None) -> np.ndarray:
+              epilogue) -> np.ndarray:
     """Convolve each of the ``batch`` (h, w, c) maps stacked in ``data`` with
     (kh, kw, c, nf) weights as GEMMs in ``_gemm_dtype``, exact for an integer
     map or refused, by the module docstring's contract. Returns the outputs
-    stacked, (batch * out_h, out_w, nf), in the dtype of ``data``. An integer
-    conv's caller may pass max|w| as ``weight_peak`` to spare ``_gemm_dtype``
-    its scan of the weights.
+    stacked, (batch * out_h, out_w, nf), in the dtype of ``data``.
 
     Same padding pads each map with zeros; a map that needs no padding is
     read in place. The GEMMs run ``conv_plan``'s plan: for each output tile,
@@ -462,7 +456,7 @@ def conv_gemm(data: np.ndarray, weights: np.ndarray, stride: int, padding: str, 
             for r0 in range(0, kh, run_h) for q0 in range(0, row, run_w)]
     last = len(runs) - 1
     pixels = tile_n * tile_h * tile_w
-    acc_dtype = _gemm_dtype(data, weights, weight_peak)
+    acc_dtype = _gemm_dtype(data, weights)
 
     with gemm_scratch():
         # a run's weight rows, sums, partial sums (if several runs), im2col columns

@@ -471,6 +471,59 @@ def test_int_infer_rejects_stray_weight_record(tmp_path, fused_model_path, input
     assert "error:" in err and "ghost.W" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("escape", ["relative", "absolute"])
+def test_layer_id_that_leaves_the_taps_directory_exits_2(tmp_path, fused_model_path, input_path,
+                                                         capsys, escape):
+    # conv_2 and its records renamed so that its tap would land outside --taps
+    new_id = "../escaped" if escape == "relative" else str(tmp_path / "escaped")
+    records = [(name.replace("conv_2.", f"{new_id}."), arr)
+               for name, arr in _weight_records(load_model(fused_model_path))]
+    _edit_manifest(fused_model_path, _set_layer("conv_2", "id", new_id))
+    fused_model_path.with_suffix(".weights").write_bytes(
+        b"".join(bytes(c) for c in record_chunks(records, DTYPE_FLOAT32)))
+    taps = tmp_path / "out" / "taps"
+    capsys.readouterr()
+    code = run(["infer", "-i", str(fused_model_path), "--input", str(input_path),
+                "--engine", "float", "--taps", str(taps), "--tap-all"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("error:") == 1 and "non-empty file name" in err and "Traceback" not in err
+    assert [p for p in tmp_path.rglob("*.tnsr") if p != input_path and taps not in p.parents] == []
+
+
+def test_maxpool_carrying_conv_fields_exits_2(tmp_path, capsys):
+    path = tmp_path / "yolo.json"
+    save_model(build_tinyyolov3(num_classes=1), path)
+
+    def edit(manifest):
+        pool = next(l for l in manifest["layers"] if l["kind"] == "maxpool")
+        pool.update(num_filters=99, has_bias=True, padding="bogus")
+    _edit_manifest(path, edit)
+    code = run(["flops", "-i", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.count("error:") == 1 and "num_filters is set, but this maxpool" in err
+
+
+@pytest.mark.parametrize("command", ["infer", "compare"])
+@pytest.mark.parametrize("value, saturated", [(0.5, 0), (200.0, 72)])
+def test_input_saturations_are_logged(tmp_path, fused_model_path, caplog, command, value,
+                                      saturated):
+    qpath = tmp_path / "model.q.json"
+    assert run(["quantize", "-i", str(fused_model_path), "-o", str(qpath)]) == 0
+    image = tmp_path / "image.tnsr"
+    save_tensor(image, FeatureMap(np.full((6, 6, 2), value, np.float32)))
+    argv = {"infer": ["infer", "-i", str(qpath), "--input", str(image), "--engine", "int",
+                      "--taps", str(tmp_path / "taps")],
+            "compare": ["compare", "--float-model", str(fused_model_path),
+                        "--quant-model", str(qpath), "--input", str(image)]}[command]
+    with caplog.at_level(logging.WARNING, logger="cnnadapt"):
+        assert run(argv) == 0
+    logged = [r.getMessage() for r in caplog.records if "input values saturated" in r.getMessage()]
+    assert logged == ([f"{saturated} input values saturated during quantization"]
+                      if saturated else [])
+
+
 @pytest.mark.parametrize("engine", ["float", "int"])
 def test_infer_rejects_manifest_that_is_not_an_object(tmp_path, input_path, capsys, engine):
     path = tmp_path / "list.json"

@@ -28,7 +28,6 @@ from cnnadapt.model import (
 from cnnadapt.pruning import PruneConfig, compute_metric_table, prune_below
 from cnnadapt.quantization import (
     QuantConfig,
-    QuantConvParams,
     int_conv_forward,
     int_infer,
     quantize_input,
@@ -468,10 +467,6 @@ def test_int_gemm_takes_float32_up_to_the_exact_bound(sign, max_w, dtype):
     assert _gemm_dtypes(x, w) == {dtype}
     assert _gemm_dtypes(FeatureMap(x.data.astype(np.float32)), w.astype(np.float32)) == {
         np.float64}
-    # the peak a quantized layer caches picks what the scan of its weights picks
-    peak = QuantConvParams(w, np.zeros(2, np.int16)).weight_peak
-    assert peak == max_w
-    assert tensor._gemm_dtype(x.data, w, peak) == tensor._gemm_dtype(x.data, w) == dtype
 
 
 def test_int_conv_just_past_the_bound_stays_exact():

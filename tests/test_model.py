@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import struct
+from dataclasses import replace as replace_spec
 
 import numpy as np
 import pytest
@@ -26,8 +27,8 @@ from cnnadapt.model import (
     shape_infer,
     zero_filter_bank,
 )
-from cnnadapt.quantization import quantize_model, save_quantized_model
-from cnnadapt.tensor import DTYPE_FLOAT32, BatchNormParams, FeatureMap, FilterBank, save_tensor
+from cnnadapt.quantization import load_quantized_model, quantize_model, save_quantized_model
+from cnnadapt.tensor import DTYPE_FLOAT32, DTYPE_INT16, BatchNormParams, FeatureMap, FilterBank, save_tensor
 from cnnadapt.tinyyolo import HEAD_IDS, build_tinyyolov3, head_filters
 from util import bank, chain_model, conv_spec, feature_map, identity_bank, random_bn
 
@@ -120,6 +121,50 @@ def test_layer_spec_refuses_wrong_input_count_and_missing_fields(kind, fields, n
             with pytest.raises(ModelFormatError,
                                match=f"layer 'x': {kind} needs positive {name}, got {bad}"):
                 spec(n_inputs, **{name: bad})
+
+
+# a value other than the default for every optional LayerSpec field
+_SET_VALUES = dict(num_filters=99, kernel_h=3, kernel_w=3, stride=2, padding="bogus",
+                   has_bias=True, has_batchnorm=True, activation="leaky", act_exponent=4,
+                   fused=True, epsilon=0.001, size=2, factor=2, height=4, width=4, channels=2)
+_CONV_FIELDS = ("num_filters", "kernel_h", "kernel_w", "stride", "padding", "has_bias",
+                "has_batchnorm", "activation", "fused", "act_exponent", "epsilon")
+_OWNED = {"input": ("height", "width", "channels"), "conv": _CONV_FIELDS,
+          "maxpool": ("size", "stride"), "upsample": ("factor",), "concat": (),
+          "output_marker": ()}
+
+
+@pytest.mark.parametrize("kind, fields, n_inputs, required", _KIND_RULES,
+                         ids=[rule[0] for rule in _KIND_RULES])
+def test_layer_spec_refuses_fields_its_kind_does_not_use(kind, fields, n_inputs, required):
+    inputs = tuple(f"src_{i}" for i in range(n_inputs))
+    for name in (name for name in _SET_VALUES if name not in _OWNED[kind]):
+        with pytest.raises(ModelFormatError,
+                           match=f"layer 'x': {name} is set, but this {kind} does not use it"):
+            LayerSpec(id="x", kind=kind, inputs=inputs, **{**fields, name: _SET_VALUES[name]})
+    # a field left at its default is not set
+    spec = LayerSpec(id="x", kind=kind, inputs=inputs, **fields, has_bias=kind == "conv")
+    assert set(spec.to_json_dict()) <= {"id", "kind", "inputs", *_OWNED[kind]}
+
+
+def test_conv_refuses_an_exponent_without_leaky_and_an_epsilon_without_batchnorm():
+    linear = conv_spec("x", "input", 2, act="linear")
+    for changes, name in [(dict(act_exponent=4), "act_exponent"), (dict(epsilon=0.01), "epsilon")]:
+        with pytest.raises(ModelFormatError, match=f"{name} is set, but this conv does not"):
+            replace_spec(linear, **changes)
+    leaky_bn = conv_spec("x", "input", 2, act="leaky", has_batchnorm=True, epsilon=0.01)
+    assert leaky_bn.to_json_dict()["act_exponent"] == 4
+    assert leaky_bn.to_json_dict()["epsilon"] == 0.01
+    assert "act_exponent" not in linear.to_json_dict() and "epsilon" not in linear.to_json_dict()
+
+
+@pytest.mark.parametrize("layer_id", ["", "../escaped", "a/b", "/abs/path", "a\\b", "a\0b"])
+def test_layer_id_must_be_a_plain_file_name(layer_id):
+    with pytest.raises(ModelFormatError, match="must be a non-empty file name"):
+        LayerSpec(id=layer_id, kind="upsample", inputs=("input",), factor=2)
+    # the refusal reaches a manifest's layers too
+    with pytest.raises(ModelFormatError, match="must be a non-empty file name"):
+        LayerSpec.from_json_dict({"id": layer_id, "kind": "output_marker", "inputs": ["a"]})
 
 
 def test_channel_mismatch_fails_shape_inference():
@@ -316,6 +361,24 @@ def test_load_rejects_batchnorm_record_of_plain_layer(tmp_path, rng):
     weights.write_bytes(weights.read_bytes() + b"".join(bytes(c) for c in extra[1:]))
     with pytest.raises(ModelFormatError, match="unknown layers.*conv_1.mu"):
         load_model(tmp_path / "m.json")
+
+
+@pytest.mark.parametrize("quantized", [False, True], ids=["float", "quantized"])
+def test_load_rejects_a_repeated_record(tmp_path, rng, quantized):
+    # the parent kept the last of the two records: a model with zero conv_1 weights
+    model = chain_model(rng, [2, 2], hw=4)
+    path = tmp_path / "m.json"
+    if quantized:
+        save_quantized_model(quantize_model(model), path)
+    else:
+        save_model(model, path)
+    code, load = (DTYPE_INT16, load_quantized_model) if quantized else (DTYPE_FLOAT32, load_model)
+    zeros = np.zeros(model.params["conv_1"].filters.weights.shape)
+    repeat = list(record_chunks([("conv_1.W", zeros)], code))
+    weights = tmp_path / "m.weights"
+    weights.write_bytes(weights.read_bytes() + b"".join(bytes(c) for c in repeat[1:]))
+    with pytest.raises(ModelFormatError, match="repeated weight record 'conv_1.W'"):
+        load(path)
 
 
 def test_forged_record_dims_are_truncated_not_allocated(tmp_path, rng):
