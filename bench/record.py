@@ -14,8 +14,10 @@ the first seed, for the per-layer metrics.
 
 On the first seed, one more child per side measures allocation peaks apart
 from the timed runs: it imports ``perfbench/workloads.py`` from that side's
-export and, under ``tracemalloc`` and with one evaluator worker so that no
-two threads allocate at once, builds the workload (``alloc_setup_mb``) and
+export, builds the workload once untraced and drops it, so that lazy
+imports and ``abc`` caches are filled and the set-up figure counts none of
+them, then, under ``tracemalloc`` and with one evaluator worker so that no
+two threads allocate at once, builds it again (``alloc_setup_mb``) and
 runs ``ALLOC_WARMUP`` warm-up operations, by which the op peaks have
 stopped drifting down, then ``ALLOC_OPS`` measured ones (``alloc_op_mb``,
 their median). Each figure is the traced peak above what was traced just
@@ -70,6 +72,7 @@ def peak_mb(fn):
 name, seed, smoke = sys.argv[1], int(sys.argv[2]), sys.argv[3] == "1"
 n_warmup, n_ops = int(sys.argv[4]), int(sys.argv[5])
 with tempfile.TemporaryDirectory() as work_dir:
+    workloads.WORKLOADS[name](seed, smoke, work_dir)  # fills lazy imports and caches, then drops
     tracemalloc.start()
     wl, setup = peak_mb(lambda: workloads.WORKLOADS[name](seed, smoke, work_dir))
     ops = [peak_mb(lambda: wl.op(i))[1] for i in range(n_warmup + n_ops)]

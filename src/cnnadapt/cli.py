@@ -48,15 +48,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-i", "--input-model", required=True)
     p.add_argument("-o", "--output-model", required=True)
     p.add_argument("--metric", choices=[pruning.METRIC_FROBENIUS, pruning.METRIC_SPARSITY],
-                   default=pruning.METRIC_FROBENIUS)
-    p.add_argument("--eps", type=float, default=pruning.DEFAULT_SPARSITY_EPS,
+                   default=pruning.PruneConfig.metric)
+    p.add_argument("--eps", type=float, default=pruning.PruneConfig.sparsity_eps,
                    help="near-zero cutoff for the sparsity metric")
-    p.add_argument("--delta-map", type=float, default=pruning.DEFAULT_DELTA_MAP,
+    p.add_argument("--delta-map", type=float, default=pruning.PruneConfig.delta_map,
                    help="maximum allowed score drop")
-    p.add_argument("--delta-t", type=float, default=pruning.DEFAULT_DELTA_T,
+    p.add_argument("--delta-t", type=float, default=pruning.PruneConfig.delta_t,
                    help="threshold increment")
-    p.add_argument("--t-start", type=float, default=0.0)
-    p.add_argument("--min-filters", type=int, default=1)
+    p.add_argument("--t-start", type=float, default=pruning.PruneConfig.t_start)
+    p.add_argument("--min-filters", type=int, default=pruning.PruneConfig.min_filters_per_layer)
     p.add_argument("--no-prune", default="",
                    help="comma-separated layer ids to exempt (heads are always exempt)")
     p.add_argument("--data", required=True, help="dataset dir of <name>.tnsr + <name>.json")
@@ -68,8 +68,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("quantize", help="build the int16 twin")
     p.add_argument("-i", "--input-model", required=True)
     p.add_argument("-o", "--output-model", required=True)
-    p.add_argument("--p", type=int, default=8, help="scale exponent, S = 2^p")
-    p.add_argument("--p-alpha", type=int, default=4, help="leaky slope exponent")
+    p.add_argument("--p", type=int, default=quantization.QuantConfig.p,
+                   help="scale exponent, S = 2^p")
+    p.add_argument("--p-alpha", type=int, default=quantization.QuantConfig.p_alpha,
+                   help="leaky slope exponent")
 
     p = sub.add_parser("infer", help="run one input through an engine")
     p.add_argument("-i", "--input-model", required=True)
@@ -214,6 +216,13 @@ def _cmd_compare(args) -> int:
     if qmodel.source_digest and qmodel.source_digest != model_digest(model):
         raise PipelineError(f"{args.quant_model} was not quantized from {args.float_model} "
                             f"(its source digest differs)")
+    # quantize restamps each leaky shift with its p_alpha: a changed slope is no quantization error
+    q_layers = {l.id: l for l in qmodel.layers}
+    for layer in model.conv_layers():
+        q = q_layers.get(layer.id)
+        if layer.activation == "leaky" and q is not None and q.act_exponent != layer.act_exponent:
+            raise PipelineError(f"layer {layer.id!r}: leaky shift {q.act_exponent} in "
+                                f"{args.quant_model}, {layer.act_exponent} in {args.float_model}")
     fm = _load_input_map(args.input, model)
     float_trace = float_infer(model, fm, taps=True)
     q_in = quantization.quantize_input(fm, qmodel.config)

@@ -58,7 +58,6 @@ _KIND_FIELDS = {kind: required + other for kind, (_, required, other) in _KINDS.
 # conv fields that only some convs own
 _OWNED_IF = {"act_exponent": lambda l: l.activation == "leaky",
              "epsilon": lambda l: l.has_batchnorm}
-LAYER_KINDS = tuple(_KINDS)
 # a tuple, not a set, so the first bad field reported does not depend on hashing
 _INT_FIELDS = tuple(dict.fromkeys(
     name for _, required, _ in _KINDS.values() for name in required)) + ("act_exponent",)
@@ -182,22 +181,16 @@ class ConvParams:
     batchnorm: Optional[BatchNormParams] = None
 
 
+@dataclass(frozen=True)
 class LayerGraph:
-    """Graph helpers shared by ``Model`` and the quantized model.
-
-    A subclass holds ``layers`` and gives each conv layer's weight shape
-    through ``filter_shape``.
-    """
+    """Topologically ordered layer specs: unique ids, exactly one input, and
+    every input before its consumer. ``Model`` and the quantized model add
+    each conv layer's parameters and check them with ``_check_weights``."""
 
     layers: tuple[LayerSpec, ...]
 
-    def filter_shape(self, layer_id: str) -> tuple[int, int, int, int]:
-        """(kernel_h, kernel_w, in_channels, num_filters) of a conv layer's weights."""
-        raise NotImplementedError
-
-    def _check_graph(self, params: Mapping[str, object]) -> None:
-        """Unique ids, one input, every input before its consumer, and parameters
-        for exactly the conv layers, with the kernel and filter count of the spec."""
+    def __post_init__(self):
+        object.__setattr__(self, "layers", tuple(self.layers))
         ids = [l.id for l in self.layers]
         if len(set(ids)) != len(ids):
             dupes = sorted({i for i in ids if ids.count(i) > 1})
@@ -212,17 +205,28 @@ class LayerGraph:
                     raise ModelFormatError(
                         f"layer {layer.id!r} consumes {src!r} which does not precede it")
             seen.add(layer.id)
+
+    def _check_weights(self, weights: Mapping[str, np.ndarray]) -> None:
+        """Weights (kh, kw, c_in, nf) for exactly the conv layers, with the
+        kernel and filter count of the spec and the input channels that
+        ``shape_infer`` gives upstream."""
+        shapes = shape_infer(self)
         for layer in self.layers:
             if layer.kind == "conv":
-                if layer.id not in params:
+                if layer.id not in weights:
                     raise ModelFormatError(f"conv layer {layer.id!r} has no parameters")
-                shape = self.filter_shape(layer.id)
+                shape = weights[layer.id].shape
                 if (shape[0], shape[1], shape[3]) != (
                         layer.kernel_h, layer.kernel_w, layer.num_filters):
                     raise ShapeError(
                         f"layer {layer.id!r}: filter bank {shape} does not match "
                         f"spec ({layer.kernel_h}x{layer.kernel_w}, nf={layer.num_filters})")
-            elif layer.id in params:
+                c = shapes[layer.inputs[0]][2]
+                if shape[2] != c:
+                    raise ShapeError(
+                        f"layer {layer.id!r}: filters expect {shape[2]} input channels, "
+                        f"upstream provides {c}")
+            elif layer.id in weights:
                 raise ModelFormatError(f"non-conv layer {layer.id!r} has parameters attached")
 
     @property
@@ -253,12 +257,11 @@ class LayerGraph:
 class Model(LayerGraph):
     """Topologically ordered layer specs plus per-conv parameters."""
 
-    layers: tuple[LayerSpec, ...]
     params: dict[str, ConvParams] = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "layers", tuple(self.layers))
-        self._check_graph(self.params)
+        super().__post_init__()
+        self._check_weights({lid: p.filters.weights for lid, p in self.params.items()})
         for layer in self.conv_layers():
             p = self.params[layer.id]
             if layer.has_batchnorm != (p.batchnorm is not None):
@@ -272,10 +275,6 @@ class Model(LayerGraph):
                 raise ModelFormatError(
                     f"layer {layer.id!r}: batchnorm epsilon {p.batchnorm.epsilon} "
                     f"!= layer epsilon {layer.bn_epsilon}")
-        shape_infer(self)  # channel bookkeeping must be consistent before any use
-
-    def filter_shape(self, layer_id: str) -> tuple[int, int, int, int]:
-        return self.params[layer_id].filters.weights.shape
 
     def has_batchnorm(self) -> bool:
         return any(l.has_batchnorm for l in self.conv_layers())
@@ -285,20 +284,15 @@ class Model(LayerGraph):
 InferenceTrace = dict[str, FeatureMap]
 
 
-def shape_infer(model: LayerGraph) -> dict[str, tuple[int, int, int]]:
-    """Static (h, w, c) for every layer of a float or quantized model; fails
+def shape_infer(graph: LayerGraph) -> dict[str, tuple[int, int, int]]:
+    """Static (h, w, c) for every layer, from the layer specs alone; fails
     instead of guessing on mismatch."""
     shapes: dict[str, tuple[int, int, int]] = {}
-    for layer in model.layers:
+    for layer in graph.layers:
         if layer.kind == "input":
             shapes[layer.id] = (layer.height, layer.width, layer.channels)
         elif layer.kind == "conv":
-            h, w, c = shapes[layer.inputs[0]]
-            in_channels = model.filter_shape(layer.id)[2]
-            if in_channels != c:
-                raise ShapeError(
-                    f"layer {layer.id!r}: filters expect {in_channels} input channels, "
-                    f"upstream provides {c}")
+            h, w, _ = shapes[layer.inputs[0]]
             oh, ow = conv_output_shape(h, w, layer.kernel_h, layer.kernel_w,
                                        layer.stride, layer.padding)
             shapes[layer.id] = (oh, ow, layer.num_filters)

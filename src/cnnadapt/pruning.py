@@ -28,17 +28,15 @@ METRIC_SPARSITY = "sparsity"
 
 # Sp_eps default: weights below 0.003 in magnitude count as near-zero
 DEFAULT_SPARSITY_EPS = 0.003
-DEFAULT_DELTA_MAP = 0.01
-DEFAULT_DELTA_T = 0.02
 
 
 @dataclass(frozen=True)
 class PruneConfig:
     metric: str = METRIC_FROBENIUS
     sparsity_eps: float = DEFAULT_SPARSITY_EPS
-    delta_map: float = DEFAULT_DELTA_MAP
+    delta_map: float = 0.01
     t_start: float = 0.0
-    delta_t: float = DEFAULT_DELTA_T
+    delta_t: float = 0.02
     min_filters_per_layer: int = 1
     no_prune: frozenset[str] = field(default_factory=frozenset)
 

@@ -21,12 +21,10 @@ from .errors import ModelFormatError, PipelineError, ShapeError, file_content
 from .model import (
     MAX_ACT_EXPONENT,
     LayerGraph,
-    LayerSpec,
     Model,
     execute,
     model_digest,
     read_model_files,
-    shape_infer,
     write_model_files,
 )
 from .tensor import (
@@ -141,28 +139,23 @@ class QuantConvParams:
 @dataclass(frozen=True)
 class QuantizedModel(LayerGraph):
     """Same layer graph as the source model with int16 parameters; validated
-    as ``Model`` validates its graph and shapes. Every leaky conv shifts by
+    as ``Model`` validates its graph and weights. Every leaky conv shifts by
     the config's ``p_alpha``."""
 
-    layers: tuple[LayerSpec, ...]
     qparams: dict[str, QuantConvParams]
     config: QuantConfig
     source_digest: str
     param_saturations: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "layers", tuple(self.layers))
+        super().__post_init__()
         for layer in self.layers:
             if layer.kind == "conv" and layer.has_batchnorm:
                 raise PipelineError(f"layer {layer.id!r} still carries batchnorm")
             if layer.activation == "leaky" and layer.act_exponent != self.config.p_alpha:
                 raise PipelineError(f"layer {layer.id!r} has act_exponent {layer.act_exponent}, "
                                     f"but p_alpha is {self.config.p_alpha}")
-        self._check_graph(self.qparams)
-        shape_infer(self)
-
-    def filter_shape(self, layer_id: str) -> tuple[int, int, int, int]:
-        return self.qparams[layer_id].weights.shape
+        self._check_weights({lid: qp.weights for lid, qp in self.qparams.items()})
 
 
 @dataclass

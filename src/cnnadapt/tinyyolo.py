@@ -8,7 +8,7 @@ use randomize_weights or an external loader to fill them.
 """
 from __future__ import annotations
 
-from .model import ConvParams, LayerSpec, Model, zero_filter_bank
+from .model import ConvParams, LayerGraph, LayerSpec, Model, shape_infer, zero_filter_bank
 from .tensor import BatchNormParams
 import numpy as np
 
@@ -68,21 +68,16 @@ def build_tinyyolov3(num_classes: int = 80) -> Model:
         LayerSpec(id="out_2", kind="output_marker", inputs=("conv_13",)),
     ]
 
-    channels: dict[str, int] = {}  # output channels of each layer so far
+    shapes = shape_infer(LayerGraph(layers))
     params = {}
     for layer in layers:
-        if layer.kind == "input":
-            channels[layer.id] = layer.channels
-        elif layer.kind == "conv":
+        if layer.kind == "conv":
             nf = layer.num_filters
-            fb = zero_filter_bank(layer.kernel_h, layer.kernel_w, channels[layer.inputs[0]], nf)
+            fb = zero_filter_bank(layer.kernel_h, layer.kernel_w, shapes[layer.inputs[0]][2], nf)
             bn = None
             if layer.has_batchnorm:
                 bn = BatchNormParams(
                     mu=np.zeros(nf), sigma2=np.ones(nf), gamma=np.ones(nf),
                     beta=np.zeros(nf), epsilon=DEFAULT_EPSILON)
             params[layer.id] = ConvParams(fb, bn)
-            channels[layer.id] = nf
-        else:
-            channels[layer.id] = sum(channels[i] for i in layer.inputs)
     return Model(tuple(layers), params)

@@ -239,6 +239,25 @@ def test_compare_refuses_a_quantized_model_of_other_weights(tmp_path, rng, fused
                 "--quant-model", str(qpath), "--input", str(input_path)]) == 0
 
 
+def test_compare_refuses_a_quantized_model_of_another_leaky_shift(tmp_path, fused_model_path,
+                                                                  input_path, capsys):
+    # the fixture's leaky layers shift by 4, the default p_alpha
+    for p_alpha, code in ((1, 1), (4, 0)):
+        qpath = tmp_path / f"model.{p_alpha}.q.json"
+        assert run(["quantize", "-i", str(fused_model_path), "-o", str(qpath),
+                    "--p-alpha", str(p_alpha)]) == 0
+        capsys.readouterr()
+        assert run(["compare", "--float-model", str(fused_model_path),
+                    "--quant-model", str(qpath), "--input", str(input_path)]) == code
+        out, err = capsys.readouterr()
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        if code:
+            assert errors == [f"error: layer 'conv_1': leaky shift 1 in {qpath}, "
+                              f"4 in {fused_model_path}"] and "MSE" not in out
+        else:
+            assert not errors and "MSE" in out
+
+
 def test_int_engine_is_reproducible_through_cli(tmp_path, fused_model_path, input_path):
     qpath = tmp_path / "model.q.json"
     assert run(["quantize", "-i", str(fused_model_path), "-o", str(qpath)]) == 0

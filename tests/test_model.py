@@ -2,6 +2,7 @@
 import hashlib
 import json
 import os
+import re
 import struct
 from dataclasses import replace as replace_spec
 
@@ -13,6 +14,7 @@ from cnnadapt.errors import ModelFormatError, ShapeError
 from cnnadapt.fusion import fuse_model
 from cnnadapt.model import (
     ConvParams,
+    LayerGraph,
     LayerSpec,
     Model,
     _atomic_write,
@@ -200,6 +202,16 @@ def test_tinyyolo_output_grids():
     assert shapes["conv_13"] == (26, 26, 255)
     assert shapes["pool_6"] == (13, 13, 512)       # stride-1 pool keeps the grid
     assert shapes["route_1"] == (26, 26, 384)      # 128 upsampled + 256 skip
+
+
+def test_layer_graph_is_shaped_and_checked_without_parameters():
+    layers = build_tinyyolov3().layers
+    assert shape_infer(LayerGraph(layers)) == shape_infer(build_tinyyolov3())
+    with pytest.raises(ModelFormatError, match=re.escape("duplicate layer ids: ['conv_1']")):
+        LayerGraph(layers[:2] + layers[1:])
+    with pytest.raises(ModelFormatError,
+                       match=re.escape("layer 'conv_1' consumes 'input' which does not precede it")):
+        LayerGraph(layers[1:2] + layers[:1] + layers[2:])
 
 
 # ---------------------------------------------------------------------------
