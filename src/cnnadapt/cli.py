@@ -8,6 +8,7 @@ never leaves a partial file.
 from __future__ import annotations
 
 import argparse
+import inspect
 import logging
 import os
 import sys
@@ -61,8 +62,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated layer ids to exempt (heads are always exempt)")
     p.add_argument("--data", required=True, help="dataset dir of <name>.tnsr + <name>.json")
     p.add_argument("--eval", choices=["accuracy", "map"], default="accuracy")
-    p.add_argument("--iou", type=float, default=0.5)
-    p.add_argument("--score-threshold", type=float, default=0.5)
+    map_defaults = inspect.signature(evaluation.map_evaluator).parameters
+    p.add_argument("--iou", type=float, default=map_defaults["iou_threshold"].default)
+    p.add_argument("--score-threshold", type=float,
+                   default=map_defaults["score_threshold"].default)
     p.add_argument("--report", help="write the sweep report as JSON")
 
     p = sub.add_parser("quantize", help="build the int16 twin")

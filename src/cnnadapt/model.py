@@ -207,9 +207,9 @@ class LayerGraph:
             seen.add(layer.id)
 
     def _check_weights(self, weights: Mapping[str, np.ndarray]) -> None:
-        """Weights (kh, kw, c_in, nf) for exactly the conv layers, with the
-        kernel and filter count of the spec and the input channels that
-        ``shape_infer`` gives upstream."""
+        """Weights (kh, kw, c_in, nf) for exactly the conv layers and under
+        no other key, with the kernel and filter count of the spec and the
+        input channels that ``shape_infer`` gives upstream."""
         shapes = shape_infer(self)
         for layer in self.layers:
             if layer.kind == "conv":
@@ -228,6 +228,9 @@ class LayerGraph:
                         f"upstream provides {c}")
             elif layer.id in weights:
                 raise ModelFormatError(f"non-conv layer {layer.id!r} has parameters attached")
+        stray = set(weights) - {l.id for l in self.layers}
+        if stray:
+            raise ModelFormatError(f"parameters for unknown layers: {sorted(stray)}")
 
     @property
     def input_layer(self) -> LayerSpec:

@@ -12,6 +12,7 @@ input to output.
 from __future__ import annotations
 
 import logging
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Union
 
@@ -182,7 +183,9 @@ def quantize_model(model: Model, config: QuantConfig = QuantConfig()) -> Quantiz
     """Quantize every weight and bias; refuses models that still carry batchnorm.
 
     The graph is copied with every leaky activation restamped to the
-    config's slope exponent, so the twin is self-describing.
+    config's slope exponent, so the twin is self-describing. The source's
+    ``model_digest`` runs on one helper thread while this one quantizes:
+    sha256 releases the GIL and the digest allocates no array.
     """
     if model.has_batchnorm():
         raise PipelineError("model contains batchnorm; run fuse first")
@@ -192,14 +195,16 @@ def quantize_model(model: Model, config: QuantConfig = QuantConfig()) -> Quantiz
         for l in model.layers)
     qparams = {}
     saturations = 0
-    for layer in model.conv_layers():
-        fb = model.params[layer.id].filters
-        wq, sw = quantize_tensor(fb.weights, config.p)
-        bq, sb = quantize_tensor(fb.biases, config.p)
-        saturations += sw + sb
-        qparams[layer.id] = QuantConvParams(wq, bq)
-    return QuantizedModel(layers, qparams, config,
-                          source_digest=model_digest(model),
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        digest = pool.submit(model_digest, model)
+        for layer in model.conv_layers():
+            fb = model.params[layer.id].filters
+            wq, sw = quantize_tensor(fb.weights, config.p)
+            bq, sb = quantize_tensor(fb.biases, config.p)
+            saturations += sw + sb
+            qparams[layer.id] = QuantConvParams(wq, bq)
+        source_digest = digest.result()
+    return QuantizedModel(layers, qparams, config, source_digest=source_digest,
                           param_saturations=saturations)
 
 

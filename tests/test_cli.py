@@ -1,4 +1,5 @@
 """End-to-end checks of the command-line surface (in-process, plus one subprocess)."""
+import inspect
 import json
 import logging
 import shutil
@@ -10,8 +11,8 @@ import warnings
 import numpy as np
 import pytest
 
-from cnnadapt import pruning
-from cnnadapt.cli import run
+from cnnadapt import evaluation, pruning
+from cnnadapt.cli import build_parser, run
 from cnnadapt.model import (
     ConvParams,
     Model,
@@ -761,3 +762,10 @@ def test_activation_overflow_exits_2(tmp_path, rng, capsys, command):
     err = capsys.readouterr().err
     assert code == 2
     assert err.count("error:") == 1 and "overflow" in err and "Traceback" not in err
+
+
+def test_map_options_default_to_the_evaluators_own_defaults():
+    args = build_parser().parse_args(["prune", "-i", "a.json", "-o", "b.json", "--data", "d"])
+    defaults = inspect.signature(evaluation.map_evaluator).parameters
+    assert (args.iou, args.score_threshold) == (defaults["iou_threshold"].default,
+                                                defaults["score_threshold"].default) == (0.5, 0.5)

@@ -1,5 +1,6 @@
 """Power-of-two quantization: rounding, shifts, the integer engine, serialization."""
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cnnadapt.errors import ModelFormatError, PipelineError, ShapeError
-from cnnadapt import tensor
+from cnnadapt import quantization, tensor
 from cnnadapt.model import (
     ConvParams,
     Model,
@@ -232,6 +233,32 @@ def test_quantize_model_counts_parameter_saturations(rng):
     model = chain_model(rng, [2], hw=4, scale=500.0)
     qmodel = quantize_model(model)
     assert qmodel.param_saturations > 0
+
+
+def test_quantize_model_digests_beside_quantizing_and_matches_a_serial_reference(rng):
+    model = chain_model(rng, [3, 4, 2], hw=4, scale=200.0)  # 200 * 2^8 > INT16_MAX
+    threads = threading.active_count()
+    qmodel = quantize_model(model)
+    assert threading.active_count() == threads
+    assert qmodel.source_digest == model_digest(model)
+    saturations = 0
+    for lid, p in model.params.items():
+        (wq, sw), (bq, sb) = (quantize_tensor(a, 8) for a in (p.filters.weights, p.filters.biases))
+        np.testing.assert_array_equal(qmodel.qparams[lid].weights, wq)
+        np.testing.assert_array_equal(qmodel.qparams[lid].biases, bq)
+        saturations += sw + sb
+    assert qmodel.param_saturations == saturations > 0
+
+
+def test_quantize_model_raises_what_its_digest_raises(rng, monkeypatch):
+    def failing_digest(model):
+        raise RuntimeError("digest failed")
+
+    monkeypatch.setattr(quantization, "model_digest", failing_digest)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match="digest failed"):
+        quantize_model(chain_model(rng, [2], hw=4))
+    assert threading.active_count() == threads
 
 
 def test_quantized_model_rejects_batchnorm_layers(rng):
