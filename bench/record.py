@@ -34,11 +34,7 @@ quartiles, the change's win count, and whether the pairs meet the gain rule
 (at least 10 pairs, the change better in at least 9 of 10, by a median gap
 wider than the parent's interquartile range, every run correct, and a failed
 share of attempted operations no larger than the parent's) and the metric's
-regression bound. The allocation peaks are stored per side under ``alloc``,
-and under ``filesystem`` the type and options of the mount that holds the
-exports, read from ``/proc/self/mountinfo`` (null where it does not exist):
-the ``pipeline`` workload saves into its export, and the time the
-filesystem takes to free a replaced file depends on them.
+regression bound. The allocation peaks are stored per side under ``alloc``.
 
 Standard library only.
 """
@@ -48,7 +44,6 @@ import argparse
 import io
 import json
 import os
-import re
 import statistics
 import subprocess
 import sys
@@ -161,30 +156,6 @@ def export(rev: str, directory: str) -> None:
         archive.extractall(directory, filter="data")
 
 
-def mount_of(path, mountinfo: str = "/proc/self/mountinfo") -> dict | None:
-    """The mount that holds ``path``, from a ``mountinfo`` table: its mount
-    point, filesystem type, per-mount options and superblock options (where
-    e.g. ``discard`` shows). None where the table cannot be read."""
-    try:
-        with open(mountinfo) as fh:
-            lines = fh.read().splitlines()
-    except OSError:
-        return None
-    target = os.path.realpath(path)
-    found = None
-    for line in lines:
-        head, _, tail = line.partition(" - ")
-        fields, (fs_type, _source, super_options) = head.split(), tail.split()
-        # spaces, tabs, newlines and backslashes in a mount point are octal escapes
-        point = re.sub(r"\\([0-7]{3})", lambda m: chr(int(m.group(1), 8)), fields[4])
-        inside = target == point or target.startswith(point.rstrip("/") + "/")
-        # the deepest mount point wins; of two at one point, the later mount covers the other
-        if inside and (found is None or len(point) >= len(found["mount_point"])):
-            found = {"mount_point": point, "fs_type": fs_type, "mount_options": fields[5],
-                     "super_options": super_options}
-    return found
-
-
 def bench_run(checkout: str, workload: str, seed: int, seconds: float, trace: bool) -> dict:
     """One perfbench run: its end-to-end (or, traced, per-layer) metrics,
     counts and ``env`` line."""
@@ -242,7 +213,6 @@ def main(argv=None) -> int:
         for side, rev in revs.items():
             checkouts[side] = str(Path(work) / side)
             export(rev, checkouts[side])
-        filesystem = mount_of(work)
         for i, seed in enumerate(args.seeds):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             pair = {"seed": seed, "first": order[0]}
@@ -262,7 +232,6 @@ def main(argv=None) -> int:
     entry = add_runs(record["workloads"].get(args.workload), revs, seconds, pairs, traced,
                      spec["end_to_end"])
     entry["alloc"] = alloc
-    entry["filesystem"] = filesystem
     record["workloads"][args.workload] = entry
     path.write_text(json.dumps(record, indent=1) + "\n")
     print(json.dumps({args.workload: entry["summary"]}, indent=1))

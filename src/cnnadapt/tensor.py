@@ -57,10 +57,9 @@ written through ``_atomic_write``, so a failed write leaves the old file.
 from __future__ import annotations
 
 import os
-import stat
 import struct
 import threading
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from itertools import product
 from typing import Iterable, TypeVar
@@ -642,58 +641,21 @@ def split_batch(stacked: MapT, batch: int) -> list[MapT]:
 # Tensor container file ("TNSR")
 # ---------------------------------------------------------------------------
 
-RELEASE_THREAD = "cnnadapt-release"  # name of _atomic_write's closing threads
-
-
 def _atomic_write(path, chunks: Iterable[bytes | memoryview]) -> None:
     """Write ``chunks`` to a temp file, then rename it over ``path``.
 
     If a write or the chunk iterator raises, the temp file is removed and
-    ``path`` keeps its old content. On POSIX, a regular file that the rename
-    replaces is held open across it and closed by a helper thread, so the
-    filesystem frees its blocks there rather than inside ``os.replace``.
+    ``path`` keeps its old content.
     """
     tmp = f"{path}.tmp.{os.getpid()}"
-    old = None
     try:
         with open(tmp, "wb") as fh:
             fh.writelines(chunks)
-        old = _open_regular(path)
         os.replace(tmp, path)
     except BaseException:
-        if old is not None:
-            _close_quietly(old)
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-    if old is not None:
-        try:
-            threading.Thread(target=_close_quietly, args=(old,), name=RELEASE_THREAD).start()
-        except RuntimeError:  # no thread to be had: free the blocks here
-            _close_quietly(old)
-
-
-def _open_regular(path) -> int | None:
-    """A read-only descriptor of ``path`` if it is a regular file (never
-    following a symlink or blocking on a FIFO), on POSIX; else None."""
-    if os.name != "posix":
-        return None  # Windows refuses to rename over an open file
-    try:
-        fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK | os.O_NOFOLLOW)
-    except OSError:
-        return None
-    regular = False
-    try:
-        regular = stat.S_ISREG(os.fstat(fd).st_mode)
-    finally:
-        if not regular:
-            os.close(fd)
-    return fd if regular else None
-
-
-def _close_quietly(fd: int) -> None:
-    with suppress(OSError):
-        os.close(fd)
 
 
 def save_tensor(path, fm: FeatureMap | IntFeatureMap) -> None:

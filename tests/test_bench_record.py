@@ -108,20 +108,3 @@ def test_allocation_peaks_of_two_exports_of_one_tree_agree(tmp_path):
     for key in ("alloc_setup_mb", "alloc_op_mb"):
         assert peaks[0][key] > 0
         assert peaks[1][key] == pytest.approx(peaks[0][key], rel=1e-4)
-
-
-def test_the_mount_of_a_path_is_its_deepest_latest_mount_point(tmp_path):
-    table = tmp_path / "mountinfo"
-    table.write_text(
-        "28 1 254:0 / / rw,relatime - ext4 /dev/vda rw,discard\n"
-        "40 28 0:40 / /bench-srv rw,nosuid shared:7 - xfs /dev/vdc rw,attr2\n"
-        "41 28 0:41 / /bench-srv/bench\\040out rw,noatime - tmpfs tmpfs rw,size=64k\n"
-        "42 28 0:42 / /bench-srv/bench\\040out rw,relatime - ext4 /dev/vdd rw,nodiscard\n")
-    assert record.mount_of("/bench-srv/bench out/tmp1", str(table)) == {
-        "mount_point": "/bench-srv/bench out", "fs_type": "ext4", "mount_options": "rw,relatime",
-        "super_options": "rw,nodiscard"}
-    assert record.mount_of("/bench-srv/bench", str(table))["fs_type"] == "xfs"
-    assert record.mount_of("/bench-srvx", str(table)) == {
-        "mount_point": "/", "fs_type": "ext4", "mount_options": "rw,relatime",
-        "super_options": "rw,discard"}
-    assert record.mount_of("/bench-srv", str(tmp_path / "absent")) is None

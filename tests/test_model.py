@@ -4,7 +4,6 @@ import json
 import os
 import re
 import struct
-import threading
 from dataclasses import replace as replace_spec
 
 import numpy as np
@@ -31,15 +30,7 @@ from cnnadapt.model import (
     zero_filter_bank,
 )
 from cnnadapt.quantization import load_quantized_model, quantize_model, save_quantized_model
-from cnnadapt.tensor import (
-    DTYPE_FLOAT32,
-    DTYPE_INT16,
-    RELEASE_THREAD,
-    BatchNormParams,
-    FeatureMap,
-    FilterBank,
-    save_tensor,
-)
+from cnnadapt.tensor import DTYPE_FLOAT32, DTYPE_INT16, BatchNormParams, FeatureMap, FilterBank, save_tensor
 from cnnadapt.tinyyolo import HEAD_IDS, build_tinyyolov3, head_filters
 from util import bank, chain_model, conv_spec, feature_map, identity_bank, random_bn
 
@@ -502,60 +493,17 @@ def test_atomic_write_failure_keeps_destination(tmp_path, chunks, error):
 
 
 def _open_fds():
-    """Names of this process's open descriptors once every helper thread of
-    ``_atomic_write`` has finished; None off Linux."""
-    for t in threading.enumerate():
-        if t.name == RELEASE_THREAD:
-            t.join(timeout=10)
-            assert not t.is_alive()
+    """Names of this process's open descriptors; None off Linux."""
     return sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
 
 
-def test_atomic_write_over_a_file_writes_it_and_releases_the_old_one(tmp_path):
+def test_atomic_write_over_a_file_writes_it_and_leaks_nothing(tmp_path):
     dest = tmp_path / "out.weights"
     dest.write_bytes(b"old content" * 1000)
     before = _open_fds()
     _atomic_write(dest, [b"new ", memoryview(b"content")])
     after = _open_fds()
     assert dest.read_bytes() == b"new content"
-    assert [p.name for p in tmp_path.iterdir()] == ["out.weights"]
-    if before is None:
-        pytest.skip("no /proc/self/fd to count descriptors in")
-    assert after == before
-
-
-def test_atomic_write_closes_the_old_file_itself_when_no_thread_starts(tmp_path, monkeypatch):
-    dest = tmp_path / "out.weights"
-    dest.write_bytes(b"old content")
-    before = _open_fds()
-
-    class NoThread(threading.Thread):
-        def start(self):
-            raise RuntimeError("can't start new thread")
-
-    monkeypatch.setattr(threading, "Thread", NoThread)
-    _atomic_write(dest, [b"new content"])
-    monkeypatch.undo()
-    assert dest.read_bytes() == b"new content"
-    if before is None:
-        pytest.skip("no /proc/self/fd to count descriptors in")
-    assert _open_fds() == before
-
-
-def test_atomic_write_closes_the_held_file_when_the_rename_fails(tmp_path, monkeypatch):
-    dest = tmp_path / "out.weights"
-    dest.write_bytes(b"old content")
-    before = _open_fds()
-
-    def failing_replace(src, dst):
-        raise OSError("rename failed")
-
-    monkeypatch.setattr(os, "replace", failing_replace)
-    with pytest.raises(OSError, match="rename failed"):
-        _atomic_write(dest, [b"new"])
-    monkeypatch.undo()
-    after = _open_fds()
-    assert dest.read_bytes() == b"old content"
     assert [p.name for p in tmp_path.iterdir()] == ["out.weights"]
     if before is None:
         pytest.skip("no /proc/self/fd to count descriptors in")
