@@ -73,8 +73,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output-model", required=True)
     p.add_argument("--p", type=int, default=quantization.QuantConfig.p,
                    help="scale exponent, S = 2^p")
-    p.add_argument("--p-alpha", type=int, default=quantization.QuantConfig.p_alpha,
-                   help="leaky slope exponent")
 
     p = sub.add_parser("infer", help="run one input through an engine")
     p.add_argument("-i", "--input-model", required=True)
@@ -181,7 +179,7 @@ def _cmd_prune(args) -> int:
 def _cmd_quantize(args) -> int:
     model = _load_float_model(args.input_model)
     _require_fused(model, "quantize")
-    config = quantization.QuantConfig(p=args.p, p_alpha=args.p_alpha)
+    config = quantization.QuantConfig(p=args.p)
     qmodel = quantization.quantize_model(model, config)
     quantization.save_quantized_model(qmodel, args.output_model)
     if qmodel.param_saturations:
@@ -219,13 +217,9 @@ def _cmd_compare(args) -> int:
     if qmodel.source_digest and qmodel.source_digest != model_digest(model):
         raise PipelineError(f"{args.quant_model} was not quantized from {args.float_model} "
                             f"(its source digest differs)")
-    # quantize restamps each leaky shift with its p_alpha: a changed slope is no quantization error
-    q_layers = {l.id: l for l in qmodel.layers}
-    for layer in model.conv_layers():
-        q = q_layers.get(layer.id)
-        if layer.activation == "leaky" and q is not None and q.act_exponent != layer.act_exponent:
-            raise PipelineError(f"layer {layer.id!r}: leaky shift {q.act_exponent} in "
-                                f"{args.quant_model}, {layer.act_exponent} in {args.float_model}")
+    if qmodel.layers != model.layers:
+        raise PipelineError(f"{args.quant_model} and {args.float_model} differ in their "
+                            f"layer specs")
     fm = _load_input_map(args.input, model)
     float_trace = float_infer(model, fm, taps=True)
     q_in = quantization.quantize_input(fm, qmodel.config)
@@ -245,6 +239,8 @@ def _cmd_flops(args) -> int:
     model = _load_float_model(args.input_model)
     report = analysis.count_flops(model)
     reference = analysis.count_flops(_load_float_model(args.ref)) if args.ref else None
+    if reference is not None and not reference.total:
+        raise PipelineError(f"{args.ref}: reference model has no FLOPs to reduce")
     print(report.format_table(reference, per_layer=args.per_layer))
     if args.report:
         analysis.write_json_report(args.report, report.to_dict(reference))

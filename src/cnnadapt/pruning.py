@@ -181,6 +181,11 @@ class PruneReport:
         }
 
 
+def _reduction_pct(base: int, value: int) -> float:
+    # a conv-less model has nothing to count, and every candidate of it is the model
+    return 100.0 * (base - value) / base if base else 0.0
+
+
 def prune_routine(model: Model, config: PruneConfig,
                   evaluator: Callable[[Model], float]) -> tuple[Model, PruneReport]:
     """Threshold sweep: accept candidates while the score drop stays in budget.
@@ -220,8 +225,8 @@ def prune_routine(model: Model, config: PruneConfig,
             threshold=t,
             filters_removed={lid: len(idx) for lid, idx in removed.items()},
             score=score,
-            param_reduction_pct=100.0 * (base_params - count_params(candidate).total) / base_params,
-            flop_reduction_pct=100.0 * (base_flops - count_flops(candidate).total) / base_flops,
+            param_reduction_pct=_reduction_pct(base_params, count_params(candidate).total),
+            flop_reduction_pct=_reduction_pct(base_flops, count_flops(candidate).total),
             accepted=accepted,
         )
         steps.append(step)

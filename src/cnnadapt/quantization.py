@@ -6,21 +6,20 @@ convolution runs conv -> shift -> narrow to int16 -> bias add -> leaky ReLU
 in one pass over each output tile, with every narrowing saturated and
 counted instead of silently wrapping (``int_conv_forward`` gives the order
 in which a tile is scaled, floored and checked). Leaky ReLU is
-max(z, z >> P_alpha) on the int16 tile. Activations are int16 maps from
-input to output.
+max(z, z >> P_alpha) on the int16 tile, where P_alpha is the layer's own
+``act_exponent``. Activations are int16 maps from input to output.
 """
 from __future__ import annotations
 
 import logging
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
 
 from .errors import ModelFormatError, PipelineError, ShapeError, file_content
 from .model import (
-    MAX_ACT_EXPONENT,
     LayerGraph,
     Model,
     execute,
@@ -50,17 +49,12 @@ QUANTIZE_CHUNK = 1 << 16  # quantize_tensor's elements per pass: 512 KiB float64
 @dataclass(frozen=True)
 class QuantConfig:
     p: int = 8         # scale S = 2^p
-    p_alpha: int = 4   # leaky slope 2^-p_alpha
 
     def __post_init__(self):
-        for name in ("p", "p_alpha"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise ValueError(f"{name} must be an integer, got {v!r}")
+        if not isinstance(self.p, int) or isinstance(self.p, bool):
+            raise ValueError(f"p must be an integer, got {self.p!r}")
         if not 0 <= self.p <= MAX_SCALE_EXPONENT:
             raise ValueError(f"scale exponent must lie in [0, {MAX_SCALE_EXPONENT}], got {self.p}")
-        if not 0 <= self.p_alpha <= MAX_ACT_EXPONENT:
-            raise ValueError(f"p_alpha must lie in [0, {MAX_ACT_EXPONENT}], got {self.p_alpha}")
 
     @property
     def scale(self) -> int:
@@ -140,8 +134,8 @@ class QuantConvParams:
 @dataclass(frozen=True)
 class QuantizedModel(LayerGraph):
     """Same layer graph as the source model with int16 parameters; validated
-    as ``Model`` validates its graph and weights. Every leaky conv shifts by
-    the config's ``p_alpha``."""
+    as ``Model`` validates its graph and weights. Each leaky conv shifts by
+    its own ``act_exponent``."""
 
     qparams: dict[str, QuantConvParams]
     config: QuantConfig
@@ -153,9 +147,6 @@ class QuantizedModel(LayerGraph):
         for layer in self.layers:
             if layer.kind == "conv" and layer.has_batchnorm:
                 raise PipelineError(f"layer {layer.id!r} still carries batchnorm")
-            if layer.activation == "leaky" and layer.act_exponent != self.config.p_alpha:
-                raise PipelineError(f"layer {layer.id!r} has act_exponent {layer.act_exponent}, "
-                                    f"but p_alpha is {self.config.p_alpha}")
         self._check_weights({lid: qp.weights for lid, qp in self.qparams.items()})
 
 
@@ -182,17 +173,12 @@ class OverflowStats:
 def quantize_model(model: Model, config: QuantConfig = QuantConfig()) -> QuantizedModel:
     """Quantize every weight and bias; refuses models that still carry batchnorm.
 
-    The graph is copied with every leaky activation restamped to the
-    config's slope exponent, so the twin is self-describing. The source's
-    ``model_digest`` runs on one helper thread while this one quantizes:
-    sha256 releases the GIL and the digest allocates no array.
+    The twin keeps the source's layer specs, each leaky conv's shift among
+    them. The source's ``model_digest`` runs on one helper thread while this
+    one quantizes: sha256 releases the GIL and the digest allocates no array.
     """
     if model.has_batchnorm():
         raise PipelineError("model contains batchnorm; run fuse first")
-    layers = tuple(
-        replace(l, act_exponent=config.p_alpha)
-        if l.kind == "conv" and l.activation == "leaky" else l
-        for l in model.layers)
     qparams = {}
     saturations = 0
     with ThreadPoolExecutor(max_workers=1) as pool:
@@ -204,7 +190,7 @@ def quantize_model(model: Model, config: QuantConfig = QuantConfig()) -> Quantiz
             saturations += sw + sb
             qparams[layer.id] = QuantConvParams(wq, bq)
         source_digest = digest.result()
-    return QuantizedModel(layers, qparams, config, source_digest=source_digest,
+    return QuantizedModel(model.layers, qparams, config, source_digest=source_digest,
                           param_saturations=saturations)
 
 
@@ -311,23 +297,31 @@ def save_quantized_model(qmodel: QuantizedModel, manifest_path) -> None:
         qp = qmodel.qparams[layer.id]
         records += [(f"{layer.id}.W", qp.weights), (f"{layer.id}.b", qp.biases)]
     write_model_files(qmodel, manifest_path, records, DTYPE_INT16,
-                      quantization={"p": qmodel.config.p, "p_alpha": qmodel.config.p_alpha,
-                                    "source_digest": qmodel.source_digest})
+                      quantization={"p": qmodel.config.p, "source_digest": qmodel.source_digest})
 
 
 def load_quantized_model(manifest_path) -> QuantizedModel:
-    """Load a quantized model written by ``save_quantized_model``."""
+    """Load a quantized model written by ``save_quantized_model``.
+
+    Files of earlier versions also carry ``p_alpha``, the leaky shift they
+    stamped on every leaky layer; it is accepted only when those layers agree.
+    """
     with file_content(manifest_path):
         manifest, layers, arrays = read_model_files(manifest_path, DTYPE_INT16)
         quant = manifest["quantization"]
         if not isinstance(quant, dict):
             raise ModelFormatError(f"{manifest_path}: quantization block must be a JSON object")
-        for key in ("p", "p_alpha"):
-            if key not in quant:
-                raise ModelFormatError(f"{manifest_path}: quantization block missing {key!r}")
+        if "p" not in quant:
+            raise ModelFormatError(f"{manifest_path}: quantization block missing 'p'")
+        if "p_alpha" in quant:
+            p_alpha = quant["p_alpha"]
+            shifts = {l.act_exponent for l in layers if l.activation == "leaky"}
+            if any(shift != p_alpha for shift in shifts):
+                raise ModelFormatError(f"{manifest_path}: p_alpha is {p_alpha!r}, but the leaky "
+                                       f"layers shift by {sorted(shifts)}")
         source_digest = quant.get("source_digest", "")
         if not isinstance(source_digest, str):
             raise ModelFormatError(f"{manifest_path}: source_digest must be a string")
         qparams = {lid: QuantConvParams(a["W"], a["b"]) for lid, a in arrays.items()}
-        return QuantizedModel(layers, qparams, QuantConfig(p=quant["p"], p_alpha=quant["p_alpha"]),
+        return QuantizedModel(layers, qparams, QuantConfig(p=quant["p"]),
                               source_digest=source_digest)

@@ -2,22 +2,27 @@
 import inspect
 import json
 import logging
+import re
+import shlex
 import shutil
 import struct
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cnnadapt import evaluation, pruning
-from cnnadapt.cli import build_parser, run
+from cnnadapt.cli import _COMMANDS, build_parser, run
 from cnnadapt.model import (
     ConvParams,
+    LayerSpec,
     Model,
     _weight_records,
     load_model,
+    model_digest,
     record_chunks,
     save_model,
     write_model_files,
@@ -141,6 +146,21 @@ def test_flops_reduction_against_reference(tmp_path, capsys):
     assert payload["reduction_pct"] == pytest.approx(0.4258, abs=5e-4)
 
 
+def _save_conv_less_model(path):
+    save_model(Model((LayerSpec(id="input", kind="input", height=6, width=6, channels=2),
+                      LayerSpec(id="pool", kind="maxpool", inputs=("input",), size=2, stride=2),
+                      LayerSpec(id="out", kind="output_marker", inputs=("pool",))), {}), path)
+    return path
+
+
+def test_flops_refuses_a_reference_without_flops(tmp_path, fused_model_path, capsys):
+    ref = _save_conv_less_model(tmp_path / "pool.json")
+    code = run(["flops", "-i", str(fused_model_path), "--ref", str(ref)])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err.splitlines() == [f"error: {ref}: reference model has no FLOPs to reduce"]
+
+
 def test_params_report(tmp_path, fused_model_path, capsys):
     report = tmp_path / "params.json"
     assert run(["params", "-i", str(fused_model_path), "--per-layer",
@@ -169,6 +189,19 @@ def test_prune_pipeline_with_report(tmp_path, rng, fused_model_path, caplog):
     pruned = load_model(out)
     # delta_map=1.0 accepts everything: prunable layers collapse to the floor
     assert all(l.num_filters == 1 for l in pruned.conv_layers())
+
+
+def test_prune_of_a_conv_less_model_reports_no_reduction(tmp_path, rng):
+    model_path = _save_conv_less_model(tmp_path / "pool.json")
+    report = tmp_path / "prune.json"
+    assert run(["prune", "-i", str(model_path), "-o", str(tmp_path / "pruned.json"),
+                "--data", str(_write_dataset(tmp_path / "data", rng)),
+                "--report", str(report)]) == 0
+    steps = json.loads(report.read_text())["steps"]
+    assert steps and all(s["param_reduction_pct"] == s["flop_reduction_pct"] == 0.0
+                         for s in steps)
+    pruned = load_model(tmp_path / "pruned.json")
+    assert model_digest(pruned) == model_digest(load_model(model_path))
 
 
 def test_prune_with_the_sparsity_metric(tmp_path, rng, fused_model_path):
@@ -242,21 +275,36 @@ def test_compare_refuses_a_quantized_model_of_other_weights(tmp_path, rng, fused
 
 def test_compare_refuses_a_quantized_model_of_another_leaky_shift(tmp_path, fused_model_path,
                                                                   input_path, capsys):
-    # the fixture's leaky layers shift by 4, the default p_alpha
-    for p_alpha, code in ((1, 1), (4, 0)):
-        qpath = tmp_path / f"model.{p_alpha}.q.json"
-        assert run(["quantize", "-i", str(fused_model_path), "-o", str(qpath),
-                    "--p-alpha", str(p_alpha)]) == 0
+    # a hand-edited spec, the leaky shift or any other field, is no quantization error
+    qpath = tmp_path / "model.q.json"
+    assert run(["quantize", "-i", str(fused_model_path), "-o", str(qpath)]) == 0
+    saved = qpath.read_text()
+    for edit in (None, _set_layer("conv_1", "act_exponent", 1),
+                 _set_layer("conv_1", "padding", "valid")):
+        qpath.write_text(saved)
+        if edit is not None:
+            _edit_manifest(qpath, edit)
         capsys.readouterr()
-        assert run(["compare", "--float-model", str(fused_model_path),
-                    "--quant-model", str(qpath), "--input", str(input_path)]) == code
+        code = run(["compare", "--float-model", str(fused_model_path),
+                    "--quant-model", str(qpath), "--input", str(input_path)])
         out, err = capsys.readouterr()
         errors = [line for line in err.splitlines() if line.startswith("error:")]
-        if code:
-            assert errors == [f"error: layer 'conv_1': leaky shift 1 in {qpath}, "
-                              f"4 in {fused_model_path}"] and "MSE" not in out
+        if edit is None:
+            assert code == 0 and not errors and "MSE" in out
         else:
-            assert not errors and "MSE" in out
+            assert code == 1 and "MSE" not in out
+            assert errors == [f"error: {qpath} and {fused_model_path} differ in their "
+                              f"layer specs"]
+
+
+def test_quantize_keeps_a_float_models_leaky_shift(tmp_path, rng, input_path):
+    path = tmp_path / "shift3.json"
+    save_model(chain_model(rng, [4, 3], hw=6, in_channels=2, act_exponent=3, scale=0.3), path)
+    qpath = tmp_path / "shift3.q.json"
+    assert run(["quantize", "-i", str(path), "-o", str(qpath)]) == 0
+    assert {l.act_exponent for l in load_quantized_model(qpath).conv_layers()} == {3}
+    assert run(["compare", "--float-model", str(path), "--quant-model", str(qpath),
+                "--input", str(input_path)]) == 0
 
 
 def test_int_engine_is_reproducible_through_cli(tmp_path, fused_model_path, input_path):
@@ -454,7 +502,7 @@ def _set_layer(name, key, value):
     pytest.param(lambda m: m["quantization"].pop("p"), "missing 'p'", id="no_p"),
     pytest.param(lambda m: m["quantization"].update(p="8"), "must be an integer",
                  id="string_p"),
-    pytest.param(lambda m: m["quantization"].update(p_alpha=16), "p_alpha must lie in [0, 15]",
+    pytest.param(lambda m: m["quantization"].update(p_alpha=16), "p_alpha is 16",
                  id="p_alpha_beyond_15"),
     pytest.param(lambda m: m.update(quantization=[8, 4]), "JSON object",
                  id="quantization_not_an_object"),
@@ -553,13 +601,6 @@ def test_infer_rejects_manifest_that_is_not_an_object(tmp_path, input_path, caps
     err = capsys.readouterr().err
     assert code == 2
     assert "error:" in err and "JSON object" in err and "Traceback" not in err
-
-
-def test_quantize_rejects_slope_exponent_beyond_int16_shift(fused_model_path, tmp_path, capsys):
-    code = run(["quantize", "-i", str(fused_model_path),
-                "-o", str(tmp_path / "q.json"), "--p-alpha", "16"])
-    assert code == 1
-    assert "p_alpha must lie in [0, 15]" in capsys.readouterr().err
 
 
 def _save_raw(path, model, replaced):
@@ -769,3 +810,14 @@ def test_map_options_default_to_the_evaluators_own_defaults():
     defaults = inspect.signature(evaluation.map_evaluator).parameters
     assert (args.iou, args.score_threshold) == (defaults["iou_threshold"].default,
                                                 defaults["score_threshold"].default) == (0.5, 0.5)
+
+
+def test_readme_commands_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = "".join(re.findall(r"```sh\n(.*?)```", readme, re.S)).replace("\\\n", " ")
+    commands = [shlex.split(line)[1:] for line in lines.splitlines()
+                if line.startswith("cnnadapt ")]
+    assert {argv[0] for argv in commands} == set(_COMMANDS)
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv)

@@ -448,7 +448,7 @@ def test_digest_and_saved_weights_are_frozen(tmp_path):
 _FROZEN_TINYYOLO_MANIFEST_SHA256 = (
     "4120d6ea8f64a886701d020684f115884097f04619ca48991e40e687d1f48afa")
 _FROZEN_TINYYOLO_QUANT_MANIFEST_SHA256 = (
-    "bfa7ec72bcf7d4d2258007e358ec7e7e48d68c7849afa8f80c36cde2da03101f")
+    "a2a338dfcfe0b5284adab044ee1aeaacf4025a0774b6b941f6f517fe043de440")
 
 
 def test_saved_manifests_of_every_layer_kind_are_frozen(tmp_path):

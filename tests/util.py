@@ -50,7 +50,7 @@ def random_bn(rng, nf, epsilon=0.001) -> BatchNormParams:
 
 
 def chain_model(rng, channels, *, hw=6, in_channels=2, kernel=3, bn=False,
-                act="leaky", scale=0.5, epsilon=0.001) -> Model:
+                act="leaky", act_exponent=4, scale=0.5, epsilon=0.001) -> Model:
     """input -> conv_1 -> ... -> conv_n, one conv per entry of channels."""
     layers = [LayerSpec(id="input", kind="input", height=hw, width=hw,
                         channels=in_channels)]
@@ -60,7 +60,7 @@ def chain_model(rng, channels, *, hw=6, in_channels=2, kernel=3, bn=False,
         lid = f"conv_{i}"
         layers.append(conv_spec(lid, prev, nf, kernel, act=act,
                                 has_bias=not bn, has_batchnorm=bn,
-                                epsilon=epsilon))
+                                act_exponent=act_exponent, epsilon=epsilon))
         fb = random_bank(rng, kernel, c_in, nf, scale=scale)
         if bn:
             fb = FilterBank(fb.weights, np.zeros(nf, dtype=np.float32))
