@@ -83,8 +83,14 @@ class FlopReport:
         return "\n".join(lines)
 
 
+def reduction_pct(base: int, value: int) -> float:
+    """Percent by which ``value`` falls below ``base``; 0.0 for a base of 0,
+    which has nothing to reduce (a conv-less model)."""
+    return 100.0 * (base - value) / base if base else 0.0
+
+
 def flop_reduction_pct(reference: FlopReport, this: FlopReport) -> float:
-    return 100.0 * (reference.total - this.total) / reference.total
+    return reduction_pct(reference.total, this.total)
 
 
 def count_flops(model: Model) -> FlopReport:

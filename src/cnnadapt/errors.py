@@ -37,13 +37,11 @@ class EvaluatorError(CnnAdaptError, RuntimeError):
 
 
 @contextmanager
-def file_content(path):
-    """Re-raise a ValueError, OverflowError or PipelineError from the block as
-    ModelFormatError naming ``path``: the block reads that file, so its content
-    is at fault."""
+def file_content(where):
+    """Re-raise a ValueError, OverflowError or PipelineError from the block,
+    ModelFormatError included, as ModelFormatError prefixed by ``where``: the
+    block reads that file, or that part of one, so its content is at fault."""
     try:
         yield
-    except ModelFormatError:
-        raise
     except (ValueError, OverflowError, PipelineError) as e:
-        raise ModelFormatError(f"{path}: {e}") from e
+        raise ModelFormatError(f"{where}: {e}") from e

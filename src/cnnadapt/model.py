@@ -489,135 +489,119 @@ def save_model(model: Model, manifest_path) -> None:
 
 
 def read_model_files(manifest_path, dtype_code: int
-                     ) -> tuple[dict, list[LayerSpec], dict[str, dict[str, np.ndarray]]]:
+                     ) -> tuple[dict, tuple[LayerSpec, ...], dict[str, dict[str, np.ndarray]]]:
     """Read a manifest and its weights blob; returns (manifest, layers,
     {conv id: {suffix: array}}).
 
     The manifest must be quantized (carry a ``quantization`` block) exactly
-    when ``dtype_code`` is int16; this is checked before the blob is opened.
-    The blob is read record by record, each payload straight into its array
-    once it is known to fit in the rest of the file. A conv layer's records
-    are W and b, plus gamma, beta, mu and sigma2 if it has batchnorm: each
-    must be present, of ``dtype_code`` and shaped as the spec implies,
-    W (kh, kw, c_in, nf) and every other record (nf,). Any other record is
-    stray, and a name may name one record only. Every fault raises
-    ModelFormatError.
+    when ``dtype_code`` is int16, and its layers must form a ``LayerGraph``;
+    both are checked before the blob is opened. The blob is read record by
+    record, each payload straight into its array once its header gives
+    ``dtype_code`` and its size fits in the rest of the file. A conv layer's
+    records are W and b, plus gamma, beta, mu and sigma2 if it has
+    batchnorm: each must be present, any other record is stray, and a name
+    may name one record only. These rules of the file container raise
+    ModelFormatError without the manifest path, which the loaders'
+    ``file_content`` adds. The arrays' shapes and values are left to the
+    constructors the loaders build from them.
     """
     manifest_path = os.fspath(manifest_path)
     try:
         with open(manifest_path) as fh:
             manifest = json.load(fh)
     except (ValueError, RecursionError) as e:  # RecursionError: nested too deeply
-        raise ModelFormatError(f"{manifest_path}: invalid JSON ({e})") from e
+        raise ModelFormatError(f"invalid JSON ({e})") from e
     if not isinstance(manifest, dict):
-        raise ModelFormatError(f"{manifest_path}: manifest must be a JSON object")
+        raise ModelFormatError("manifest must be a JSON object")
     version = manifest.get("format_version")
     if type(version) is not int or version != MANIFEST_VERSION:  # true and 1.0 equal 1
-        raise ModelFormatError(f"{manifest_path}: unsupported format_version {version!r}")
+        raise ModelFormatError(f"unsupported format_version {version!r}")
     for key in ("input", "layers", "weights"):
         if key not in manifest:
-            raise ModelFormatError(f"{manifest_path}: missing {key!r} block")
+            raise ModelFormatError(f"missing {key!r} block")
     if not isinstance(manifest["layers"], list):
-        raise ModelFormatError(f"{manifest_path}: 'layers' must be a list")
+        raise ModelFormatError("'layers' must be a list")
     if not isinstance(manifest["weights"], str):
-        raise ModelFormatError(f"{manifest_path}: 'weights' must be a file name")
+        raise ModelFormatError("'weights' must be a file name")
     if dtype_code == DTYPE_FLOAT32 and "quantization" in manifest:
-        raise ModelFormatError(
-            f"{manifest_path}: quantized model; use the quantized-model loader")
+        raise ModelFormatError("quantized model; use the quantized-model loader")
     if dtype_code == DTYPE_INT16 and "quantization" not in manifest:
-        raise ModelFormatError(f"{manifest_path}: not a quantized model "
-                               "(missing quantization block)")
-    layers = [LayerSpec.from_json_dict(d) for d in manifest["layers"]]
-    in_layers = [l for l in layers if l.kind == "input"]
-    if len(in_layers) == 1:
-        declared = manifest["input"]
-        actual = {"h": in_layers[0].height, "w": in_layers[0].width, "c": in_layers[0].channels}
-        if declared != actual:
-            raise ModelFormatError(
-                f"{manifest_path}: top-level input {declared} disagrees with input layer {actual}")
+        raise ModelFormatError("not a quantized model (missing quantization block)")
+    graph = LayerGraph([LayerSpec.from_json_dict(d) for d in manifest["layers"]])
+    actual = dict(zip("hwc", graph.input_shape))
+    if manifest["input"] != actual:
+        raise ModelFormatError(
+            f"top-level input {manifest['input']} disagrees with input layer {actual}")
 
-    weights_path = os.path.join(os.path.dirname(manifest_path) or ".", manifest["weights"])
+    blob = manifest["weights"]
+    dtype = _NUMPY_DTYPES[dtype_code]
     records: dict[str, np.ndarray] = {}
-    with open(weights_path, "rb") as fh:
+    with open(os.path.join(os.path.dirname(manifest_path) or ".", blob), "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
 
         def take(n: int, what: str) -> bytes:
             data = fh.read(n)
             if len(data) < n:
-                raise ModelFormatError(f"{weights_path}: truncated {what}")
+                raise ModelFormatError(f"{blob}: truncated {what}")
             return data
 
         head = fh.read(8)
         if head[:4] != _WEIGHTS_MAGIC:
-            raise ModelFormatError(f"{weights_path}: not a weights blob (bad magic)")
+            raise ModelFormatError(f"{blob}: not a weights blob (bad magic)")
         if len(head) < 8:
-            raise ModelFormatError(f"{weights_path}: truncated weights header ({len(head)} bytes)")
+            raise ModelFormatError(f"{blob}: truncated weights header ({len(head)} bytes)")
         (version,) = struct.unpack_from("<I", head, 4)
         if version != _WEIGHTS_VERSION:
-            raise ModelFormatError(f"{weights_path}: unsupported weights version {version}")
+            raise ModelFormatError(f"{blob}: unsupported weights version {version}")
         while fh.tell() < size:
             (name_len,) = struct.unpack("<H", take(2, "record header"))
             head = take(name_len + 2, "record header")
             try:
                 name = head[:name_len].decode("utf-8")
             except UnicodeDecodeError as e:
-                raise ModelFormatError(f"{weights_path}: record name is not UTF-8 ({e})") from e
+                raise ModelFormatError(f"{blob}: record name is not UTF-8 ({e})") from e
             code, rank = head[name_len:]
-            if code not in _NUMPY_DTYPES:
-                raise ModelFormatError(f"{weights_path}: record {name!r} has unknown dtype {code}")
+            if code != dtype_code:
+                raise ModelFormatError(f"{blob}: record {name!r} is not {dtype.name}")
             if name in records:
-                raise ModelFormatError(f"{weights_path}: repeated weight record {name!r}")
+                raise ModelFormatError(f"{blob}: repeated weight record {name!r}")
             dims = struct.unpack(f"<{rank}I", take(4 * rank, f"record {name!r} dims"))
-            dtype = _NUMPY_DTYPES[code]
             # a forged dims header must not make it allocate more than the file holds
             if math.prod(dims) * dtype.itemsize > size - fh.tell():
-                raise ModelFormatError(f"{weights_path}: truncated record {name!r} payload")
+                raise ModelFormatError(f"{blob}: truncated record {name!r} payload")
             records[name] = np.empty(dims, dtype)
             fh.readinto(records[name])
 
     arrays: dict[str, dict[str, np.ndarray]] = {}
-    for layer in layers:
-        if layer.kind != "conv":
-            continue
+    for layer in graph.conv_layers():
         arrays[layer.id] = {}
         for suffix in ("W", "b") + (_BN_SUFFIXES if layer.has_batchnorm else ()):
             name = f"{layer.id}.{suffix}"
             if name not in records:
-                raise ModelFormatError(f"{weights_path}: missing weight record {name!r} "
+                raise ModelFormatError(f"{blob}: missing weight record {name!r} "
                                        f"for layer {layer.id!r}")
-            arr = records[name]
-            if arr.dtype != _NUMPY_DTYPES[dtype_code]:
-                raise ModelFormatError(
-                    f"{weights_path}: record {name!r} is not {_NUMPY_DTYPES[dtype_code].name}")
-            if suffix == "W":
-                expected = (layer.kernel_h, layer.kernel_w,
-                            arr.shape[2] if arr.ndim == 4 else -1, layer.num_filters)
-            else:
-                expected = (layer.num_filters,)
-            if arr.shape != expected:
-                raise ModelFormatError(f"{weights_path}: record {name} has shape {arr.shape}, "
-                                       f"manifest implies {expected}")
-            arrays[layer.id][suffix] = arr
-    stray = set(records) - {f"{lid}.{s}" for lid, named in arrays.items() for s in named}
-    if stray:
-        raise ModelFormatError(f"{weights_path}: records for unknown layers: {sorted(stray)}")
-    return manifest, layers, arrays
+            arrays[layer.id][suffix] = records.pop(name)
+    if records:
+        raise ModelFormatError(f"{blob}: records for unknown layers: {sorted(records)}")
+    return manifest, graph.layers, arrays
 
 
 def load_model(manifest_path) -> Model:
-    """Load a float model; load(save(m)) round-trips every bit."""
+    """Load a float model; load(save(m)) round-trips every bit. A refusal
+    names the manifest, and also the layer for a fault in one conv's arrays."""
     with file_content(manifest_path):
         _, layers, arrays = read_model_files(manifest_path, DTYPE_FLOAT32)
         params = {}
         for layer in layers:
             if layer.kind == "conv":
                 a = arrays[layer.id]
-                bn = None
-                if layer.has_batchnorm:
-                    bn = BatchNormParams(a["mu"], a["sigma2"], a["gamma"], a["beta"],
-                                         layer.bn_epsilon)
-                params[layer.id] = ConvParams(FilterBank(a["W"], a["b"]), bn)
-        return Model(tuple(layers), params)
+                with file_content(f"layer {layer.id!r}"):
+                    bn = None
+                    if layer.has_batchnorm:
+                        bn = BatchNormParams(a["mu"], a["sigma2"], a["gamma"], a["beta"],
+                                             layer.bn_epsilon)
+                    params[layer.id] = ConvParams(FilterBank(a["W"], a["b"]), bn)
+        return Model(layers, params)
 
 
 def zero_filter_bank(kernel_h: int, kernel_w: int, in_channels: int,

@@ -14,7 +14,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .analysis import count_flops, count_params
+from .analysis import count_flops, count_params, reduction_pct
 from .errors import EvaluatorError, PipelineError, ShapeError
 from .model import ConvParams, Model, shape_infer
 from .tensor import FilterBank
@@ -181,11 +181,6 @@ class PruneReport:
         }
 
 
-def _reduction_pct(base: int, value: int) -> float:
-    # a conv-less model has nothing to count, and every candidate of it is the model
-    return 100.0 * (base - value) / base if base else 0.0
-
-
 def prune_routine(model: Model, config: PruneConfig,
                   evaluator: Callable[[Model], float]) -> tuple[Model, PruneReport]:
     """Threshold sweep: accept candidates while the score drop stays in budget.
@@ -225,8 +220,8 @@ def prune_routine(model: Model, config: PruneConfig,
             threshold=t,
             filters_removed={lid: len(idx) for lid, idx in removed.items()},
             score=score,
-            param_reduction_pct=_reduction_pct(base_params, count_params(candidate).total),
-            flop_reduction_pct=_reduction_pct(base_flops, count_flops(candidate).total),
+            param_reduction_pct=reduction_pct(base_params, count_params(candidate).total),
+            flop_reduction_pct=reduction_pct(base_flops, count_flops(candidate).total),
             accepted=accepted,
         )
         steps.append(step)

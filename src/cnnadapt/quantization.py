@@ -305,23 +305,27 @@ def load_quantized_model(manifest_path) -> QuantizedModel:
 
     Files of earlier versions also carry ``p_alpha``, the leaky shift they
     stamped on every leaky layer; it is accepted only when those layers agree.
+    Refusals are worded as in ``load_model``.
     """
     with file_content(manifest_path):
         manifest, layers, arrays = read_model_files(manifest_path, DTYPE_INT16)
         quant = manifest["quantization"]
         if not isinstance(quant, dict):
-            raise ModelFormatError(f"{manifest_path}: quantization block must be a JSON object")
+            raise ModelFormatError("quantization block must be a JSON object")
         if "p" not in quant:
-            raise ModelFormatError(f"{manifest_path}: quantization block missing 'p'")
+            raise ModelFormatError("quantization block missing 'p'")
         if "p_alpha" in quant:
             p_alpha = quant["p_alpha"]
             shifts = {l.act_exponent for l in layers if l.activation == "leaky"}
             if any(shift != p_alpha for shift in shifts):
-                raise ModelFormatError(f"{manifest_path}: p_alpha is {p_alpha!r}, but the leaky "
-                                       f"layers shift by {sorted(shifts)}")
+                raise ModelFormatError(f"p_alpha is {p_alpha!r}, but the leaky layers shift by "
+                                       f"{sorted(shifts)}")
         source_digest = quant.get("source_digest", "")
         if not isinstance(source_digest, str):
-            raise ModelFormatError(f"{manifest_path}: source_digest must be a string")
-        qparams = {lid: QuantConvParams(a["W"], a["b"]) for lid, a in arrays.items()}
+            raise ModelFormatError("source_digest must be a string")
+        qparams = {}
+        for lid, a in arrays.items():
+            with file_content(f"layer {lid!r}"):
+                qparams[lid] = QuantConvParams(a["W"], a["b"])
         return QuantizedModel(layers, qparams, QuantConfig(p=quant["p"]),
                               source_digest=source_digest)

@@ -9,6 +9,7 @@ from cnnadapt.analysis import (
     count_flops,
     count_params,
     flop_reduction_pct,
+    reduction_pct,
     write_json_report,
 )
 from cnnadapt.errors import ShapeError
@@ -98,6 +99,17 @@ def test_reduction_percentage_and_table(rng):
     assert "(0.4%)" in table
     assert "23,795,200" in table
     assert "5.56" in table  # conv GFLOPs line
+
+
+def test_reduction_against_a_reference_of_zero_flops_reads_zero():
+    layers = (LayerSpec(id="input", kind="input", height=4, width=4, channels=2),
+              LayerSpec(id="pool", kind="maxpool", inputs=("input",), size=2, stride=2))
+    empty = count_flops(Model(layers, {}))
+    assert empty.total == 0
+    assert reduction_pct(0, 0) == flop_reduction_pct(empty, empty) == 0.0
+    assert empty.to_dict(empty)["reduction_pct"] == 0.0
+    assert empty.format_table(empty).endswith("reduction vs reference: 0 FLOPs (0.0%)")
+    assert reduction_pct(8, 6) == 25.0
 
 
 def test_flop_report_dict_shape():

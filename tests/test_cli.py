@@ -494,7 +494,7 @@ def _set_layer(name, key, value):
                  id="string_has_bias"),
     pytest.param(_set_layer("conv_1", "epsilon", "x"), "must be a number",
                  id="string_epsilon"),
-    pytest.param(_set_layer("conv_1", "num_filters", 5), "manifest implies",
+    pytest.param(_set_layer("conv_1", "num_filters", 5), "does not match spec",
                  id="num_filters_disagrees_with_record"),
     pytest.param(lambda m: m.update(layers=[1, 2]), "JSON object", id="layers_not_objects"),
     pytest.param(lambda m: m.update(layers={"conv_1": {}}), "must be a list",
@@ -523,6 +523,20 @@ def test_int_infer_rejects_malformed_quantized_manifest(tmp_path, fused_model_pa
     err = capsys.readouterr().err
     assert code == 2
     assert "error:" in err and message in err and "Traceback" not in err
+
+
+def test_compare_names_the_model_file_at_fault(tmp_path, fused_model_path, input_path, capsys):
+    qpath = tmp_path / "q.json"
+    assert run(["quantize", "-i", str(fused_model_path), "-o", str(qpath)]) == 0
+    _edit_manifest(qpath, _set_layer("conv_1", "act_exponent", 4.0))
+    capsys.readouterr()
+    code = run(["compare", "--float-model", str(fused_model_path), "--quant-model", str(qpath),
+                "--input", str(input_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == (f"error: {qpath}: layer 'conv_1': act_exponent must be an integer, "
+                   "got 4.0\n")
+    assert fused_model_path.name not in err
 
 
 def test_int_infer_rejects_stray_weight_record(tmp_path, fused_model_path, input_path, capsys):
@@ -733,6 +747,16 @@ def _records_in(code):
     return case
 
 
+def _dtype_byte_patched(tmp_path, fused, qpath, image):
+    """The float blob with its first record's dtype code patched to 7."""
+    weights = fused.with_suffix(".weights")
+    blob = bytearray(weights.read_bytes())
+    (name_len,) = struct.unpack_from("<H", blob, 8)
+    blob[10 + name_len] = 7
+    weights.write_bytes(blob)
+    return ["flops", "-i", str(fused)]
+
+
 def _int16_input(command):
     """``command`` given an int16 tensor where it reads a float input map."""
     def case(tmp_path, fused, qpath, image):
@@ -755,11 +779,13 @@ def _int16_sample(tmp_path, fused, qpath, image):
     (_int32_tensor, "unsupported rank 3 or dtype 2"),
     (_records_in(DTYPE_INT16), "record 'conv_1.W' is not float32"),
     (_records_in(DTYPE_FLOAT32), "record 'conv_1.W' is not int16"),
+    (_dtype_byte_patched, "record 'conv_1.W' is not float32"),
     (_int16_input("float"), "expected a float32 tensor"),
     (_int16_input("int"), "expected a float32 tensor"),
     (_int16_input("compare"), "expected a float32 tensor"),
     (_int16_sample, "s1.tnsr is not a float tensor"),
 ], ids=["int32_tensor", "float_manifest_int16_records", "quantized_manifest_float32_records",
+        "float_record_of_dtype_7",
         "int16_input_float_engine", "int16_input_int_engine", "int16_input_compare",
         "int16_prune_sample"])
 def test_file_of_a_dtype_its_reader_does_not_take_exits_2(tmp_path, fused_model_path,

@@ -1,6 +1,8 @@
 """Property tests of the model files: a well-formed model survives a save and
-a load unchanged, float and quantized alike, and the digest tells apart any
-two models that differ in a spec or an array.
+a load unchanged, float and quantized alike; the digest tells apart any two
+models that differ in a spec or an array; and a file that differs from a
+saved model in one conv spec field or one weight record is refused by the
+loader exactly when the constructors refuse what it holds, in their words.
 
 Each example draws a small valid graph: a chain of convolutions (batchnorm
 or not, leaky with an exponent in 0..15 or linear, same or valid padding,
@@ -9,11 +11,18 @@ and an earlier layer of the same size where one exists, and an optional
 output marker. ``compare`` relies on the first property when it refuses a
 quantized model whose layer specs differ from the float model's.
 """
+import contextlib
+import io
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from cnnadapt.cli import run
+from cnnadapt.errors import ModelFormatError
 from cnnadapt.fusion import fuse_model
 from cnnadapt.model import (
     ConvParams,
@@ -23,11 +32,25 @@ from cnnadapt.model import (
     _weight_records,
     load_model,
     model_digest,
+    record_chunks,
     save_model,
     shape_infer,
 )
-from cnnadapt.quantization import load_quantized_model, quantize_model, save_quantized_model
-from cnnadapt.tensor import FilterBank
+from cnnadapt.quantization import (
+    QuantConvParams,
+    QuantizedModel,
+    load_quantized_model,
+    quantize_model,
+    save_quantized_model,
+)
+from cnnadapt.tensor import (
+    DTYPE_FLOAT32,
+    DTYPE_INT16,
+    BatchNormParams,
+    FeatureMap,
+    FilterBank,
+    save_tensor,
+)
 from util import random_bank, random_bn
 
 _MAX_HW = 12
@@ -130,3 +153,123 @@ def test_models_that_differ_have_different_digests(a, b, data):
         changed = Model(a.layers, {**a.params,
                                    lid: ConvParams(FilterBank(w, p.filters.biases), p.batchnorm)})
         assert model_digest(changed) != model_digest(a)
+
+
+# values each mutated conv spec field may take, valid or not
+_SPEC_VALUES = {
+    **dict.fromkeys(("num_filters", "kernel_h", "kernel_w", "stride"),
+                    st.one_of(st.integers(-1, 5), st.sampled_from([None, True, 2.5, "2"]))),
+    "padding": st.sampled_from(["same", "valid", "full", None, 1]),
+}
+
+
+def _resized(arr, axis, delta):
+    """``arr`` with one slice more (a copy of its first) or one less along ``axis``."""
+    if delta < 0:
+        return np.delete(arr, -1, axis=axis)
+    return np.concatenate([arr, np.take(arr, [0], axis=axis)], axis=axis)
+
+
+def _mutated_records(data, layer, records, quantized):
+    """``records`` with one of ``layer``'s records changed: W one input
+    channel or filter more or less, a vector one shorter, or (float only)
+    one value not finite."""
+    suffixes = ["W", "b"] + (["gamma", "beta", "mu", "sigma2"] if layer.has_batchnorm else [])
+    kinds = ["W", "short"] + ([] if quantized else ["non_finite"])
+    kind = data.draw(st.sampled_from(kinds))
+    if kind == "W":
+        name = f"{layer.id}.W"
+        arr = _resized(records[name], data.draw(st.sampled_from([2, 3])),
+                       data.draw(st.sampled_from([-1, 1])))
+    elif kind == "short":
+        name = f"{layer.id}.{data.draw(st.sampled_from(suffixes[1:]))}"
+        arr = records[name][:-1]
+    else:
+        name = f"{layer.id}.{data.draw(st.sampled_from(suffixes))}"
+        arr = np.array(records[name])
+        arr.flat[data.draw(st.integers(0, arr.size - 1))] = data.draw(
+            st.sampled_from([np.nan, np.inf, -np.inf]))
+    return {**records, name: arr}
+
+
+def _constructed(saved, edits, records):
+    """What the constructors make of ``saved``'s layers, with ``edits``
+    ({layer id: {field: value}}) applied, and ``records``: a model like
+    ``saved``, or the refusal's message, naming the layer for one conv's
+    arrays."""
+    try:
+        layers = tuple(replace(l, **edits[l.id]) if l.id in edits else l for l in saved.layers)
+    except ModelFormatError as e:
+        return str(e)
+    quantized = isinstance(saved, QuantizedModel)
+    params = {}
+    for layer in layers:
+        if layer.kind != "conv":
+            continue
+        r = {name.rpartition(".")[2]: a for name, a in records.items()
+             if name.rpartition(".")[0] == layer.id}
+        try:
+            if quantized:
+                params[layer.id] = QuantConvParams(r["W"], r["b"])
+            else:
+                bn = (BatchNormParams(r["mu"], r["sigma2"], r["gamma"], r["beta"],
+                                      layer.bn_epsilon) if layer.has_batchnorm else None)
+                params[layer.id] = ConvParams(FilterBank(r["W"], r["b"]), bn)
+        except ValueError as e:
+            return f"layer {layer.id!r}: {e}"
+    try:
+        if quantized:
+            return QuantizedModel(layers, params, saved.config, source_digest=saved.source_digest)
+        return Model(layers, params)
+    except ValueError as e:
+        return str(e)
+
+
+@pytest.mark.parametrize("quantized", [False, True], ids=["float", "quantized"])
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(model=_models(), data=st.data())
+def test_loader_refuses_what_the_constructors_refuse(work_dir, quantized, model, data):
+    assume(model.conv_layers())
+    path = work_dir / ("q.json" if quantized else "m.json")
+    if quantized:
+        saved = quantize_model(fuse_model(model))
+        save_quantized_model(saved, path)
+        records = {f"{lid}.{name}": a for lid, qp in saved.qparams.items()
+                   for name, a in (("W", qp.weights), ("b", qp.biases))}
+    else:
+        saved = model
+        save_model(saved, path)
+        records = dict(_weight_records(saved))
+    layer = data.draw(st.sampled_from(saved.conv_layers()))
+    edits = {}
+    if data.draw(st.booleans()):
+        field = data.draw(st.sampled_from(sorted(_SPEC_VALUES)))
+        edits[layer.id] = {field: data.draw(_SPEC_VALUES[field])}
+        manifest = json.loads(path.read_text())
+        next(d for d in manifest["layers"] if d["id"] == layer.id).update(edits[layer.id])
+        path.write_text(json.dumps(manifest))
+    else:
+        records = _mutated_records(data, layer, records, quantized)
+        path.with_suffix(".weights").write_bytes(b"".join(bytes(c) for c in record_chunks(
+            records.items(), DTYPE_INT16 if quantized else DTYPE_FLOAT32)))
+    expected = _constructed(saved, edits, records)
+
+    load = load_quantized_model if quantized else load_model
+    if not isinstance(expected, str):
+        loaded = load(path)
+        assert loaded.layers == expected.layers
+        assert (_int_records(loaded) == _int_records(expected) if quantized
+                else _records(loaded) == _records(expected))
+        return
+    with pytest.raises(ModelFormatError) as refusal:
+        load(path)
+    assert str(refusal.value) == f"{path}: {expected}"
+
+    save_tensor(work_dir / "in.tnsr", FeatureMap(np.zeros(saved.input_shape, np.float32)))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = run(["infer", "-i", str(path), "--input", str(work_dir / "in.tnsr"),
+                    "--engine", "int" if quantized else "float",
+                    "--taps", str(work_dir / "taps")])
+    assert code == 2
+    assert err.getvalue() == f"error: {path}: {expected}\n"
