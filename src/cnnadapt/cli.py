@@ -103,12 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_float_model(path):
-    if not os.path.exists(path):
-        raise ModelFormatError(f"{path}: no such file")
-    return load_model(path)
-
-
 def _require_fused(model, what: str):
     if model.has_batchnorm():
         raise PipelineError(f"model contains batchnorm; run fuse before {what}")
@@ -126,7 +120,7 @@ def _load_input_map(path, graph) -> FeatureMap:
 
 
 def _cmd_fuse(args) -> int:
-    model = _load_float_model(args.input_model)
+    model = load_model(args.input_model)
     fused = fusion.fuse_model(model)
     save_model(fused, args.output_model)
     n = sum(1 for l in fused.conv_layers() if l.fused)
@@ -148,7 +142,7 @@ def _build_evaluator(args, model):
 
 
 def _cmd_prune(args) -> int:
-    model = _load_float_model(args.input_model)
+    model = load_model(args.input_model)
     _require_fused(model, "prune")
     no_prune = {s for s in args.no_prune.split(",") if s}
     unknown = no_prune - {l.id for l in model.conv_layers()}
@@ -177,7 +171,7 @@ def _cmd_prune(args) -> int:
 
 
 def _cmd_quantize(args) -> int:
-    model = _load_float_model(args.input_model)
+    model = load_model(args.input_model)
     _require_fused(model, "quantize")
     config = quantization.QuantConfig(p=args.p)
     qmodel = quantization.quantize_model(model, config)
@@ -193,7 +187,7 @@ def _cmd_infer(args) -> int:
     if args.report and args.engine != "int":
         raise PipelineError("--report writes the int engine's overflow stats; "
                             "use it with --engine int")
-    load = _load_float_model if args.engine == "float" else quantization.load_quantized_model
+    load = load_model if args.engine == "float" else quantization.load_quantized_model
     model = load(args.input_model)
     fm = _load_input_map(args.input, model)
     os.makedirs(args.taps, exist_ok=True)
@@ -211,7 +205,7 @@ def _cmd_infer(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    model = _load_float_model(args.float_model)
+    model = load_model(args.float_model)
     _require_fused(model, "compare")
     qmodel = quantization.load_quantized_model(args.quant_model)
     if qmodel.source_digest and qmodel.source_digest != model_digest(model):
@@ -236,9 +230,9 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_flops(args) -> int:
-    model = _load_float_model(args.input_model)
+    model = load_model(args.input_model)
     report = analysis.count_flops(model)
-    reference = analysis.count_flops(_load_float_model(args.ref)) if args.ref else None
+    reference = analysis.count_flops(load_model(args.ref)) if args.ref else None
     if reference is not None and not reference.total:
         raise PipelineError(f"{args.ref}: reference model has no FLOPs to reduce")
     print(report.format_table(reference, per_layer=args.per_layer))
@@ -248,7 +242,7 @@ def _cmd_flops(args) -> int:
 
 
 def _cmd_params(args) -> int:
-    model = _load_float_model(args.input_model)
+    model = load_model(args.input_model)
     report = analysis.count_params(model)
     print(report.format_table(per_layer=args.per_layer))
     if args.report:

@@ -40,8 +40,13 @@ class EvaluatorError(CnnAdaptError, RuntimeError):
 def file_content(where):
     """Re-raise a ValueError, OverflowError or PipelineError from the block,
     ModelFormatError included, as ModelFormatError prefixed by ``where``: the
-    block reads that file, or that part of one, so its content is at fault."""
+    block reads that file, or that part of one, so its content is at fault.
+    An OSError (a missing or unreadable file) is re-raised the same way, as
+    its strerror with the first letter lower-cased."""
     try:
         yield
     except (ValueError, OverflowError, PipelineError) as e:
         raise ModelFormatError(f"{where}: {e}") from e
+    except OSError as e:
+        reason = str(e.strerror or e)
+        raise ModelFormatError(f"{where}: {reason[:1].lower()}{reason[1:]}") from e

@@ -15,7 +15,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import ModelFormatError
+from .errors import ModelFormatError, file_content
 from .model import Model, float_infer, shape_infer
 from .tensor import FeatureMap, load_tensor
 
@@ -181,9 +181,10 @@ class Sample:
 
 def load_dataset(directory) -> list[Sample]:
     directory = os.fspath(directory)
-    names = sorted(f[:-5] for f in os.listdir(directory) if f.endswith(".tnsr"))
-    if not names:
-        raise ModelFormatError(f"{directory}: no .tnsr inputs found")
+    with file_content(directory):
+        names = sorted(f[:-5] for f in os.listdir(directory) if f.endswith(".tnsr"))
+        if not names:
+            raise ModelFormatError("no .tnsr inputs found")
     samples = []
     for name in names:
         label_path = os.path.join(directory, f"{name}.json")
@@ -192,15 +193,16 @@ def load_dataset(directory) -> list[Sample]:
         fm = load_tensor(os.path.join(directory, f"{name}.tnsr"))
         if not isinstance(fm, FeatureMap):
             raise ModelFormatError(f"{directory}: {name}.tnsr is not a float tensor")
-        try:
-            with open(label_path) as fh:
-                label = json.load(fh)
-        except (ValueError, RecursionError) as e:  # invalid, too deeply nested or not UTF-8
-            raise ModelFormatError(f"{label_path}: invalid JSON ({e})") from e
-        if not isinstance(label, dict):
-            raise ModelFormatError(f"{label_path}: label must be a JSON object")
-        if "class" not in label and "boxes" not in label:
-            raise ModelFormatError(f"{label_path}: label needs 'class' or 'boxes'")
+        with file_content(label_path):
+            try:
+                with open(label_path) as fh:
+                    label = json.load(fh)
+            except (ValueError, RecursionError) as e:  # invalid, too deeply nested or not UTF-8
+                raise ModelFormatError(f"invalid JSON ({e})") from e
+            if not isinstance(label, dict):
+                raise ModelFormatError("label must be a JSON object")
+            if "class" not in label and "boxes" not in label:
+                raise ModelFormatError("label needs 'class' or 'boxes'")
         samples.append(Sample(name, fm, label))
     return samples
 

@@ -29,7 +29,6 @@ from .tensor import (
     concat,
     conv2d,
     conv_output_shape,
-    gemm_scratch,
     maxpool,
     maxpool_output_shape,
     split_batch,
@@ -140,8 +139,9 @@ class LayerSpec:
 
     @property
     def bn_epsilon(self) -> float:
-        """Batchnorm epsilon as the manifest stores it; a missing one reads as 0.001."""
-        return 0.001 if self.epsilon is None else self.epsilon
+        """Batchnorm epsilon as the manifest stores it; a missing one reads as
+        ``BatchNormParams``' default."""
+        return BatchNormParams.epsilon if self.epsilon is None else self.epsilon
 
     @property
     def leaky_alpha(self) -> float:
@@ -324,10 +324,8 @@ def execute(graph: LayerGraph, maps: Sequence[FeatureMap | IntFeatureMap], conv,
 
     The maps run as one batch, stacked along the height (see ``tensor``).
     ``conv(layer, fm, batch)`` computes each conv layer; pool, upsample and
-    concat serve both map types. The walk holds one GEMM scratch buffer
-    open (``gemm_scratch``), which every conv of the walk reuses and which
-    is released when the walk ends. Returns the stacked output of every
-    layer when taps is set, otherwise of the model outputs.
+    concat serve both map types. Returns the stacked output of every layer
+    when taps is set, otherwise of the model outputs.
     """
     expected = graph.input_shape
     if not maps:
@@ -338,23 +336,22 @@ def execute(graph: LayerGraph, maps: Sequence[FeatureMap | IntFeatureMap], conv,
     n = len(maps)
 
     acts = {}
-    with gemm_scratch():
-        for layer in graph.layers:
-            src = [acts[i] for i in layer.inputs]
-            if layer.kind == "input":
-                out = maps[0] if n == 1 else replace(
-                    maps[0], data=np.concatenate([m.data for m in maps]))
-            elif layer.kind == "conv":
-                out = conv(layer, src[0], n)
-            elif layer.kind == "maxpool":
-                out = maxpool(src[0], layer.size, layer.stride, batch=n)
-            elif layer.kind == "upsample":
-                out = upsample_nearest(src[0], layer.factor)
-            elif layer.kind == "concat":
-                out = concat(*src)
-            else:  # output_marker
-                out = src[0]
-            acts[layer.id] = out
+    for layer in graph.layers:
+        src = [acts[i] for i in layer.inputs]
+        if layer.kind == "input":
+            out = maps[0] if n == 1 else replace(
+                maps[0], data=np.concatenate([m.data for m in maps]))
+        elif layer.kind == "conv":
+            out = conv(layer, src[0], n)
+        elif layer.kind == "maxpool":
+            out = maxpool(src[0], layer.size, layer.stride, batch=n)
+        elif layer.kind == "upsample":
+            out = upsample_nearest(src[0], layer.factor)
+        elif layer.kind == "concat":
+            out = concat(*src)
+        else:  # output_marker
+            out = src[0]
+        acts[layer.id] = out
 
     kept = [layer.id for layer in graph.layers] if taps else graph.output_ids()
     return {lid: acts[lid] for lid in kept}
@@ -502,8 +499,10 @@ def read_model_files(manifest_path, dtype_code: int
     batchnorm: each must be present, any other record is stray, and a name
     may name one record only. These rules of the file container raise
     ModelFormatError without the manifest path, which the loaders'
-    ``file_content`` adds. The arrays' shapes and values are left to the
-    constructors the loaders build from them.
+    ``file_content`` adds; a blob fault, a missing or unreadable blob
+    included, is prefixed by the blob's name as the manifest gives it. The
+    arrays' shapes and values are left to the constructors the loaders build
+    from them.
     """
     manifest_path = os.fspath(manifest_path)
     try:
@@ -536,53 +535,54 @@ def read_model_files(manifest_path, dtype_code: int
     blob = manifest["weights"]
     dtype = _NUMPY_DTYPES[dtype_code]
     records: dict[str, np.ndarray] = {}
-    with open(os.path.join(os.path.dirname(manifest_path) or ".", blob), "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-
-        def take(n: int, what: str) -> bytes:
-            data = fh.read(n)
-            if len(data) < n:
-                raise ModelFormatError(f"{blob}: truncated {what}")
-            return data
-
-        head = fh.read(8)
-        if head[:4] != _WEIGHTS_MAGIC:
-            raise ModelFormatError(f"{blob}: not a weights blob (bad magic)")
-        if len(head) < 8:
-            raise ModelFormatError(f"{blob}: truncated weights header ({len(head)} bytes)")
-        (version,) = struct.unpack_from("<I", head, 4)
-        if version != _WEIGHTS_VERSION:
-            raise ModelFormatError(f"{blob}: unsupported weights version {version}")
-        while fh.tell() < size:
-            (name_len,) = struct.unpack("<H", take(2, "record header"))
-            head = take(name_len + 2, "record header")
-            try:
-                name = head[:name_len].decode("utf-8")
-            except UnicodeDecodeError as e:
-                raise ModelFormatError(f"{blob}: record name is not UTF-8 ({e})") from e
-            code, rank = head[name_len:]
-            if code != dtype_code:
-                raise ModelFormatError(f"{blob}: record {name!r} is not {dtype.name}")
-            if name in records:
-                raise ModelFormatError(f"{blob}: repeated weight record {name!r}")
-            dims = struct.unpack(f"<{rank}I", take(4 * rank, f"record {name!r} dims"))
-            # a forged dims header must not make it allocate more than the file holds
-            if math.prod(dims) * dtype.itemsize > size - fh.tell():
-                raise ModelFormatError(f"{blob}: truncated record {name!r} payload")
-            records[name] = np.empty(dims, dtype)
-            fh.readinto(records[name])
-
     arrays: dict[str, dict[str, np.ndarray]] = {}
-    for layer in graph.conv_layers():
-        arrays[layer.id] = {}
-        for suffix in ("W", "b") + (_BN_SUFFIXES if layer.has_batchnorm else ()):
-            name = f"{layer.id}.{suffix}"
-            if name not in records:
-                raise ModelFormatError(f"{blob}: missing weight record {name!r} "
-                                       f"for layer {layer.id!r}")
-            arrays[layer.id][suffix] = records.pop(name)
-    if records:
-        raise ModelFormatError(f"{blob}: records for unknown layers: {sorted(records)}")
+    with file_content(blob):
+        with open(os.path.join(os.path.dirname(manifest_path) or ".", blob), "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+
+            def take(n: int, what: str) -> bytes:
+                data = fh.read(n)
+                if len(data) < n:
+                    raise ModelFormatError(f"truncated {what}")
+                return data
+
+            head = fh.read(8)
+            if head[:4] != _WEIGHTS_MAGIC:
+                raise ModelFormatError("not a weights blob (bad magic)")
+            if len(head) < 8:
+                raise ModelFormatError(f"truncated weights header ({len(head)} bytes)")
+            (version,) = struct.unpack_from("<I", head, 4)
+            if version != _WEIGHTS_VERSION:
+                raise ModelFormatError(f"unsupported weights version {version}")
+            while fh.tell() < size:
+                (name_len,) = struct.unpack("<H", take(2, "record header"))
+                head = take(name_len + 2, "record header")
+                try:
+                    name = head[:name_len].decode("utf-8")
+                except UnicodeDecodeError as e:
+                    raise ModelFormatError(f"record name is not UTF-8 ({e})") from e
+                code, rank = head[name_len:]
+                if code != dtype_code:
+                    raise ModelFormatError(f"record {name!r} is not {dtype.name}")
+                if name in records:
+                    raise ModelFormatError(f"repeated weight record {name!r}")
+                dims = struct.unpack(f"<{rank}I", take(4 * rank, f"record {name!r} dims"))
+                # a forged dims header must not make it allocate more than the file holds
+                if math.prod(dims) * dtype.itemsize > size - fh.tell():
+                    raise ModelFormatError(f"truncated record {name!r} payload")
+                records[name] = np.empty(dims, dtype)
+                fh.readinto(records[name])
+
+        for layer in graph.conv_layers():
+            arrays[layer.id] = {}
+            for suffix in ("W", "b") + (_BN_SUFFIXES if layer.has_batchnorm else ()):
+                name = f"{layer.id}.{suffix}"
+                if name not in records:
+                    raise ModelFormatError(f"missing weight record {name!r} "
+                                           f"for layer {layer.id!r}")
+                arrays[layer.id][suffix] = records.pop(name)
+        if records:
+            raise ModelFormatError(f"records for unknown layers: {sorted(records)}")
     return manifest, graph.layers, arrays
 
 

@@ -40,11 +40,6 @@ of K; their outputs have kept the bits of the unsplit plan in every case
 tested, as float outputs have across tilings down to one pixel per tile,
 which is not a proof.
 
-The scratch is one thread-local buffer that grows to the largest layer's
-need: ``model.execute`` holds it open for a whole graph walk
-(``gemm_scratch``), and a conv call outside a walk opens and releases its
-own.
-
 Each finished GEMM tile goes through its layer's epilogue while it is still
 in cache: the bias add (the integer engine's requantization), batchnorm if
 the float layer has one, and ``leaky_step``, so a conv layer is one call.
@@ -58,8 +53,6 @@ from __future__ import annotations
 
 import os
 import struct
-import threading
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from itertools import product
 from typing import Iterable, TypeVar
@@ -314,40 +307,6 @@ def _batch_view(data: np.ndarray, batch: int) -> np.ndarray:
     return data.reshape(batch, rows // batch, width, channels)
 
 
-class _ThreadScratch(threading.local):
-    buf: np.ndarray | None = None   # None while no gemm_scratch block is open
-
-
-_SCRATCH = _ThreadScratch()
-
-
-@contextmanager
-def gemm_scratch():
-    """Keep one float64 scratch buffer for every ``conv_gemm`` call on this
-    thread until the outermost such block exits; nested blocks share it.
-
-    ``conv_gemm`` takes its scratch before it allocates its padded input and
-    its output, so the buffer, which a walk holds while the maps it keeps
-    pile up, does not sit above them in the heap.
-    """
-    if _SCRATCH.buf is not None:
-        yield
-        return
-    _SCRATCH.buf = np.empty(0)
-    try:
-        yield
-    finally:
-        _SCRATCH.buf = None
-
-
-def _take_scratch(size: int) -> np.ndarray:
-    """``size`` float64 elements of this thread's open scratch, grown to fit."""
-    if _SCRATCH.buf.size < size:
-        _SCRATCH.buf = None   # free the smaller buffer before allocating
-        _SCRATCH.buf = np.empty(size)
-    return _SCRATCH.buf[:size]
-
-
 def conv_plan(n: int, out_h: int, out_w: int, kh: int, kw: int, c_in: int,
               nf: int) -> tuple[tuple[int, int, int], int]:
     """The GEMM tile plan of a conv of ``n`` maps with out_h x out_w outputs
@@ -427,9 +386,8 @@ def conv_gemm(data: np.ndarray, weights: np.ndarray, stride: int, padding: str, 
     to the GEMM dtype (a single run once for all tiles) and adds its product
     to the tile's sums.
 
-    The scratch comes from ``gemm_scratch``; a float32 GEMM takes its
-    buffers as a float32 view of half as many float64 elements. For each
-    tile, ``epilogue(acc, dst)`` receives the complete sums ``acc`` of shape
+    Each call allocates its own scratch in the GEMM dtype. For each tile,
+    ``epilogue(acc, dst)`` receives the complete sums ``acc`` of shape
     (maps, rows, cols, nf) in the GEMM dtype, a contiguous buffer it may
     overwrite, and must write the finished values into ``dst``, the tile's
     slice of the output.
@@ -458,52 +416,51 @@ def conv_gemm(data: np.ndarray, weights: np.ndarray, stride: int, padding: str, 
     pixels = tile_n * tile_h * tile_w
     acc_dtype = _gemm_dtype(data, weights)
 
-    with gemm_scratch():
-        # a run's weight rows, sums, partial sums (if several runs), im2col columns
-        w_end = run * nf
-        acc_end = w_end + pixels * nf
-        partial_end = acc_end + (pixels * nf if last else 0)
-        need = partial_end + pixels * run
-        scratch = _take_scratch(-(-need * acc_dtype.itemsize // 8)).view(acc_dtype)[:need]
-        wblk = scratch[:w_end].reshape(run, nf)
-        acc, partial, cols = scratch[w_end:acc_end], scratch[acc_end:partial_end], scratch[partial_end:]
-        if pt or pb or pl or pr:
-            padded = np.empty((n, in_h + pt + pb, in_w + pl + pr, c_in), dtype=data.dtype)
-            padded[:, :pt] = 0
-            padded[:, pt + in_h:] = 0
-            padded[:, pt:pt + in_h, :pl] = 0
-            padded[:, pt:pt + in_h, pl + in_w:] = 0
-            padded[:, pt:pt + in_h, pl:pl + in_w] = maps
-        else:
-            padded = maps
-        # (n, out_h, out_w, kh, kw * c), a view: window element order matches
-        # weights.reshape(K, nf)
-        windows = sliding_window_view(padded, (kh, kw), axis=(1, 2))
-        windows = windows[:, ::stride, ::stride][:, :out_h, :out_w].transpose(0, 1, 2, 4, 5, 3)
-        windows = windows.reshape(n, out_h, out_w, kh, row)
-        w2d = weights.reshape(kh * row, nf)
-        out = np.empty((n * out_h, out_w, nf), dtype=data.dtype)
-        dst = out.reshape(n, out_h, out_w, nf)
-        for t, (n0, i0, j0) in enumerate(product(range(0, n, tile_n), range(0, out_h, tile_h),
-                                                 range(0, out_w, tile_w))):
-            n1, i1, j1 = min(n0 + tile_n, n), min(i0 + tile_h, out_h), min(j0 + tile_w, out_w)
-            tile = (n1 - n0, i1 - i0, j1 - j0)
-            rows = tile[0] * tile[1] * tile[2]
-            sums = acc[:rows * nf].reshape(rows, nf)
-            for g, (r0, r1, q0, q1) in enumerate(runs):
-                k0 = r0 * row + q0
-                k1 = k0 + (r1 - r0) * (q1 - q0)
-                a = cols[:rows * (k1 - k0)].reshape(*tile, r1 - r0, q1 - q0)
-                np.copyto(a, windows[n0:n1, i0:i1, j0:j1, r0:r1, q0:q1])
-                a = a.reshape(rows, k1 - k0)
-                b = wblk[:k1 - k0]
-                if last or t == 0:   # a single run stays cast across tiles
-                    np.copyto(b, w2d[k0:k1])
-                if g == 0:
-                    np.matmul(a, b, out=sums)
-                else:
-                    sums += np.matmul(a, b, out=partial[:sums.size].reshape(sums.shape))
-            epilogue(sums.reshape(*tile, nf), dst[n0:n1, i0:i1, j0:j1])
+    # a run's weight rows, sums, partial sums (if several runs), im2col columns
+    w_end = run * nf
+    acc_end = w_end + pixels * nf
+    partial_end = acc_end + (pixels * nf if last else 0)
+    need = partial_end + pixels * run
+    scratch = np.empty(need, acc_dtype)
+    wblk = scratch[:w_end].reshape(run, nf)
+    acc, partial, cols = scratch[w_end:acc_end], scratch[acc_end:partial_end], scratch[partial_end:]
+    if pt or pb or pl or pr:
+        padded = np.empty((n, in_h + pt + pb, in_w + pl + pr, c_in), dtype=data.dtype)
+        padded[:, :pt] = 0
+        padded[:, pt + in_h:] = 0
+        padded[:, pt:pt + in_h, :pl] = 0
+        padded[:, pt:pt + in_h, pl + in_w:] = 0
+        padded[:, pt:pt + in_h, pl:pl + in_w] = maps
+    else:
+        padded = maps
+    # (n, out_h, out_w, kh, kw * c), a view: window element order matches
+    # weights.reshape(K, nf)
+    windows = sliding_window_view(padded, (kh, kw), axis=(1, 2))
+    windows = windows[:, ::stride, ::stride][:, :out_h, :out_w].transpose(0, 1, 2, 4, 5, 3)
+    windows = windows.reshape(n, out_h, out_w, kh, row)
+    w2d = weights.reshape(kh * row, nf)
+    out = np.empty((n * out_h, out_w, nf), dtype=data.dtype)
+    dst = out.reshape(n, out_h, out_w, nf)
+    for t, (n0, i0, j0) in enumerate(product(range(0, n, tile_n), range(0, out_h, tile_h),
+                                             range(0, out_w, tile_w))):
+        n1, i1, j1 = min(n0 + tile_n, n), min(i0 + tile_h, out_h), min(j0 + tile_w, out_w)
+        tile = (n1 - n0, i1 - i0, j1 - j0)
+        rows = tile[0] * tile[1] * tile[2]
+        sums = acc[:rows * nf].reshape(rows, nf)
+        for g, (r0, r1, q0, q1) in enumerate(runs):
+            k0 = r0 * row + q0
+            k1 = k0 + (r1 - r0) * (q1 - q0)
+            a = cols[:rows * (k1 - k0)].reshape(*tile, r1 - r0, q1 - q0)
+            np.copyto(a, windows[n0:n1, i0:i1, j0:j1, r0:r1, q0:q1])
+            a = a.reshape(rows, k1 - k0)
+            b = wblk[:k1 - k0]
+            if last or t == 0:   # a single run stays cast across tiles
+                np.copyto(b, w2d[k0:k1])
+            if g == 0:
+                np.matmul(a, b, out=sums)
+            else:
+                sums += np.matmul(a, b, out=partial[:sums.size].reshape(sums.shape))
+        epilogue(sums.reshape(*tile, nf), dst[n0:n1, i0:i1, j0:j1])
     return out
 
 
@@ -670,27 +627,26 @@ def save_tensor(path, fm: FeatureMap | IntFeatureMap) -> None:
 
 def load_tensor(path) -> FeatureMap | IntFeatureMap:
     """Read a tensor file; the payload is read straight into its final array."""
-    with open(path, "rb") as fh:
+    with file_content(path), open(path, "rb") as fh:
         head = fh.read(_TENSOR_HEADER_BYTES)
         if len(head) < _TENSOR_HEADER_BYTES:
-            raise ModelFormatError(f"{path}: truncated tensor header ({len(head)} bytes, "
+            raise ModelFormatError(f"truncated tensor header ({len(head)} bytes, "
                                    f"need {_TENSOR_HEADER_BYTES})")
         if head[:4] != _TENSOR_MAGIC:
-            raise ModelFormatError(f"{path}: not a tensor container (bad magic)")
+            raise ModelFormatError("not a tensor container (bad magic)")
         version, code, rank = struct.unpack_from("<IBB", head, 4)
         if version != _TENSOR_VERSION:
-            raise ModelFormatError(f"{path}: unsupported tensor format version {version}")
+            raise ModelFormatError(f"unsupported tensor format version {version}")
         if rank != 3 or code not in _NUMPY_DTYPES:
-            raise ModelFormatError(f"{path}: unsupported rank {rank} or dtype {code}")
+            raise ModelFormatError(f"unsupported rank {rank} or dtype {code}")
         dims = struct.unpack_from("<3I", head, 10)
         dtype = _NUMPY_DTYPES[code]
         expected = dims[0] * dims[1] * dims[2] * dtype.itemsize
         payload = os.fstat(fh.fileno()).st_size - _TENSOR_HEADER_BYTES
         if payload != expected:
-            raise ModelFormatError(f"{path}: payload is {payload} bytes, expected {expected}")
+            raise ModelFormatError(f"payload is {payload} bytes, expected {expected}")
         data = np.empty(dims, dtype)
         got = fh.readinto(data)
         if got != expected:
-            raise ModelFormatError(f"{path}: payload is {got} bytes, expected {expected}")
-    with file_content(path):
+            raise ModelFormatError(f"payload is {got} bytes, expected {expected}")
         return (FeatureMap if code == DTYPE_FLOAT32 else IntFeatureMap)(data)

@@ -13,7 +13,6 @@ from .tensor import BatchNormParams
 import numpy as np
 
 INPUT_SIZE = 416
-DEFAULT_EPSILON = 0.001
 DEFAULT_ACT_EXPONENT = 4  # leaky slope 2^-4 = 0.0625
 
 # detection-head filter counts encode the output structure; never prune them
@@ -31,7 +30,7 @@ def _conv(idx: int, src: str, nf: int, kernel: int, head: bool = False) -> Layer
         num_filters=nf, kernel_h=kernel, kernel_w=kernel, stride=1, padding="same",
         has_bias=head, has_batchnorm=not head, activation="linear" if head else "leaky",
         act_exponent=None if head else DEFAULT_ACT_EXPONENT,
-        epsilon=None if head else DEFAULT_EPSILON)
+        epsilon=None if head else BatchNormParams.epsilon)
 
 
 def build_tinyyolov3(num_classes: int = 80) -> Model:
@@ -77,7 +76,6 @@ def build_tinyyolov3(num_classes: int = 80) -> Model:
             bn = None
             if layer.has_batchnorm:
                 bn = BatchNormParams(
-                    mu=np.zeros(nf), sigma2=np.ones(nf), gamma=np.ones(nf),
-                    beta=np.zeros(nf), epsilon=DEFAULT_EPSILON)
+                    mu=np.zeros(nf), sigma2=np.ones(nf), gamma=np.ones(nf), beta=np.zeros(nf))
             params[layer.id] = ConvParams(fb, bn)
     return Model(tuple(layers), params)

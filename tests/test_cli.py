@@ -539,6 +539,45 @@ def test_compare_names_the_model_file_at_fault(tmp_path, fused_model_path, input
     assert fused_model_path.name not in err
 
 
+# (file to delete, its name inside the path the user passed, command); a blob
+# is named by the manifest that names it
+_MISSING_FILE_CASES = {
+    "float_blob": ("fused.weights", ("fused.json", "fused.weights"), "compare"),
+    "quantized_blob": ("q.weights", ("q.json", "q.weights"), "infer_int"),
+    "quantized_manifest": ("q.json", ("q.json",), "compare"),
+    "input_tensor": ("input.tnsr", ("input.tnsr",), "infer_float"),
+    "dataset": ("data", ("data",), "prune"),
+}
+
+
+@pytest.mark.parametrize("case", list(_MISSING_FILE_CASES))
+def test_missing_file_is_named_by_the_path_the_user_passed(tmp_path, rng, fused_model_path,
+                                                          input_path, capsys, case):
+    assert run(["quantize", "-i", str(fused_model_path), "-o", str(tmp_path / "q.json")]) == 0
+    _write_dataset(tmp_path / "data", rng)
+    deleted, named, command = _MISSING_FILE_CASES[case]
+    if (tmp_path / deleted).is_dir():
+        shutil.rmtree(tmp_path / deleted)
+    else:
+        (tmp_path / deleted).unlink()
+    fused, qpath, taps = str(fused_model_path), str(tmp_path / "q.json"), str(tmp_path / "taps")
+    argv = {
+        "compare": ["compare", "--float-model", fused, "--quant-model", qpath,
+                    "--input", str(input_path)],
+        "infer_int": ["infer", "-i", qpath, "--engine", "int", "--input", str(input_path),
+                      "--taps", taps],
+        "infer_float": ["infer", "-i", fused, "--input", str(input_path), "--taps", taps],
+        "prune": ["prune", "-i", fused, "-o", str(tmp_path / "p.json"),
+                  "--data", str(tmp_path / "data")],
+    }[command]
+    capsys.readouterr()
+    code = run(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    where = ": ".join([str(tmp_path / named[0]), *named[1:]])
+    assert err == f"error: {where}: no such file or directory\n"
+
+
 def test_int_infer_rejects_stray_weight_record(tmp_path, fused_model_path, input_path, capsys):
     qpath = tmp_path / "model.q.json"
     assert run(["quantize", "-i", str(fused_model_path), "-o", str(qpath)]) == 0

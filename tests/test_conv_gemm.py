@@ -19,7 +19,6 @@ from cnnadapt.model import (
     ConvParams,
     LayerSpec,
     Model,
-    execute,
     float_infer,
     randomize_weights,
     replace_layer,
@@ -215,7 +214,7 @@ def test_conv_gemm_refuses_integer_depth_beyond_exact_float64_range():
 
 
 # ---------------------------------------------------------------------------
-# tile plan and the walk's scratch buffer
+# tile plan and the GEMM scratch
 # ---------------------------------------------------------------------------
 
 def _gemm_tiles(fm, weights, stride=1, padding="same"):
@@ -405,52 +404,31 @@ def test_threaded_walks_give_the_bytes_of_serial_walks(monkeypatch):
     assert threaded == serial
 
 
-def test_a_walk_holds_its_scratch_only_while_it_runs():
-    model = _small_yolo()
-    image = feature_map(np.random.default_rng(9), 32, 32, 3, lo=0.0, hi=1.0)
-    held = []
-
-    def conv(layer, fm, batch):
-        out = conv2d(fm, model.params[layer.id].filters, layer.stride, layer.padding,
-                     batch=batch)
-        held.append(tensor._SCRATCH.buf is not None)
-        return out
-
-    execute(model, [image], conv)
-    assert held and all(held)
-    assert tensor._SCRATCH.buf is None
-    float_infer(model, image)
-    assert tensor._SCRATCH.buf is None
-    qmodel = quantize_model(model)
-    int_infer(qmodel, quantize_input(image, qmodel.config))
-    assert tensor._SCRATCH.buf is None
-
-    def failing(layer, fm, batch):
-        raise RuntimeError("conv failed")
-
-    with pytest.raises(RuntimeError):
-        execute(model, [image], failing)
-    assert tensor._SCRATCH.buf is None
-
-
 def test_tinyyolo_walks_keep_the_scratch_within_its_budget(monkeypatch):
     model = fuse_model(randomize_weights(build_tinyyolov3(num_classes=80),
                                          np.random.default_rng(11), 0.1))
     qmodel = quantize_model(model)
     image = feature_map(np.random.default_rng(12), 416, 416, 3, lo=0.0, hi=1.0)
-    take, sizes = tensor._take_scratch, []
+    sizes = []
 
-    def recording_take(size):
-        buf = take(size)
-        sizes.append(tensor._SCRATCH.buf.size)
-        return buf
+    class RecordingNumpy:
+        """numpy for the tensor module, recording the bytes of each flat
+        np.empty: the scratch a conv_gemm call allocates."""
 
-    monkeypatch.setattr(tensor, "_take_scratch", recording_take)
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def empty(self, shape, dtype=float):
+            if isinstance(shape, int):
+                sizes.append(shape * np.dtype(dtype).itemsize)
+            return np.empty(shape, dtype)
+
+    monkeypatch.setattr(tensor, "np", RecordingNumpy())
     int_infer(qmodel, quantize_input(image, qmodel.config))
     assert len(sizes) == 13
     float_infer(model, image)
     assert len(sizes) == 26
-    assert max(sizes) <= tensor.GEMM_SCRATCH_BYTES // 8
+    assert max(sizes) <= tensor.GEMM_SCRATCH_BYTES
 
 
 # ---------------------------------------------------------------------------
