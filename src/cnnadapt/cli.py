@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 validation error (bad arguments or pipeline
 preconditions), 2 numerical/IO failure. Every output file (models, tensors,
 JSON and CSV reports) is written via temp + atomic rename, so a failing run
-never leaves a partial file.
+never leaves a partial file, and a failed write is named by the path the
+user passed.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ import os
 import sys
 
 from . import analysis, evaluation, fusion, pruning, quantization
-from .errors import CnnAdaptError, ModelFormatError, PipelineError
+from .errors import CnnAdaptError, ModelFormatError, PipelineError, file_written
 from .model import float_infer, load_model, model_digest, save_model
 from .tensor import FeatureMap, load_tensor, save_tensor
 
@@ -190,7 +191,8 @@ def _cmd_infer(args) -> int:
     load = load_model if args.engine == "float" else quantization.load_quantized_model
     model = load(args.input_model)
     fm = _load_input_map(args.input, model)
-    os.makedirs(args.taps, exist_ok=True)
+    with file_written(args.taps):
+        os.makedirs(args.taps, exist_ok=True)
     if args.engine == "float":
         trace = float_infer(model, fm, taps=args.tap_all)
     else:

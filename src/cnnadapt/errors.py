@@ -48,5 +48,21 @@ def file_content(where):
     except (ValueError, OverflowError, PipelineError) as e:
         raise ModelFormatError(f"{where}: {e}") from e
     except OSError as e:
-        reason = str(e.strerror or e)
-        raise ModelFormatError(f"{where}: {reason[:1].lower()}{reason[1:]}") from e
+        raise ModelFormatError(f"{where}: {_reason(e)}") from e
+
+
+@contextmanager
+def file_written(where):
+    """Re-raise an OSError from the block, which writes that file or part of
+    one, as an OSError prefixed by ``where`` and worded as ``file_content``
+    words a read fault, so no temporary file name reaches the message."""
+    try:
+        yield
+    except OSError as e:
+        raise OSError(f"{where}: {_reason(e)}") from e
+
+
+def _reason(e: OSError) -> str:
+    """An OSError's strerror, or its message, with the first letter lower-cased."""
+    reason = str(e.strerror or e)
+    return f"{reason[:1].lower()}{reason[1:]}"

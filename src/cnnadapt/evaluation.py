@@ -24,7 +24,7 @@ THREADS_ENV = "CNNADAPT_THREADS"
 # Evaluators run their samples through float_infer in batches whose summed
 # float32 activations (every layer output, as shape_infer sizes it) stay
 # within this budget; a sample over budget on its own runs alone. A batch
-# holds two TinyYOLOv3-416 images (~31 MB each) or ~38 at 96x96.
+# holds one 80-class TinyYOLOv3-416 sample (32.26 MiB) or 37 at 96x96 (1.72 MiB).
 EVAL_BATCH_BYTES = 64 << 20
 
 

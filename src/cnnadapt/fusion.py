@@ -24,8 +24,7 @@ def fuse_layer(filters: FilterBank, bn: BatchNormParams) -> FilterBank:
     if bn.num_filters != filters.num_filters:
         raise ShapeError(
             f"batchnorm has {bn.num_filters} entries for {filters.num_filters} filters")
-    denom = np.sqrt(bn.sigma2.astype(np.float64) + bn.epsilon)
-    scale = bn.gamma.astype(np.float64) / denom
+    scale = bn.scale
     # float64 products rounded once to float32, cast through the ufunc's
     # small buffers: no weight-sized float64 temporary
     with np.errstate(over="ignore"):

@@ -26,9 +26,11 @@ from .tensor import (
     IntFeatureMap,
     _NUMPY_DTYPES,
     _atomic_write,
+    batchnorm_forward,
     concat,
     conv2d,
     conv_output_shape,
+    leaky_relu,
     maxpool,
     maxpool_output_shape,
     split_batch,
@@ -361,18 +363,21 @@ def float_infer(model: Model, input: FeatureMap | Sequence[FeatureMap],
                 taps: bool = False) -> InferenceTrace | list[InferenceTrace]:
     """Run the float engine through ``execute``.
 
-    Conv layers apply convolution, then batchnorm if present, then the
-    activation, all in one ``conv2d`` call. The trace holds every layer
-    output when taps is set, otherwise only the model outputs. ``input`` is
-    one FeatureMap, which gives one trace, or a list of them, which run as
-    one batch and give one trace per map. A batch computes the same bits as
-    running its maps one at a time.
+    A conv layer is one ``conv2d`` call, activation included, unless it has
+    batchnorm: then the reference ops ``batchnorm_forward`` and ``leaky_relu``
+    follow. The trace holds every layer output when taps is set, otherwise only
+    the model outputs. ``input`` is one FeatureMap, which gives one trace, or a
+    list of them, which run as one batch and give one trace per map. A batch
+    computes the same bits as running its maps one at a time.
     """
     def conv(layer, fm, batch):
         p = model.params[layer.id]
-        return conv2d(fm, p.filters, layer.stride, layer.padding, batch=batch,
-                      batchnorm=p.batchnorm,
-                      leaky_alpha=layer.leaky_alpha if layer.activation == "leaky" else None)
+        alpha = layer.leaky_alpha if layer.activation == "leaky" else None
+        if p.batchnorm is None:
+            return conv2d(fm, p.filters, layer.stride, layer.padding, batch, leaky_alpha=alpha)
+        out = batchnorm_forward(conv2d(fm, p.filters, layer.stride, layer.padding, batch),
+                                p.batchnorm)
+        return out if alpha is None else leaky_relu(out, alpha)
 
     if isinstance(input, FeatureMap):
         return execute(model, [input], conv, taps)
@@ -470,13 +475,16 @@ def write_model_files(model, manifest_path, records: Iterable[tuple[str, np.ndar
 
     ``model`` supplies the layers and the input block (a Model or a
     QuantizedModel); ``extra`` adds top-level manifest blocks after
-    ``weights``. Both files are written through ``_atomic_write``.
+    ``weights``. Both files are written through ``_atomic_write``; a failed
+    blob write is named by the manifest path, then the blob's name, as a
+    failed read is.
     """
     manifest_path = os.fspath(manifest_path)
     weights_rel = os.path.splitext(os.path.basename(manifest_path))[0] + ".weights"
     weights_path = os.path.join(os.path.dirname(manifest_path) or ".", weights_rel)
     manifest = {**manifest_dict(model, weights_rel), **extra}
-    _atomic_write(weights_path, record_chunks(records, dtype_code))
+    _atomic_write(weights_path, record_chunks(records, dtype_code),
+                  f"{manifest_path}: {weights_rel}")
     _atomic_write(manifest_path, [(json.dumps(manifest, indent=2) + "\n").encode()])
 
 

@@ -41,13 +41,14 @@ tested, as float outputs have across tilings down to one pixel per tile,
 which is not a proof.
 
 Each finished GEMM tile goes through its layer's epilogue while it is still
-in cache: the bias add (the integer engine's requantization), batchnorm if
-the float layer has one, and ``leaky_step``, so a conv layer is one call.
-Leaky ReLU with slope 0 <= alpha <= 1 is ``max(z, alpha * z)``, the same
-value as ``z if z > 0 else alpha * z`` for every z, signed zeros included.
+in cache: the bias add (the integer engine's requantization) and
+``leaky_step``, so a conv layer without batchnorm is one call. Leaky ReLU
+with slope 0 <= alpha <= 1 is ``max(z, alpha * z)``, the same value as
+``z if z > 0 else alpha * z`` for every z, signed zeros included.
 
 Integer maps hold int16, the int engine's activation width. Files are
-written through ``_atomic_write``, so a failed write leaves the old file.
+written through ``_atomic_write``, so a failed write leaves the old file and
+is named by the path it was given.
 """
 from __future__ import annotations
 
@@ -60,7 +61,7 @@ from typing import Iterable, TypeVar
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ModelFormatError, NumericalError, ShapeError, file_content
+from .errors import ModelFormatError, NumericalError, ShapeError, file_content, file_written
 
 INT16_MIN, INT16_MAX = -(2**15), 2**15 - 1
 INT32_MIN, INT32_MAX = -(2**31), 2**31 - 1
@@ -262,6 +263,11 @@ class BatchNormParams:
     @property
     def num_filters(self) -> int:
         return self.mu.shape[0]
+
+    @property
+    def scale(self) -> np.ndarray:
+        """gamma / sqrt(sigma2 + eps) per channel, in float64."""
+        return self.gamma / np.sqrt(self.sigma2.astype(np.float64) + self.epsilon)
 
 
 # Budget for conv_gemm's float64 scratch per call (see conv_plan). A tile
@@ -475,24 +481,17 @@ def leaky_step(acc: np.ndarray, dst: np.ndarray, op, k) -> None:
 
 def conv2d(input: FeatureMap, filters: FilterBank, stride: int = 1,
            padding: str = "same", batch: int = 1, *,
-           batchnorm: BatchNormParams | None = None,
            leaky_alpha: float | None = None) -> FeatureMap:
     """2-D convolution over (h, w, c) with per-filter bias, of each of the
-    ``batch`` maps stacked in ``input``, then optionally batchnorm and leaky
-    ReLU with slope ``leaky_alpha`` in [0, 1].
+    ``batch`` maps stacked in ``input``, then optionally leaky ReLU with
+    slope ``leaky_alpha`` in [0, 1].
 
     Same padding pads each map with zeros. Products and sums run in float64
     through ``conv_gemm`` and each output is rounded to float32 once, after
     the bias add, so identical inputs always produce identical bits. The
-    batchnorm and the activation run on each finished tile in float32 and
-    give the bits of ``batchnorm_forward`` and ``leaky_relu`` applied to the
-    whole map. An output beyond the float32 range raises NumericalError.
+    activation runs on each finished tile in float32 and gives the bits of
+    ``leaky_relu`` on the whole map; an output beyond float32 raises NumericalError.
     """
-    nf = filters.num_filters
-    if batchnorm is not None:
-        if batchnorm.num_filters != nf:
-            raise ShapeError(
-                f"feature map has {nf} channels but batchnorm has {batchnorm.num_filters}")
     if leaky_alpha is not None:
         if not 0 <= leaky_alpha <= 1:
             raise ValueError(f"fused leaky slope must lie in [0, 1], got {leaky_alpha}")
@@ -501,15 +500,10 @@ def conv2d(input: FeatureMap, filters: FilterBank, stride: int = 1,
 
     def epilogue(acc, dst):
         np.add(acc, bias, out=dst, casting="same_kind")
-        if batchnorm is not None:
-            dst -= batchnorm.mu
-            dst *= bn_scale
-            dst += batchnorm.beta
         if leaky_alpha is not None:
             leaky_step(acc, dst, np.multiply, alpha)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        bn_scale = None if batchnorm is None else _batchnorm_scale(batchnorm)
         out = conv_gemm(input.data, filters.weights, stride, padding, batch, epilogue)
     try:
         return FeatureMap(out)
@@ -517,19 +511,18 @@ def conv2d(input: FeatureMap, filters: FilterBank, stride: int = 1,
         raise NumericalError(f"conv output overflowed float32: {e}") from e
 
 
-def _batchnorm_scale(params: BatchNormParams) -> np.ndarray:
-    """gamma / sqrt(sigma2 + eps) per channel, computed in float64, as float32."""
-    denom = np.sqrt(params.sigma2.astype(np.float64) + params.epsilon)
-    return (params.gamma / denom).astype(np.float32)
-
-
 def batchnorm_forward(z: FeatureMap, params: BatchNormParams) -> FeatureMap:
-    """Per-channel normalization: gamma * (z - mu) / sqrt(sigma2 + eps) + beta."""
+    """Per-channel normalization: gamma * (z - mu) / sqrt(sigma2 + eps) + beta
+    in float32; an output beyond the float32 range raises NumericalError."""
     if z.channels != params.num_filters:
         raise ShapeError(
             f"feature map has {z.channels} channels but batchnorm has {params.num_filters}")
-    out = _batchnorm_scale(params) * (z.data - params.mu) + params.beta
-    return FeatureMap(out)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = params.scale.astype(np.float32) * (z.data - params.mu) + params.beta
+    try:
+        return FeatureMap(out)
+    except ValueError as e:   # finite operands, so an output left float32's range
+        raise NumericalError(f"batchnorm output overflowed float32: {e}") from e
 
 
 def leaky_relu(z: FeatureMap, alpha: float) -> FeatureMap:
@@ -598,21 +591,23 @@ def split_batch(stacked: MapT, batch: int) -> list[MapT]:
 # Tensor container file ("TNSR")
 # ---------------------------------------------------------------------------
 
-def _atomic_write(path, chunks: Iterable[bytes | memoryview]) -> None:
+def _atomic_write(path, chunks: Iterable[bytes | memoryview], where=None) -> None:
     """Write ``chunks`` to a temp file, then rename it over ``path``.
 
     If a write or the chunk iterator raises, the temp file is removed and
-    ``path`` keeps its old content.
+    ``path`` keeps its old content. An OSError is named by ``where``, by
+    default ``path`` (see ``file_written``).
     """
     tmp = f"{path}.tmp.{os.getpid()}"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.writelines(chunks)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    with file_written(path if where is None else where):
+        try:
+            with open(tmp, "wb") as fh:
+                fh.writelines(chunks)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
 
 
 def save_tensor(path, fm: FeatureMap | IntFeatureMap) -> None:

@@ -32,6 +32,7 @@ from cnnadapt.tensor import (
     DTYPE_FLOAT32,
     DTYPE_INT16,
     INT16_MAX,
+    BatchNormParams,
     FeatureMap,
     FilterBank,
     IntFeatureMap,
@@ -578,6 +579,48 @@ def test_missing_file_is_named_by_the_path_the_user_passed(tmp_path, rng, fused_
     assert err == f"error: {where}: no such file or directory\n"
 
 
+# command line of each writer, with {out} the output that fails; a model's
+# blob write fails first and is named by the manifest, then the blob
+_WRITER_CASES = {
+    "fuse-o": ["fuse", "-i", "{bn}", "-o", "{out}"],
+    "prune-o": ["prune", "-i", "{fused}", "-o", "{out}", "--data", "{data}"],
+    "prune--report": ["prune", "-i", "{fused}", "-o", "{tmp}/p.json", "--data", "{data}",
+                      "--report", "{out}"],
+    "quantize-o": ["quantize", "-i", "{fused}", "-o", "{out}"],
+    "infer--taps": ["infer", "-i", "{fused}", "--input", "{input}", "--taps", "{out}"],
+    "infer--report": ["infer", "-i", "{q}", "--engine", "int", "--input", "{input}",
+                      "--taps", "{tmp}/taps", "--report", "{out}"],
+    "compare--report": ["compare", "--float-model", "{fused}", "--quant-model", "{q}",
+                        "--input", "{input}", "--report", "{out}"],
+    "compare--csv": ["compare", "--float-model", "{fused}", "--quant-model", "{q}",
+                     "--input", "{input}", "--csv", "{out}"],
+    "flops--report": ["flops", "-i", "{fused}", "--report", "{out}"],
+    "params--report": ["params", "-i", "{fused}", "--report", "{out}"],
+}
+
+
+@pytest.mark.parametrize("case", list(_WRITER_CASES))
+def test_failed_write_is_named_by_the_path_the_user_passed(tmp_path, rng, bn_model_path,
+                                                          fused_model_path, input_path,
+                                                          capsys, case):
+    qpath = tmp_path / "q.json"
+    assert run(["quantize", "-i", str(fused_model_path), "-o", str(qpath)]) == 0
+    _write_dataset(tmp_path / "data", rng)
+    # a regular file where the output's directory should be
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    out = str(blocker / "out")
+    paths = dict(bn=bn_model_path, fused=fused_model_path, q=qpath, input=input_path,
+                 data=tmp_path / "data", tmp=tmp_path, out=out)
+    capsys.readouterr()
+    code = run([arg.format(**paths) for arg in _WRITER_CASES[case]])
+    err = capsys.readouterr().err
+    assert code == 2
+    where = f"{out}: out.weights" if case.endswith("-o") else out
+    assert err == f"error: {where}: not a directory\n"
+    assert list(tmp_path.rglob("*.tmp.*")) == []
+
+
 def test_int_infer_rejects_stray_weight_record(tmp_path, fused_model_path, input_path, capsys):
     qpath = tmp_path / "model.q.json"
     assert run(["quantize", "-i", str(fused_model_path), "-o", str(qpath)]) == 0
@@ -868,6 +911,28 @@ def test_activation_overflow_exits_2(tmp_path, rng, capsys, command):
     err = capsys.readouterr().err
     assert code == 2
     assert err.count("error:") == 1 and "overflow" in err and "Traceback" not in err
+
+
+def test_batchnorm_overflow_exits_2(tmp_path, rng, capsys):
+    """A batchnorm scale of 3e38 / sqrt(1e-30) on an unfused layer gives
+    outputs beyond float32: a numerical failure, refused without a
+    RuntimeWarning."""
+    model = chain_model(rng, [1], hw=4, in_channels=1, bn=True, epsilon=0.0)
+    bn = BatchNormParams(mu=np.zeros(1), sigma2=np.full(1, 1e-30), gamma=np.full(1, 3e38),
+                         beta=np.zeros(1), epsilon=0.0)
+    path = tmp_path / "m.json"
+    save_model(Model(model.layers, {"conv_1": ConvParams(model.params["conv_1"].filters, bn)}),
+               path)
+    image = tmp_path / "ones.tnsr"
+    save_tensor(image, FeatureMap(np.ones((4, 4, 1), np.float32)))
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = run(["infer", "-i", str(path), "--input", str(image),
+                    "--taps", str(tmp_path / "taps")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("error:") == 1 and "overflowed float32" in err and "Traceback" not in err
 
 
 def test_map_options_default_to_the_evaluators_own_defaults():

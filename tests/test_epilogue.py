@@ -1,10 +1,9 @@
 """The conv epilogue and native integer storage.
 
-``conv2d`` applies batchnorm and leaky ReLU, and ``int_conv_forward`` leaky
-ReLU, to each finished GEMM tile. Both must give the bits of the separate
-passes (``batchnorm_forward``, ``leaky_relu``, ``quant_leaky_relu``), which
-stay as the reference implementations. Bits are compared as bytes, so a
--0.0 where the reference has +0.0 fails.
+``conv2d`` and ``int_conv_forward`` apply leaky ReLU to each finished GEMM
+tile. Both must give the bits of the separate passes (``leaky_relu``,
+``quant_leaky_relu``), which stay as the reference implementations. Bits are
+compared as bytes, so a -0.0 where the reference has +0.0 fails.
 """
 import hashlib
 
@@ -15,7 +14,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from cnnadapt import tensor
-from cnnadapt.errors import ShapeError
 from cnnadapt.fusion import fuse_model
 from cnnadapt.model import ConvParams, Model, float_infer, replace_layer
 from cnnadapt.quantization import (
@@ -36,7 +34,6 @@ from cnnadapt.tensor import (
     FeatureMap,
     FilterBank,
     IntFeatureMap,
-    batchnorm_forward,
     concat,
     conv2d,
     leaky_relu,
@@ -46,7 +43,7 @@ from cnnadapt.tensor import (
     upsample_nearest,
 )
 from cnnadapt.tinyyolo import build_tinyyolov3
-from util import feature_map, random_bank, random_bn
+from util import feature_map, random_bank
 
 # A scratch budget this small splits a 9x9 output of 12 filters into several
 # pixel tiles, so the epilogue sees partial tiles. Under the tiny one, not
@@ -67,48 +64,36 @@ def scratch(request, monkeypatch):
         monkeypatch.setattr(tensor, "GEMM_SCRATCH_BYTES", TINY_SCRATCH)
 
 
-def _separate_float(fm, fb, stride, padding, bn, exponent):
+def _separate_float(fm, fb, stride, padding, exponent):
     out = conv2d(fm, fb, stride, padding)
-    if bn is not None:
-        out = batchnorm_forward(out, bn)
     if exponent is not None:
         out = leaky_relu(out, 2.0 ** -exponent)
     return out.data
 
 
-@pytest.mark.parametrize("with_bn", [False, True])
 @pytest.mark.parametrize("exponent", [None, 0, 4, 15])
 @pytest.mark.parametrize("stride,padding", [(1, "same"), (2, "valid")])
-def test_float_epilogue_equals_separate_passes(rng, scratch, with_bn, exponent, stride, padding):
+def test_float_epilogue_equals_separate_passes(rng, scratch, exponent, stride, padding):
     fm = feature_map(rng, 9, 9, 5, lo=-1.0, hi=1.0)
     fb = random_bank(rng, 3, 5, 12)
-    bn = random_bn(rng, 12) if with_bn else None
-    fused = conv2d(fm, fb, stride, padding, batchnorm=bn,
+    fused = conv2d(fm, fb, stride, padding,
                    leaky_alpha=None if exponent is None else 2.0 ** -exponent)
-    assert fused.data.tobytes() == _separate_float(fm, fb, stride, padding, bn,
-                                                   exponent).tobytes()
+    assert fused.data.tobytes() == _separate_float(fm, fb, stride, padding, exponent).tobytes()
 
 
-@pytest.mark.parametrize("with_bn", [False, True])
-def test_float_epilogue_keeps_negative_zero_from_underflow(rng, scratch, with_bn):
+def test_float_epilogue_keeps_negative_zero_from_underflow(rng, scratch):
     # outputs are +-1e-42 (subnormal); times 2^-15 the negative ones underflow to -0.0
     fm = feature_map(rng, 9, 9, 2)
     bias = np.where(np.arange(12) % 2 == 0, -1e-42, 1e-42).astype(np.float32)
     fb = FilterBank(np.zeros((3, 3, 2, 12), dtype=np.float32), bias)
-    bn = None
-    if with_bn:
-        bn = BatchNormParams(mu=np.zeros(12), sigma2=np.full(12, 0.999),
-                             gamma=np.ones(12), beta=np.zeros(12))
-    fused = conv2d(fm, fb, batchnorm=bn, leaky_alpha=2.0 ** -15).data
+    fused = conv2d(fm, fb, leaky_alpha=2.0 ** -15).data
     assert (np.signbit(fused) & (fused == 0)).any()
-    assert fused.tobytes() == _separate_float(fm, fb, 1, "same", bn, 15).tobytes()
+    assert fused.tobytes() == _separate_float(fm, fb, 1, "same", 15).tobytes()
 
 
 def test_float_epilogue_validates_its_arguments(rng):
     fm = feature_map(rng, 4, 4, 2)
     fb = random_bank(rng, 3, 2, 3)
-    with pytest.raises(ShapeError):
-        conv2d(fm, fb, batchnorm=random_bn(rng, 4))
     for alpha in (-0.1, 1.5, float("nan")):
         with pytest.raises(ValueError, match="slope"):
             conv2d(fm, fb, leaky_alpha=alpha)

@@ -10,6 +10,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from cnnadapt import fusion, model, quantization
 from cnnadapt.tensor import FeatureMap
@@ -59,3 +60,26 @@ def test_tracer_sees_every_op_of_both_engines():
         names = [s.name for s in inside]
         assert (names.count("tensor.maxpool"), names.count("tensor.upsample_nearest"),
                 names.count("tensor.concat")) == (6, 1, 1)
+
+
+@pytest.mark.parametrize("fused, pointwise", [(False, 11), (True, 0)])
+def test_tracer_sees_the_reference_ops_of_an_unfused_walk(fused, pointwise):
+    """A layer with batchnorm runs conv2d, batchnorm_forward and leaky_relu;
+    a fused layer runs conv2d alone."""
+    yolo = model.replace_layer(build_tinyyolov3(num_classes=1), "input", height=32, width=32)
+    yolo = model.randomize_weights(yolo, np.random.default_rng(5), 0.1)
+    if fused:
+        yolo = fusion.fuse_model(yolo)
+    image = FeatureMap(np.random.default_rng(6).uniform(0, 1, (32, 32, 3)).astype(np.float32))
+
+    tracer = spans.Tracer()
+    with tracer.installed():
+        model.float_infer(yolo, image, taps=True)
+
+    inside = _spans_under(tracer, "model.float_infer")
+    names = [s.name for s in inside]
+    convs = [s for s in inside if s.name == "tensor.conv2d"]
+    assert [s.attrs["layer"] for s in convs] == [l.id for l in yolo.conv_layers()]
+    assert len(convs) == 13
+    assert (names.count("tensor.batchnorm_forward"), names.count("tensor.leaky_relu")) == \
+        (pointwise, pointwise)
