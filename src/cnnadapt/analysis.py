@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import ShapeError
-from .model import InferenceTrace, Model, shape_infer
+from .model import InferenceTrace, LayerGraph, shape_infer
 from .tensor import IntFeatureMap, _atomic_write
 
 REPORT_VERSION = 1
@@ -93,15 +93,15 @@ def flop_reduction_pct(reference: FlopReport, this: FlopReport) -> float:
     return reduction_pct(reference.total, this.total)
 
 
-def count_flops(model: Model) -> FlopReport:
-    """Per-conv FLOPs (2 * kh * kw * c_in * out_h * out_w * nf, plus batchnorm)."""
-    shapes = shape_infer(model)
+def count_flops(graph: LayerGraph) -> FlopReport:
+    """Per-conv FLOPs (2 * kh * kw * c_in * out_h * out_w * nf, plus batchnorm),
+    from the layer specs alone, with c_in the channels ``shape_infer`` gives upstream."""
+    shapes = shape_infer(graph)
     layers = []
-    for layer in model.conv_layers():
-        fb = model.params[layer.id].filters
-        oh, ow, _ = shapes[layer.id]
-        conv = 2 * fb.kernel_h * fb.kernel_w * fb.in_channels * oh * ow * fb.num_filters
-        bn = 4 * oh * ow * fb.num_filters if layer.has_batchnorm else 0
+    for layer in graph.conv_layers():
+        oh, ow, nf = shapes[layer.id]
+        conv = 2 * layer.kernel_h * layer.kernel_w * shapes[layer.inputs[0]][2] * oh * ow * nf
+        bn = 4 * oh * ow * nf if layer.has_batchnorm else 0
         layers.append(LayerFlops(layer.id, conv, bn))
     return FlopReport(tuple(layers))
 
@@ -161,15 +161,17 @@ class ParamReport:
         return "\n".join(lines)
 
 
-def count_params(model: Model) -> ParamReport:
+def count_params(graph: LayerGraph) -> ParamReport:
+    """Per-conv parameter counts from the layer specs alone, as ``count_flops``."""
+    shapes = shape_infer(graph)
     layers = []
-    for layer in model.conv_layers():
-        fb = model.params[layer.id].filters
+    for layer in graph.conv_layers():
+        nf = layer.num_filters
         layers.append(LayerParamCount(
             layer_id=layer.id,
-            weights=int(fb.weights.size),
-            biases=fb.num_filters if layer.has_bias else 0,
-            batchnorm=4 * fb.num_filters if layer.has_batchnorm else 0,
+            weights=layer.kernel_h * layer.kernel_w * shapes[layer.inputs[0]][2] * nf,
+            biases=nf if layer.has_bias else 0,
+            batchnorm=4 * nf if layer.has_batchnorm else 0,
         ))
     return ParamReport(tuple(layers))
 

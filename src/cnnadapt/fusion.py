@@ -29,7 +29,7 @@ def fuse_layer(filters: FilterBank, bn: BatchNormParams) -> FilterBank:
     # small buffers: no weight-sized float64 temporary
     with np.errstate(over="ignore"):
         fused_w = np.multiply(filters.weights, scale, dtype=np.float64, casting="unsafe",
-                              out=np.empty_like(filters.weights))
+                              out=np.empty(filters.weights.shape, np.float32))
         fused_b = (scale * (filters.biases.astype(np.float64) - bn.mu)
                    + bn.beta).astype(np.float32)
     try:

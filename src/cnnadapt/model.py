@@ -186,8 +186,8 @@ class ConvParams:
 @dataclass(frozen=True)
 class LayerGraph:
     """Topologically ordered layer specs: unique ids, exactly one input, and
-    every input before its consumer. ``Model`` and the quantized model add
-    each conv layer's parameters and check them with ``_check_weights``."""
+    every input before its consumer. ``Model`` and the quantized model add a
+    ``FilterBank`` per conv layer and check the banks with ``_check_weights``."""
 
     layers: tuple[LayerSpec, ...]
 
@@ -208,16 +208,20 @@ class LayerGraph:
                         f"layer {layer.id!r} consumes {src!r} which does not precede it")
             seen.add(layer.id)
 
-    def _check_weights(self, weights: Mapping[str, np.ndarray]) -> None:
-        """Weights (kh, kw, c_in, nf) for exactly the conv layers and under
+    def _check_weights(self, banks: Mapping[str, FilterBank], dtype: type) -> None:
+        """Banks of the model's ``dtype`` for exactly the conv layers and under
         no other key, with the kernel and filter count of the spec and the
         input channels that ``shape_infer`` gives upstream."""
         shapes = shape_infer(self)
         for layer in self.layers:
             if layer.kind == "conv":
-                if layer.id not in weights:
+                if layer.id not in banks:
                     raise ModelFormatError(f"conv layer {layer.id!r} has no parameters")
-                shape = weights[layer.id].shape
+                weights = banks[layer.id].weights
+                if weights.dtype != dtype:
+                    raise ModelFormatError(f"layer {layer.id!r}: filter bank holds "
+                                           f"{weights.dtype}, this model {np.dtype(dtype)}")
+                shape = weights.shape
                 if (shape[0], shape[1], shape[3]) != (
                         layer.kernel_h, layer.kernel_w, layer.num_filters):
                     raise ShapeError(
@@ -228,9 +232,9 @@ class LayerGraph:
                     raise ShapeError(
                         f"layer {layer.id!r}: filters expect {shape[2]} input channels, "
                         f"upstream provides {c}")
-            elif layer.id in weights:
+            elif layer.id in banks:
                 raise ModelFormatError(f"non-conv layer {layer.id!r} has parameters attached")
-        stray = set(weights) - {l.id for l in self.layers}
+        stray = set(banks) - {l.id for l in self.layers}
         if stray:
             raise ModelFormatError(f"parameters for unknown layers: {sorted(stray)}")
 
@@ -260,13 +264,13 @@ class LayerGraph:
 
 @dataclass(frozen=True)
 class Model(LayerGraph):
-    """Topologically ordered layer specs plus per-conv parameters."""
+    """Topologically ordered layer specs plus per-conv float32 parameters."""
 
     params: dict[str, ConvParams] = field(default_factory=dict)
 
     def __post_init__(self):
         super().__post_init__()
-        self._check_weights({lid: p.filters.weights for lid, p in self.params.items()})
+        self._check_weights({lid: p.filters for lid, p in self.params.items()}, np.float32)
         for layer in self.conv_layers():
             p = self.params[layer.id]
             if layer.has_batchnorm != (p.batchnorm is not None):

@@ -7,7 +7,9 @@ in one pass over each output tile, with every narrowing saturated and
 counted instead of silently wrapping (``int_conv_forward`` gives the order
 in which a tile is scaled, floored and checked). Leaky ReLU is
 max(z, z >> P_alpha) on the int16 tile, where P_alpha is the layer's own
-``act_exponent``. Activations are int16 maps from input to output.
+``act_exponent``. Activations are int16 maps from input to output. The
+parameters are ``FilterBank``s, as in ``Model``, but of int16 where
+``Model``'s are float32: each model's constructor fixes its banks' dtype.
 """
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import ModelFormatError, PipelineError, ShapeError, file_content
+from .errors import ModelFormatError, PipelineError, file_content
 from .model import (
     LayerGraph,
     Model,
@@ -34,8 +36,8 @@ from .tensor import (
     INT32_MAX,
     INT32_MIN,
     FeatureMap,
+    FilterBank,
     IntFeatureMap,
-    _freeze,
     conv_gemm,
     leaky_step,
 )
@@ -116,28 +118,12 @@ def dequantize(values: np.ndarray, p: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class QuantConvParams:
-    weights: np.ndarray  # int16, (kh, kw, c_in, nf)
-    biases: np.ndarray   # int16, (nf,)
-
-    def __post_init__(self):
-        w = np.asarray(self.weights)
-        b = np.asarray(self.biases)
-        if w.dtype != np.int16 or b.dtype != np.int16:
-            raise ValueError("quantized parameters must be int16")
-        if w.ndim != 4 or b.ndim != 1 or b.shape[0] != w.shape[3]:
-            raise ShapeError(f"bad quantized parameter shapes {w.shape}, {b.shape}")
-        object.__setattr__(self, "weights", _freeze(w))
-        object.__setattr__(self, "biases", _freeze(b))
-
-
-@dataclass(frozen=True)
 class QuantizedModel(LayerGraph):
-    """Same layer graph as the source model with int16 parameters; validated
-    as ``Model`` validates its graph and weights. Each leaky conv shifts by
-    its own ``act_exponent``."""
+    """Same layer graph as the source model with int16 ``FilterBank``s;
+    validated as ``Model`` validates its graph and weights. Each leaky conv
+    shifts by its own ``act_exponent``."""
 
-    qparams: dict[str, QuantConvParams]
+    qparams: dict[str, FilterBank]
     config: QuantConfig
     source_digest: str
     param_saturations: int = 0
@@ -147,7 +133,7 @@ class QuantizedModel(LayerGraph):
         for layer in self.layers:
             if layer.kind == "conv" and layer.has_batchnorm:
                 raise PipelineError(f"layer {layer.id!r} still carries batchnorm")
-        self._check_weights({lid: qp.weights for lid, qp in self.qparams.items()})
+        self._check_weights(self.qparams, np.int16)
 
 
 @dataclass
@@ -188,7 +174,7 @@ def quantize_model(model: Model, config: QuantConfig = QuantConfig()) -> Quantiz
             wq, sw = quantize_tensor(fb.weights, config.p)
             bq, sb = quantize_tensor(fb.biases, config.p)
             saturations += sw + sb
-            qparams[layer.id] = QuantConvParams(wq, bq)
+            qparams[layer.id] = FilterBank(wq, bq)
         source_digest = digest.result()
     return QuantizedModel(model.layers, qparams, config, source_digest=source_digest,
                           param_saturations=saturations)
@@ -326,6 +312,6 @@ def load_quantized_model(manifest_path) -> QuantizedModel:
         qparams = {}
         for lid, a in arrays.items():
             with file_content(f"layer {lid!r}"):
-                qparams[lid] = QuantConvParams(a["W"], a["b"])
+                qparams[lid] = FilterBank(a["W"], a["b"])
         return QuantizedModel(layers, qparams, QuantConfig(p=quant["p"]),
                               source_digest=source_digest)

@@ -157,6 +157,8 @@ class IntFeatureMap(_Map):
 class FilterBank:
     """Convolution weights (kernel_h, kernel_w, in_channels, num_filters) plus biases.
 
+    Weights and biases that are both int16 stay int16; any other input is
+    cast to float32 and must be finite. Each model fixes its banks' dtype.
     The bias vector is always materialized; bias-free layers carry zeros and
     the owning layer records whether it is semantically present.
     """
@@ -165,15 +167,17 @@ class FilterBank:
     biases: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=np.float32)
-        b = np.asarray(self.biases, dtype=np.float32)
+        w, b = np.asarray(self.weights), np.asarray(self.biases)
+        floating = not w.dtype == b.dtype == np.int16
+        if floating:
+            w, b = np.asarray(w, dtype=np.float32), np.asarray(b, dtype=np.float32)
         if w.ndim != 4:
             raise ShapeError(f"weights must be rank 4 (kh, kw, c_in, nf), got {w.shape}")
         if b.ndim != 1 or b.shape[0] != w.shape[3]:
             raise ShapeError(f"biases must have one entry per filter: {b.shape} vs nf={w.shape[3]}")
         if min(w.shape) < 1:
             raise ShapeError(f"all filter dims must be positive, got {w.shape}")
-        if not (np.isfinite(w).all() and np.isfinite(b).all()):
+        if floating and not (np.isfinite(w).all() and np.isfinite(b).all()):
             raise ValueError("filter bank contains NaN or infinite values")
         object.__setattr__(self, "weights", _freeze(w))
         object.__setattr__(self, "biases", _freeze(b))

@@ -16,6 +16,7 @@ from cnnadapt.errors import ShapeError
 from cnnadapt.fusion import fuse_model
 from cnnadapt.model import (
     ConvParams,
+    LayerGraph,
     LayerSpec,
     Model,
     float_infer,
@@ -168,6 +169,21 @@ def test_pruning_shrinks_both_reports(rng):
     assert sum(len(v) for v in removed.values()) > 0
     assert count_params(pruned).total < count_params(model).total
     assert count_flops(pruned).total < count_flops(model).total
+
+
+@pytest.mark.parametrize("num_classes", [80, 1])
+def test_reports_come_from_the_layer_specs_alone(rng, num_classes):
+    model = randomize_weights(build_tinyyolov3(num_classes=num_classes), rng)
+    fused = fuse_model(model)
+    config = PruneConfig()
+    table = compute_metric_table(fused, config)
+    t = float(np.median(np.concatenate(list(table.values()))))
+    candidate, removed = prune_below(fused, table, t, config)
+    assert sum(len(v) for v in removed.values()) > 0
+    for m in (model, fused, candidate):
+        graph = LayerGraph(m.layers)
+        assert count_flops(graph) == count_flops(m)
+        assert count_params(graph) == count_params(m)
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,6 @@ from cnnadapt.model import (
     shape_infer,
 )
 from cnnadapt.quantization import (
-    QuantConvParams,
     QuantizedModel,
     load_quantized_model,
     quantize_model,
@@ -209,12 +208,13 @@ def _constructed(saved, edits, records):
         r = {name.rpartition(".")[2]: a for name, a in records.items()
              if name.rpartition(".")[0] == layer.id}
         try:
+            bank = FilterBank(r["W"], r["b"])
             if quantized:
-                params[layer.id] = QuantConvParams(r["W"], r["b"])
+                params[layer.id] = bank
             else:
                 bn = (BatchNormParams(r["mu"], r["sigma2"], r["gamma"], r["beta"],
                                       layer.bn_epsilon) if layer.has_batchnorm else None)
-                params[layer.id] = ConvParams(FilterBank(r["W"], r["b"]), bn)
+                params[layer.id] = ConvParams(bank, bn)
         except ValueError as e:
             return f"layer {layer.id!r}: {e}"
     try:

@@ -7,6 +7,7 @@ from cnnadapt.errors import NumericalError, PipelineError, ShapeError
 from cnnadapt.fusion import fuse_layer, fuse_model
 from cnnadapt.model import float_infer, model_digest
 from cnnadapt.pruning import frobenius_norms
+from cnnadapt.quantization import quantize_model
 from cnnadapt.tensor import BatchNormParams, FilterBank
 from cnnadapt.tinyyolo import HEAD_IDS, build_tinyyolov3
 from util import chain_model, feature_map, random_bank, random_bn
@@ -36,6 +37,16 @@ def test_fuse_layer_length_mismatch_raises(rng):
     fb = random_bank(rng, 3, 2, 4)
     with pytest.raises(ShapeError):
         fuse_layer(fb, random_bn(rng, 3))
+
+
+def test_fuse_layer_of_an_int16_bank_gives_the_bits_of_its_float32_cast(rng):
+    int_bank = quantize_model(chain_model(rng, [4], hw=4)).qparams["conv_1"]
+    cast = FilterBank(int_bank.weights.astype(np.float32), int_bank.biases.astype(np.float32))
+    bn = random_bn(rng, 4)
+    got, want = fuse_layer(int_bank, bn), fuse_layer(cast, bn)
+    assert got.weights.dtype == got.biases.dtype == np.float32
+    assert got.weights.tobytes() == want.weights.tobytes()
+    assert got.biases.tobytes() == want.biases.tobytes()
 
 
 def test_fuse_layer_refuses_parameters_beyond_float32(rng):

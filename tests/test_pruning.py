@@ -25,6 +25,7 @@ from cnnadapt.pruning import (
     prune_below,
     prune_routine,
 )
+from cnnadapt.quantization import quantize_model, quantize_tensor
 from cnnadapt.tensor import FeatureMap, FilterBank
 from cnnadapt.tinyyolo import build_tinyyolov3
 from util import bank, chain_model, conv_spec, feature_map
@@ -353,6 +354,52 @@ def test_filter_bank_select_matches_the_checked_constructor(rng, sorted_idx):
             assert a.dtype == b.dtype and a.shape == b.shape
             assert a.tobytes() == b.tobytes()
     assert fb.select(np.arange(7), np.arange(9)) is fb
+
+
+def _int16_bank(fb: FilterBank) -> FilterBank:
+    return FilterBank(quantize_tensor(fb.weights, 8)[0], quantize_tensor(fb.biases, 8)[0])
+
+
+def _assert_same_int16_bank(got: FilterBank, want: FilterBank):
+    for a, b in ((got.weights, want.weights), (got.biases, want.biases)):
+        assert a.dtype == b.dtype == np.int16
+        assert a.flags.c_contiguous and not a.flags.writeable
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_selecting_from_an_int16_bank_equals_quantizing_the_selection(rng):
+    fb = bank(rng.uniform(-1, 1, (3, 2, 7, 9)), rng.uniform(-1, 1, 9))
+    int_bank = _int16_bank(fb)
+    assert int_bank.select(np.arange(7), np.arange(9)) is int_bank
+    # everything kept, every filter kept in order, and the flat take
+    for channels, filters in ([range(7), range(9)], [[0, 3, 6], range(9)],
+                              [[6, 3, 0], [8, 2, 1]], [[2], [5]]):
+        c, f = np.array(channels), np.array(filters)
+        _assert_same_int16_bank(int_bank.select(c, f), _int16_bank(fb.select(c, f)))
+
+
+def test_each_bank_of_a_quantized_prune_candidate_is_a_select(rng, monkeypatch):
+    model = replace_layer(build_tinyyolov3(num_classes=80), "input", height=32, width=32)
+    model = fuse_model(randomize_weights(model, rng))
+    config = PruneConfig()
+    table = compute_metric_table(model, config)
+    threshold = float(np.median(np.concatenate(list(table.values()))))
+    owner = {id(p.filters): lid for lid, p in model.params.items()}
+    picks = {}
+    select = FilterBank.select
+
+    def recording_select(fb, channels, filters):
+        picks[owner[id(fb)]] = (channels, filters)
+        return select(fb, channels, filters)
+
+    monkeypatch.setattr(FilterBank, "select", recording_select)
+    candidate, removed = prune_below(model, table, threshold, config)
+    monkeypatch.undo()
+    assert len(picks) == 13 and sum(len(v) for v in removed.values()) > 0
+    qmodel, qcandidate = quantize_model(model), quantize_model(candidate)
+    for lid, (channels, filters) in picks.items():
+        _assert_same_int16_bank(qmodel.qparams[lid].select(channels, filters),
+                                qcandidate.qparams[lid])
 
 
 def test_filter_bank_select_refuses_empty_or_out_of_range_indices(rng):

@@ -24,7 +24,6 @@ from cnnadapt.quantization import (
     QUANTIZE_CHUNK,
     OverflowStats,
     QuantConfig,
-    QuantConvParams,
     QuantizedModel,
     dequantize,
     int_conv_forward,
@@ -279,7 +278,7 @@ def test_quantized_model_checks_its_graph_as_model_does(rng, case, error):
         return ConvParams(FilterBank(np.zeros(shape), np.zeros(shape[3])))
 
     def int_params(shape):
-        return QuantConvParams(np.zeros(shape, np.int16), np.zeros(shape[3], np.int16))
+        return FilterBank(np.zeros(shape, np.int16), np.zeros(shape[3], np.int16))
 
     for params, make, build in (
             (dict(model.params), float_params, lambda p: Model(model.layers, p)),
@@ -297,14 +296,32 @@ def test_quantized_model_checks_its_graph_as_model_does(rng, case, error):
             build(params)
 
 
-def test_quant_conv_params_validation():
-    good_w = np.zeros((1, 1, 1, 2), dtype=np.int16)
-    good_b = np.zeros(2, dtype=np.int16)
-    QuantConvParams(good_w, good_b)
-    with pytest.raises(ValueError, match="int16"):
-        QuantConvParams(good_w.astype(np.int32), good_b)
-    with pytest.raises(ShapeError):
-        QuantConvParams(good_w, np.zeros(3, dtype=np.int16))
+def test_an_int16_bank_stays_int16_and_other_inputs_become_float32():
+    w = np.arange(-4, 4, dtype=np.int16).reshape(1, 1, 2, 4)
+    b = np.array([1, -2, 3, -4], dtype=np.int16)
+    fb = FilterBank(w, b)
+    assert fb.weights.dtype == fb.biases.dtype == np.int16
+    assert fb.weights.tobytes() == w.tobytes() and fb.biases.tobytes() == b.tobytes()
+    for weights, biases in ((w.astype(np.int32), b), (w, b.astype(np.int32)),
+                            (w, b.astype(np.float32))):
+        cast = FilterBank(weights, biases)
+        assert cast.weights.dtype == cast.biases.dtype == np.float32
+        np.testing.assert_array_equal(cast.weights, w)
+        np.testing.assert_array_equal(cast.biases, b)
+    with pytest.raises(ShapeError, match="one entry per filter"):
+        FilterBank(w, np.zeros(3, dtype=np.int16))
+
+
+def test_each_model_refuses_a_bank_of_the_other_dtype(rng):
+    model = chain_model(rng, [3, 2], hw=4)
+    qmodel = quantize_model(model)
+    with pytest.raises(ModelFormatError,
+                       match="layer 'conv_2': filter bank holds int16, this model float32"):
+        Model(model.layers, {**model.params, "conv_2": ConvParams(qmodel.qparams["conv_2"])})
+    with pytest.raises(ModelFormatError,
+                       match="layer 'conv_2': filter bank holds float32, this model int16"):
+        QuantizedModel(qmodel.layers, {**qmodel.qparams, "conv_2": model.params["conv_2"].filters},
+                       qmodel.config, source_digest="")
 
 
 def test_quantize_input_examples():
