@@ -15,7 +15,6 @@ from .tensor import (
     BatchNormParams,
     FeatureMap,
     FilterBank,
-    IntFeatureMap,
     batchnorm_forward,
     concat,
     conv2d,

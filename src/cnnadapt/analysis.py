@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ShapeError
 from .model import InferenceTrace, LayerGraph, shape_infer
-from .tensor import IntFeatureMap, _atomic_write
+from .tensor import FeatureMap, _atomic_write
 
 REPORT_VERSION = 1
 # Elements per block of compare_traces' squared deviations (256 KiB of float64)
@@ -214,7 +214,7 @@ class MseReport:
 
 
 def compare_traces(float_trace: InferenceTrace,
-                   int_trace: dict[str, IntFeatureMap], p: int) -> MseReport:
+                   int_trace: dict[str, FeatureMap], p: int) -> MseReport:
     """Per-layer mean squared deviation, dequantizing integers by 2^-p.
 
     A layer's squared deviations are computed one cache-sized block at a

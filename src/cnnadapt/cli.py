@@ -14,6 +14,8 @@ import logging
 import os
 import sys
 
+import numpy as np
+
 from . import analysis, evaluation, fusion, pruning, quantization
 from .errors import CnnAdaptError, ModelFormatError, PipelineError, file_written
 from .model import float_infer, load_model, model_digest, save_model
@@ -112,7 +114,7 @@ def _require_fused(model, what: str):
 def _load_input_map(path, graph) -> FeatureMap:
     """The float input tensor at ``path``, checked against ``graph``'s input."""
     fm = load_tensor(path)
-    if not isinstance(fm, FeatureMap):
+    if fm.data.dtype != np.float32:
         raise ModelFormatError(f"{path}: expected a float32 tensor")
     if fm.shape != graph.input_shape:
         raise ModelFormatError(f"{path}: tensor shape {fm.shape} != model input "

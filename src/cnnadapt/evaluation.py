@@ -191,7 +191,7 @@ def load_dataset(directory) -> list[Sample]:
         if not os.path.exists(label_path):
             raise ModelFormatError(f"{directory}: {name}.tnsr has no {name}.json label")
         fm = load_tensor(os.path.join(directory, f"{name}.tnsr"))
-        if not isinstance(fm, FeatureMap):
+        if fm.data.dtype != np.float32:
             raise ModelFormatError(f"{directory}: {name}.tnsr is not a float tensor")
         with file_content(label_path):
             try:

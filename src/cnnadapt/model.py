@@ -23,7 +23,6 @@ from .tensor import (
     BatchNormParams,
     FeatureMap,
     FilterBank,
-    IntFeatureMap,
     _NUMPY_DTYPES,
     _atomic_write,
     batchnorm_forward,
@@ -324,13 +323,13 @@ def shape_infer(graph: LayerGraph) -> dict[str, tuple[int, int, int]]:
     return shapes
 
 
-def execute(graph: LayerGraph, maps: Sequence[FeatureMap | IntFeatureMap], conv,
-            taps: bool = False) -> dict[str, FeatureMap | IntFeatureMap]:
-    """Run ``graph`` in topological order on same-shaped float or integer maps.
+def execute(graph: LayerGraph, maps: Sequence[FeatureMap], conv,
+            taps: bool = False) -> dict[str, FeatureMap]:
+    """Run ``graph`` in topological order on same-shaped maps of one dtype.
 
     The maps run as one batch, stacked along the height (see ``tensor``).
     ``conv(layer, fm, batch)`` computes each conv layer; pool, upsample and
-    concat serve both map types. Returns the stacked output of every layer
+    concat keep the maps' dtype. Returns the stacked output of every layer
     when taps is set, otherwise of the model outputs.
     """
     expected = graph.input_shape
@@ -339,6 +338,8 @@ def execute(graph: LayerGraph, maps: Sequence[FeatureMap | IntFeatureMap], conv,
     for fm in maps:
         if fm.shape != expected:
             raise ShapeError(f"input shape {fm.shape} != model input {expected}")
+        if fm.data.dtype != maps[0].data.dtype:
+            raise ValueError(f"batch dtype mismatch: {maps[0].data.dtype} vs {fm.data.dtype}")
     n = len(maps)
 
     acts = {}

@@ -7,9 +7,10 @@ in one pass over each output tile, with every narrowing saturated and
 counted instead of silently wrapping (``int_conv_forward`` gives the order
 in which a tile is scaled, floored and checked). Leaky ReLU is
 max(z, z >> P_alpha) on the int16 tile, where P_alpha is the layer's own
-``act_exponent``. Activations are int16 maps from input to output. The
-parameters are ``FilterBank``s, as in ``Model``, but of int16 where
-``Model``'s are float32: each model's constructor fixes its banks' dtype.
+``act_exponent``. The engine runs on the float engine's types with int16
+data: its activations are ``FeatureMap``s of int16 from input to output, and
+its parameters ``FilterBank``s of int16 where ``Model``'s are float32. Each
+model's constructor fixes its banks' dtype.
 """
 from __future__ import annotations
 
@@ -37,7 +38,6 @@ from .tensor import (
     INT32_MIN,
     FeatureMap,
     FilterBank,
-    IntFeatureMap,
     conv_gemm,
     leaky_step,
 )
@@ -180,25 +180,26 @@ def quantize_model(model: Model, config: QuantConfig = QuantConfig()) -> Quantiz
                           param_saturations=saturations)
 
 
-def quantize_input(input: FeatureMap, config: QuantConfig = QuantConfig()) -> IntFeatureMap:
+def quantize_input(input: FeatureMap, config: QuantConfig = QuantConfig()) -> FeatureMap:
     """Quantize a (pre-normalized, values ~[0, 1]) input image to int16,
     logging a warning with the count of values that saturate."""
     q, saturated = quantize_tensor(input.data, config.p)
     if saturated:
         log.warning("%d input values saturated during quantization", saturated)
-    return IntFeatureMap(q)
+    return FeatureMap(q)
 
 
-def int_conv_forward(input: IntFeatureMap, weights: np.ndarray, biases: np.ndarray,
+def int_conv_forward(input: FeatureMap, weights: np.ndarray, biases: np.ndarray,
                      stride: int, padding: str, config: QuantConfig, *,
-                     p_alpha: int | None = None) -> tuple[IntFeatureMap, int, int]:
+                     p_alpha: int | None = None) -> tuple[FeatureMap, int, int]:
     """Quantized convolution: conv -> sat int32 -> rshift P -> sat int16 -> bias
     (saturating), then, if ``p_alpha`` is given, leaky ReLU max(z, z >> p_alpha).
 
-    The convolution is ``conv_gemm``'s exact GEMM over int16 operands, which
-    refuses other operands and K = kh*kw*c_in > 2^23 (see ``tensor``). The
-    steps below, by a power-of-two scale, are exact on its float64 or float32
-    sums, and a float32 sum lies within 2^24 < 2^31, so no acc32 sum clips.
+    The weights must be int16. The convolution is ``conv_gemm``'s exact GEMM
+    over int16 operands, which refuses any other map and K = kh*kw*c_in >
+    2^23 (see ``tensor``). The steps below, by a power-of-two scale, are
+    exact on its float64 or float32 sums, and a float32 sum lies within
+    2^24 < 2^31, so no acc32 sum clips.
 
     Each tile is scaled by 2^-P and floored first, then its minimum and
     maximum are taken once. Since x -> floor(x * 2^-P) is monotone, clipping
@@ -212,6 +213,8 @@ def int_conv_forward(input: IntFeatureMap, weights: np.ndarray, biases: np.ndarr
     each finished int16 tile and gives the bits of ``quant_leaky_relu``.
     Returns (output, acc32 saturation count, int16 saturation count).
     """
+    if weights.dtype != np.int16:
+        raise ValueError(f"int_conv_forward takes int16 weights, got {weights.dtype}")
     if p_alpha is not None and p_alpha < 0:
         raise ValueError(f"p_alpha must be >= 0, got {p_alpha}")
     scale = 2.0 ** -config.p
@@ -235,7 +238,7 @@ def int_conv_forward(input: IntFeatureMap, weights: np.ndarray, biases: np.ndarr
             leaky_step(acc, dst, np.right_shift, p_alpha)
 
     out = conv_gemm(input.data, weights, stride, padding, 1, requantize)
-    return IntFeatureMap(out), counts[0], counts[1]
+    return FeatureMap(out), counts[0], counts[1]
 
 
 def _saturate(a: np.ndarray, lo: int, hi: int) -> int:
@@ -247,16 +250,16 @@ def _saturate(a: np.ndarray, lo: int, hi: int) -> int:
     return n
 
 
-def quant_leaky_relu(z: IntFeatureMap, p_alpha: int) -> IntFeatureMap:
+def quant_leaky_relu(z: FeatureMap, p_alpha: int) -> FeatureMap:
     """z for positive entries, Rshift(z, p_alpha) otherwise."""
     if p_alpha < 0:
         raise ValueError(f"p_alpha must be >= 0, got {p_alpha}")
     out = np.where(z.data > 0, z.data, z.data >> p_alpha)
-    return IntFeatureMap(out)
+    return FeatureMap(out)
 
 
-def int_infer(qmodel: QuantizedModel, input: IntFeatureMap,
-              taps: bool = False) -> tuple[dict[str, IntFeatureMap], OverflowStats]:
+def int_infer(qmodel: QuantizedModel, input: FeatureMap,
+              taps: bool = False) -> tuple[dict[str, FeatureMap], OverflowStats]:
     """Run the integer engine through ``execute``; bit-deterministic for
     identical inputs. Records each conv layer's saturations."""
     stats = OverflowStats()

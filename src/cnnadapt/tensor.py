@@ -11,9 +11,10 @@ so that padding and windows stay inside each map; the pointwise ops,
 ``upsample_nearest`` and ``concat`` need no batch argument, since they never
 mix rows of different maps.
 
-``maxpool``, ``upsample_nearest``, ``concat`` and ``split_batch`` serve both
-map types: each result is the input map with new data, so an integer map
-stays int16.
+One map type serves both engines, and its data's dtype tells them apart:
+integer data is held as int16, the int engine's activation width, and any
+other data as float32. ``maxpool``, ``upsample_nearest``, ``concat`` and
+``split_batch`` keep their input's dtype.
 
 Both engines convolve through ``conv_gemm``: the input windows are lowered
 to rows of a (pixels, K = kh*kw*c) matrix (im2col) and multiplied with the
@@ -21,8 +22,8 @@ to rows of a (pixels, K = kh*kw*c) matrix (im2col) and multiplied with the
 float32 operands are exact in float64, and each output is rounded to
 float32 once, after its bias is added.
 
-An integer conv is summed exactly or refused: the map and the weights must
-be int16 and K <= MAX_EXACT_INT_DEPTH = 2^23. Each product is then an
+A conv whose map or weights are integer is summed exactly or refused: both
+must be int16 and K <= MAX_EXACT_INT_DEPTH = 2^23. Each product is then an
 integer of at most 2^30 in magnitude, so every partial sum stays below 2^53
 and a float64 GEMM is exact. Where K * max|x| * max|w| <= 2^24 (maxima over
 the map and the weights) the GEMM runs in float32: every product and every
@@ -31,7 +32,7 @@ so whatever order BLAS blocks, fuses or adds them in, and across a deep
 layer's runs, it gives the float64 GEMM's integers.
 
 The GEMM runs in tiles whose float64 scratch fits in GEMM_SCRATCH_BYTES,
-by one plan for both map types that depends on sizes only (``conv_plan``).
+by one plan for both engines that depends on sizes only (``conv_plan``).
 Every tile holds all filters, and a deep layer sums each tile over runs of
 its depth, as an FPGA MAC array accumulates over input-channel tiles, so the
 epilogue runs once on the complete sums. Integer sums are exact in any
@@ -46,9 +47,8 @@ in cache: the bias add (the integer engine's requantization) and
 with slope 0 <= alpha <= 1 is ``max(z, alpha * z)``, the same value as
 ``z if z > 0 else alpha * z`` for every z, signed zeros included.
 
-Integer maps hold int16, the int engine's activation width. Files are
-written through ``_atomic_write``, so a failed write leaves the old file and
-is named by the path it was given.
+Files are written through ``_atomic_write``, so a failed write leaves the
+old file and is named by the path it was given.
 """
 from __future__ import annotations
 
@@ -56,7 +56,7 @@ import os
 import struct
 from dataclasses import dataclass, replace
 from itertools import product
-from typing import Iterable, TypeVar
+from typing import Iterable
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -82,17 +82,34 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-class _Map:
-    """Shape accessors and the rank and spatial checks of both map types."""
+@dataclass(frozen=True)
+class FeatureMap:
+    """Activation tensor of shape (height, width, channels), of either engine.
+
+    Integer data is range-checked and held as int16, the int engine's
+    activation width; any other data is cast to float32 and must be finite.
+    Channels may be zero (the empty map is a valid concat operand); spatial
+    dims must be positive.
+    """
 
     data: np.ndarray
 
-    @staticmethod
-    def _check_rank(arr: np.ndarray) -> None:
+    def __post_init__(self):
+        arr = np.asarray(self.data)
+        integer = arr.dtype.kind in "iu"
+        if not integer:
+            arr = np.asarray(arr, dtype=np.float32)
         if arr.ndim != 3:
             raise ShapeError(f"feature map must be rank 3, got shape {arr.shape}")
         if arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ShapeError(f"feature map spatial dims must be positive, got {arr.shape}")
+        if integer and arr.dtype != np.int16:
+            if arr.size and (int(arr.min()) < INT16_MIN or int(arr.max()) > INT16_MAX):
+                raise ValueError("values exceed int16 range")
+            arr = arr.astype(np.int16)
+        elif not integer and arr.size and not np.isfinite(arr).all():
+            raise ValueError("feature map contains NaN or infinite values")
+        object.__setattr__(self, "data", _freeze(arr))
 
     @property
     def height(self) -> int:
@@ -109,48 +126,6 @@ class _Map:
     @property
     def shape(self) -> tuple[int, int, int]:
         return self.data.shape
-
-
-MapT = TypeVar("MapT", bound=_Map)
-
-
-@dataclass(frozen=True)
-class FeatureMap(_Map):
-    """Float activation tensor of shape (height, width, channels).
-
-    Channels may be zero (the empty map is a valid concat operand);
-    spatial dims must be positive and every value finite.
-    """
-
-    data: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.data, dtype=np.float32)
-        self._check_rank(arr)
-        if arr.size and not np.isfinite(arr).all():
-            raise ValueError("feature map contains NaN or infinite values")
-        object.__setattr__(self, "data", _freeze(arr))
-
-
-@dataclass(frozen=True)
-class IntFeatureMap(_Map):
-    """Integer activation tensor, held as int16.
-
-    Integer data of any other dtype is range-checked, then cast.
-    """
-
-    data: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.data)
-        if not np.issubdtype(arr.dtype, np.integer):
-            raise ValueError(f"integer feature map requires integer data, got {arr.dtype}")
-        self._check_rank(arr)
-        if arr.dtype != np.int16:
-            if arr.size and (int(arr.min()) < INT16_MIN or int(arr.max()) > INT16_MAX):
-                raise ValueError("values exceed int16 range")
-            arr = arr.astype(np.int16)
-        object.__setattr__(self, "data", _freeze(arr))
 
 
 @dataclass(frozen=True)
@@ -211,18 +186,6 @@ class FilterBank:
         object.__setattr__(bank, "weights", _freeze(w.reshape(kh, kw, len(channels), len(filters))))
         object.__setattr__(bank, "biases", _freeze(self.biases[filters]))
         return bank
-
-    @property
-    def kernel_h(self) -> int:
-        return self.weights.shape[0]
-
-    @property
-    def kernel_w(self) -> int:
-        return self.weights.shape[1]
-
-    @property
-    def in_channels(self) -> int:
-        return self.weights.shape[2]
 
     @property
     def num_filters(self) -> int:
@@ -368,10 +331,11 @@ def peak_magnitude(a: np.ndarray) -> int:
 
 def _gemm_dtype(data: np.ndarray, weights: np.ndarray) -> np.dtype:
     """The dtype ``conv_gemm`` sums a conv of the map ``data`` with (kh, kw,
-    c_in, nf) ``weights`` in, K = kh*kw*c_in: float32 for an integer map with
-    K * max|x| * max|w| <= MAX_EXACT_FLOAT32_SUM, else float64. Raises
-    ValueError for an integer map that breaks the module docstring's contract."""
-    if data.dtype.kind not in "iu":
+    c_in, nf) ``weights`` in, K = kh*kw*c_in: float32 for an integer conv with
+    K * max|x| * max|w| <= MAX_EXACT_FLOAT32_SUM, else float64. A conv is
+    integer if either operand is; one that breaks the module docstring's
+    contract raises ValueError."""
+    if data.dtype.kind not in "iu" and weights.dtype.kind not in "iu":
         return np.dtype(np.float64)
     if data.dtype != np.int16 or weights.dtype != np.int16:
         raise ValueError("integer convolution consumes int16 activations and weights")
@@ -387,7 +351,7 @@ def conv_gemm(data: np.ndarray, weights: np.ndarray, stride: int, padding: str, 
               epilogue) -> np.ndarray:
     """Convolve each of the ``batch`` (h, w, c) maps stacked in ``data`` with
     (kh, kw, c, nf) weights as GEMMs in ``_gemm_dtype``, exact for an integer
-    map or refused, by the module docstring's contract. Returns the outputs
+    conv or refused, by the module docstring's contract. Returns the outputs
     stacked, (batch * out_h, out_w, nf), in the dtype of ``data``.
 
     Same padding pads each map with zeros; a map that needs no padding is
@@ -541,7 +505,7 @@ def maxpool_output_shape(in_h: int, in_w: int, stride: int) -> tuple[int, int]:
     return -(-in_h // stride), -(-in_w // stride)
 
 
-def maxpool(input: MapT, size: int, stride: int, batch: int = 1) -> MapT:
+def maxpool(input: FeatureMap, size: int, stride: int, batch: int = 1) -> FeatureMap:
     """Channelwise window maximum with ceil-mode output (out = ceil(in / stride)),
     of each of the ``batch`` maps stacked in a float or integer ``input``."""
     if size < 1 or stride < 1:
@@ -571,13 +535,13 @@ def maxpool(input: MapT, size: int, stride: int, batch: int = 1) -> MapT:
     return replace(input, data=out.reshape(batch * out_h, out_w, c))
 
 
-def upsample_nearest(input: MapT, factor: int) -> MapT:
+def upsample_nearest(input: FeatureMap, factor: int) -> FeatureMap:
     if factor < 1:
         raise ValueError(f"upsample factor must be positive, got {factor}")
     return replace(input, data=np.repeat(np.repeat(input.data, factor, axis=0), factor, axis=1))
 
 
-def concat(a: MapT, b: MapT) -> MapT:
+def concat(a: FeatureMap, b: FeatureMap) -> FeatureMap:
     """Channel concatenation of two maps of one dtype, a's channels first."""
     if (a.height, a.width) != (b.height, b.width):
         raise ShapeError(f"concat spatial mismatch: {a.shape} vs {b.shape}")
@@ -586,7 +550,7 @@ def concat(a: MapT, b: MapT) -> MapT:
     return replace(a, data=np.concatenate([a.data, b.data], axis=2))
 
 
-def split_batch(stacked: MapT, batch: int) -> list[MapT]:
+def split_batch(stacked: FeatureMap, batch: int) -> list[FeatureMap]:
     """The ``batch`` maps stacked in a batch map, as views of its data."""
     return [replace(stacked, data=m) for m in _batch_view(stacked.data, batch)]
 
@@ -614,17 +578,17 @@ def _atomic_write(path, chunks: Iterable[bytes | memoryview], where=None) -> Non
             raise
 
 
-def save_tensor(path, fm: FeatureMap | IntFeatureMap) -> None:
+def save_tensor(path, fm: FeatureMap) -> None:
     """Write a feature map: magic, version u32, dtype u8, rank u8, dims u32, raw data."""
-    if not isinstance(fm, (FeatureMap, IntFeatureMap)):
+    if not isinstance(fm, FeatureMap):
         raise TypeError(f"cannot serialize {type(fm).__name__}")
-    code = DTYPE_FLOAT32 if isinstance(fm, FeatureMap) else DTYPE_INT16
+    code = DTYPE_INT16 if fm.data.dtype == np.int16 else DTYPE_FLOAT32
     header = _TENSOR_MAGIC + struct.pack("<IBB3I", _TENSOR_VERSION, code, 3, *fm.shape)
     payload = np.ascontiguousarray(fm.data, dtype=_NUMPY_DTYPES[code])
     _atomic_write(path, [header, memoryview(payload.reshape(-1)).cast("B")])
 
 
-def load_tensor(path) -> FeatureMap | IntFeatureMap:
+def load_tensor(path) -> FeatureMap:
     """Read a tensor file; the payload is read straight into its final array."""
     with file_content(path), open(path, "rb") as fh:
         head = fh.read(_TENSOR_HEADER_BYTES)
@@ -648,4 +612,4 @@ def load_tensor(path) -> FeatureMap | IntFeatureMap:
         got = fh.readinto(data)
         if got != expected:
             raise ModelFormatError(f"payload is {got} bytes, expected {expected}")
-        return (FeatureMap if code == DTYPE_FLOAT32 else IntFeatureMap)(data)
+        return FeatureMap(data)

@@ -24,7 +24,7 @@ from cnnadapt.model import (
 )
 from cnnadapt.pruning import PruneConfig, compute_metric_table, prune_below
 from cnnadapt.quantization import int_infer, quantize_input, quantize_model
-from cnnadapt.tensor import FeatureMap, IntFeatureMap
+from cnnadapt.tensor import FeatureMap
 from cnnadapt.tinyyolo import build_tinyyolov3
 from util import bank, chain_model, conv_spec, feature_map
 
@@ -192,7 +192,7 @@ def test_reports_come_from_the_layer_specs_alone(rng, num_classes):
 
 def test_mse_zero_when_integers_sit_on_grid():
     fm = FeatureMap(np.array([[[0.5, -0.25, 1.0]]], dtype=np.float32))
-    im = IntFeatureMap(np.array([[[128, -64, 256]]], dtype=np.int64))
+    im = FeatureMap(np.array([[[128, -64, 256]]], dtype=np.int64))
     report = compare_traces({"conv_1": fm}, {"conv_1": im}, p=8)
     assert report.entries[0].mse == 0.0
     assert report.max_mse == 0.0
@@ -200,7 +200,7 @@ def test_mse_zero_when_integers_sit_on_grid():
 
 def test_mse_single_element_example():
     fm = FeatureMap(np.array([[[1.0]]], dtype=np.float32))
-    im = IntFeatureMap(np.array([[[255]]], dtype=np.int64))
+    im = FeatureMap(np.array([[[255]]], dtype=np.int64))
     report = compare_traces({"conv_1": fm}, {"conv_1": im}, p=8)
     assert report.entries[0].mse == pytest.approx((1 / 256) ** 2)
     assert report.entries[0].mse == pytest.approx(1.52587890625e-05)
@@ -217,7 +217,7 @@ def test_mse_has_the_bits_of_np_mean(rng):
     float_trace, int_trace = {}, {}
     for k, shape in enumerate(shapes):
         float_trace[f"conv_{k}"] = FeatureMap(rng.uniform(-2.0, 2.0, size=shape).astype(np.float32))
-        int_trace[f"conv_{k}"] = IntFeatureMap(rng.integers(-600, 600, size=shape))
+        int_trace[f"conv_{k}"] = FeatureMap(rng.integers(-600, 600, size=shape))
     report = compare_traces(float_trace, int_trace, p=8)
     for entry in report.entries:
         fm, im = float_trace[entry.layer_id], int_trace[entry.layer_id]
@@ -227,17 +227,17 @@ def test_mse_has_the_bits_of_np_mean(rng):
 
 def test_mse_of_an_empty_layer_is_nan():
     fm = FeatureMap(np.zeros((2, 2, 0), dtype=np.float32))
-    im = IntFeatureMap(np.zeros((2, 2, 0), dtype=np.int16))
+    im = FeatureMap(np.zeros((2, 2, 0), dtype=np.int16))
     entry = compare_traces({"conv_1": fm}, {"conv_1": im}, p=8).entries[0]
     assert entry.n_elements == 0 and np.isnan(entry.mse)
 
 
 def test_compare_traces_validates_layers_and_shapes():
     fm = FeatureMap(np.zeros((1, 1, 1), dtype=np.float32))
-    im = IntFeatureMap(np.zeros((1, 1, 1), dtype=np.int64))
+    im = FeatureMap(np.zeros((1, 1, 1), dtype=np.int64))
     with pytest.raises(ShapeError, match="different layers"):
         compare_traces({"conv_1": fm}, {"conv_2": im}, p=8)
-    im_bad = IntFeatureMap(np.zeros((2, 1, 1), dtype=np.int64))
+    im_bad = FeatureMap(np.zeros((2, 1, 1), dtype=np.int64))
     with pytest.raises(ShapeError, match="shapes differ"):
         compare_traces({"conv_1": fm}, {"conv_1": im_bad}, p=8)
 

@@ -22,6 +22,7 @@ from cnnadapt.model import (
     shape_infer,
 )
 from cnnadapt.pruning import PruneConfig, compute_metric_table, prune_below
+from cnnadapt.quantization import quantize_input
 from cnnadapt.tensor import BatchNormParams, FilterBank
 from cnnadapt.tinyyolo import build_tinyyolov3
 from util import conv_spec, feature_map, random_bank
@@ -127,6 +128,18 @@ def test_batch_input_validation(rng):
         float_infer(model, [fm, feature_map(rng, 8, 9, 2)])
     (trace,) = float_infer(model, [fm])
     assert trace["conv_3"].data.tobytes() == float_infer(model, fm)["conv_3"].data.tobytes()
+
+
+@pytest.mark.parametrize("order", ["float_first", "int_first"])
+def test_a_batch_of_mixed_dtypes_is_refused(order):
+    # stacked, the int16 map (x * 2^8) would run as float inputs
+    model = fan_in_tinyyolo(np.random.default_rng(3), 32)
+    x = feature_map(np.random.default_rng(12), 32, 32, 3)
+    maps = [x, quantize_input(x)]
+    if order == "int_first":
+        maps.reverse()
+    with pytest.raises(ValueError, match="batch dtype mismatch"):
+        float_infer(model, maps)
 
 
 # ---------------------------------------------------------------------------

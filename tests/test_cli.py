@@ -35,7 +35,6 @@ from cnnadapt.tensor import (
     BatchNormParams,
     FeatureMap,
     FilterBank,
-    IntFeatureMap,
     save_tensor,
 )
 from cnnadapt.tinyyolo import build_tinyyolov3
@@ -842,7 +841,7 @@ def _dtype_byte_patched(tmp_path, fused, qpath, image):
 def _int16_input(command):
     """``command`` given an int16 tensor where it reads a float input map."""
     def case(tmp_path, fused, qpath, image):
-        save_tensor(image, IntFeatureMap(np.zeros((6, 6, 2), np.int16)))
+        save_tensor(image, FeatureMap(np.zeros((6, 6, 2), np.int16)))
         if command == "compare":
             return ["compare", "--float-model", str(fused), "--quant-model", str(qpath),
                     "--input", str(image)]
@@ -853,7 +852,7 @@ def _int16_input(command):
 
 def _int16_sample(tmp_path, fused, qpath, image):
     data = _write_dataset(tmp_path / "data", np.random.default_rng(0))
-    save_tensor(data / "s1.tnsr", IntFeatureMap(np.zeros((6, 6, 2), np.int16)))
+    save_tensor(data / "s1.tnsr", FeatureMap(np.zeros((6, 6, 2), np.int16)))
     return ["prune", "-i", str(fused), "-o", str(tmp_path / "p.json"), "--data", str(data)]
 
 

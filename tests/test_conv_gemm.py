@@ -40,7 +40,6 @@ from cnnadapt.tensor import (
     MAX_EXACT_INT_DEPTH,
     FeatureMap,
     FilterBank,
-    IntFeatureMap,
     conv2d,
     conv_gemm,
 )
@@ -157,7 +156,7 @@ def test_int_conv_matches_int64_oracle_at_worst_case_magnitudes(rng, stride, pad
     w[:, :, :, 0] = INT16_MIN
     w[:, :, :, 1] = INT16_MAX
     want, want_acc, want_16 = _int_conv_oracle(x, w, b, stride, padding, p)
-    got, n_acc, n16 = int_conv_forward(IntFeatureMap(x), w, b, stride, padding,
+    got, n_acc, n16 = int_conv_forward(FeatureMap(x), w, b, stride, padding,
                                        QuantConfig(p=p))
     np.testing.assert_array_equal(got.data, want)
     assert (n_acc, n16) == (want_acc, want_16)
@@ -171,7 +170,7 @@ def test_int_conv_matches_int64_oracle_below_acc32_saturation(rng):
     w = rng.integers(-512, 513, size=(3, 3, 512, 8)).astype(np.int16)
     b = _extreme_int16(rng, 8, 0.5).astype(np.int16)
     want, want_acc, want_16 = _int_conv_oracle(x, w, b, 1, "same", 8)
-    got, n_acc, n16 = int_conv_forward(IntFeatureMap(x), w, b, 1, "same", QuantConfig())
+    got, n_acc, n16 = int_conv_forward(FeatureMap(x), w, b, 1, "same", QuantConfig())
     np.testing.assert_array_equal(got.data, want)
     assert (n_acc, n16) == (want_acc, want_16)
     assert n_acc == 0 and n16 > 0
@@ -179,7 +178,7 @@ def test_int_conv_matches_int64_oracle_below_acc32_saturation(rng):
 
 def test_int_conv_rejects_depth_beyond_exact_float64_range():
     c_in = MAX_EXACT_INT_DEPTH // 9 + 1  # 3*3*c_in > 2^23
-    x = IntFeatureMap(np.zeros((1, 1, c_in), dtype=np.int16))
+    x = FeatureMap(np.zeros((1, 1, c_in), dtype=np.int16))
     w = np.zeros((3, 3, c_in, 1), dtype=np.int16)
     with pytest.raises(ValueError, match="exceeds"):
         int_conv_forward(x, w, np.zeros(1, dtype=np.int16), 1, "same", QuantConfig())
@@ -188,7 +187,7 @@ def test_int_conv_rejects_depth_beyond_exact_float64_range():
 @pytest.mark.parametrize("width_bits,w_dtype", [(16, np.int32)])
 def test_int_conv_requires_int16_operands(width_bits, w_dtype):
     # the exactness bound assumes every product is at most 2^30 in magnitude
-    x = IntFeatureMap(np.zeros((2, 2, 1), dtype=np.dtype(f"int{width_bits}")))
+    x = FeatureMap(np.zeros((2, 2, 1), dtype=np.dtype(f"int{width_bits}")))
     w = np.zeros((1, 1, 1, 1), dtype=w_dtype)
     with pytest.raises(ValueError, match="int16"):
         int_conv_forward(x, w, np.zeros(1, dtype=np.int16), 1, "same", QuantConfig())
@@ -203,6 +202,35 @@ def test_conv_gemm_refuses_an_int32_map():
     w = np.zeros((1, 1, 1, 1), dtype=np.int16)
     with pytest.raises(ValueError, match="int16"):
         conv_gemm(x, w, 1, "same", 1, _unused_epilogue)
+
+
+def _one_conv_qmodel(fb):
+    """The quantized model of one 1x1 conv with the float cast of ``fb``, on a
+    2x2 map of fb's input channels."""
+    layers = (LayerSpec(id="input", kind="input", height=2, width=2,
+                        channels=fb.weights.shape[2]),
+              conv_spec("conv_1", "input", fb.num_filters, 1))
+    floats = FilterBank(fb.weights.astype(np.float32), fb.biases.astype(np.float32))
+    return quantize_model(Model(layers, {"conv_1": ConvParams(floats, None)}))
+
+
+@pytest.mark.parametrize("run, match", [
+    (lambda x, fb: conv_gemm(x.data, fb.weights, 1, "same", 1, _unused_epilogue),
+     "int16 activations and weights"),
+    (lambda x, fb: conv2d(x, fb), "int16 activations and weights"),
+    (lambda x, fb: int_conv_forward(x, fb.weights, fb.biases, 1, "same", QuantConfig()),
+     "int16 activations and weights"),
+    (lambda x, fb: int_infer(_one_conv_qmodel(fb), x), "int16 activations and weights"),
+    (lambda x, fb: int_conv_forward(x, fb.weights.astype(np.float32), fb.biases, 1, "same",
+                                    QuantConfig()), "int16 weights"),
+], ids=["conv_gemm", "conv2d", "int_conv_forward", "int_infer", "int_conv_forward_float_weights"])
+def test_a_float_map_never_meets_int16_weights(run, match):
+    # a conv is integer if either operand is, and then both must be int16;
+    # int_conv_forward also refuses weights that are not int16
+    x = FeatureMap(np.full((2, 2, 2), 0.5, np.float32))
+    fb = FilterBank(np.ones((1, 1, 2, 3), np.int16), np.zeros(3, np.int16))
+    with pytest.raises(ValueError, match=match):
+        run(x, fb)
 
 
 def test_conv_gemm_refuses_integer_depth_beyond_exact_float64_range():
@@ -286,7 +314,7 @@ def test_deep_layer_bytes_do_not_depend_on_the_tiling(rng, monkeypatch, nf, tile
     # 13x13x512 input, K = 4608, as in TinyYOLOv3-416's conv_7
     fm = feature_map(rng, 13, 13, 512, lo=-2.0, hi=2.0)
     fb = _fan_in_bank(rng, 3, 512, nf)
-    xi = IntFeatureMap(_extreme_int16(rng, (13, 13, 512), 0.1))
+    xi = FeatureMap(_extreme_int16(rng, (13, 13, 512), 0.1))
     wi = _extreme_int16(rng, (3, 3, 512, nf), 0.1).astype(np.int16)
     bi = _extreme_int16(rng, nf, 0.1).astype(np.int16)
 
@@ -310,9 +338,9 @@ def test_one_pixel_tiles_give_the_bytes_of_one_tile(rng, monkeypatch):
     fm = feature_map(rng, 6, 6, 16, lo=-2.0, hi=2.0)
     fb = _fan_in_bank(rng, 3, 16, 64)
     bi = _extreme_int16(rng, 64, 0.1).astype(np.int16)
-    wide = (IntFeatureMap(_extreme_int16(rng, (6, 6, 16), 0.1)),
+    wide = (FeatureMap(_extreme_int16(rng, (6, 6, 16), 0.1)),
             _extreme_int16(rng, (3, 3, 16, 64), 0.1).astype(np.int16))
-    narrow = (IntFeatureMap(rng.integers(-64, 65, size=(6, 6, 16))),
+    narrow = (FeatureMap(rng.integers(-64, 65, size=(6, 6, 16))),
               rng.integers(-64, 65, size=(3, 3, 16, 64)).astype(np.int16))
     assert [_gemm_dtypes(*operands) for operands in (wide, narrow)] == [{np.float64},
                                                                          {np.float32}]
@@ -344,7 +372,7 @@ _STRIDES = pytest.mark.parametrize("stride,padding", [(1, "same"), (2, "same"), 
 @pytest.mark.parametrize("p", [8, 14])
 def test_depth_split_int_conv_matches_the_unsplit_plan(rng, monkeypatch, hw, c_in, nf,
                                                        stride, padding, p):
-    xi = IntFeatureMap(_extreme_int16(rng, (hw, hw, c_in), 0.1))
+    xi = FeatureMap(_extreme_int16(rng, (hw, hw, c_in), 0.1))
     wi = _extreme_int16(rng, (3, 3, c_in, nf), 0.1).astype(np.int16)
     bi = _extreme_int16(rng, nf, 0.1).astype(np.int16)
 
@@ -440,7 +468,7 @@ def test_tinyyolo_walks_keep_the_scratch_within_its_budget(monkeypatch):
 def test_int_gemm_takes_float32_up_to_the_exact_bound(sign, max_w, dtype):
     # K = 1 and max|x| = 4096: K * max|x| * max|w| is 2^24 at max|w| = 4096;
     # the largest magnitudes sit on opposite signs of x and w
-    x = IntFeatureMap(sign * np.array([[[4096], [-7]], [[0], [12]]]))
+    x = FeatureMap(sign * np.array([[[4096], [-7]], [[0], [12]]]))
     w = (-sign * np.array([max_w, 5])).reshape(1, 1, 1, 2).astype(np.int16)
     assert _gemm_dtypes(x, w) == {dtype}
     assert _gemm_dtypes(FeatureMap(x.data.astype(np.float32)), w.astype(np.float32)) == {
@@ -450,7 +478,7 @@ def test_int_gemm_takes_float32_up_to_the_exact_bound(sign, max_w, dtype):
 def test_int_conv_just_past_the_bound_stays_exact():
     # 8401 * 1999 = 1025 * 2^14 - 1 lies in (2^24, 2^25], where float32 holds
     # only even integers: it would round the sum up to 1025 * 2^14
-    x = IntFeatureMap(np.array([[[8401]]]))
+    x = FeatureMap(np.array([[[8401]]]))
     w = np.array([1999], dtype=np.int16).reshape(1, 1, 1, 1)
     out, _, _ = int_conv_forward(x, w, np.zeros(1, np.int16), 1, "same", QuantConfig(p=14))
     assert out.data.item() == 1024
@@ -471,7 +499,7 @@ def test_float32_int_conv_matches_int64_oracle_at_the_bound(rng, padding, p, sig
         w = (_extreme_int16(rng, (2, 2, 64, 4), 0.2) // 128).astype(np.int16)
         x[0, 0, 0], w[0, 0, 0, 0] = -256, -256
     b = _extreme_int16(rng, 4, 0.5).astype(np.int16)
-    fm = IntFeatureMap(x)
+    fm = FeatureMap(x)
     assert _gemm_dtypes(fm, w, 1, padding) == {np.float32}
     want, want_acc, want_16 = _int_conv_oracle(x, w, b, 1, padding, p)
     got, n_acc, n16 = int_conv_forward(fm, w, b, 1, padding, QuantConfig(p=p))
@@ -520,7 +548,7 @@ import hashlib
 
 import numpy as np
 from cnnadapt.quantization import QuantConfig, int_conv_forward
-from cnnadapt.tensor import FeatureMap, FilterBank, IntFeatureMap, _gemm_dtype, conv2d
+from cnnadapt.tensor import FeatureMap, FilterBank, _gemm_dtype, conv2d
 
 rng = np.random.default_rng(7)
 x = rng.uniform(-2, 2, size=(26, 26, 256)).astype(np.float32)
@@ -530,9 +558,9 @@ f = conv2d(FeatureMap(x), FilterBank(w, b)).data
 xi = rng.integers(-2**15, 2**15, size=(26, 26, 256))
 wi = rng.integers(-2**15, 2**15, size=(3, 3, 256, 384)).astype(np.int16)
 bi = rng.integers(-2**15, 2**15, size=384).astype(np.int16)
-q, n_acc, n16 = int_conv_forward(IntFeatureMap(xi), wi, bi, 1, "same", QuantConfig())
+q, n_acc, n16 = int_conv_forward(FeatureMap(xi), wi, bi, 1, "same", QuantConfig())
 # K * max|x| * max|w| = 2304 * 64 * 64 <= 2^24: a float32 GEMM (sgemm)
-xs = IntFeatureMap(rng.integers(-64, 65, size=(26, 26, 256)))
+xs = FeatureMap(rng.integers(-64, 65, size=(26, 26, 256)))
 ws = rng.integers(-64, 65, size=(3, 3, 256, 384)).astype(np.int16)
 s, s_acc, s16 = int_conv_forward(xs, ws, bi, 1, "same", QuantConfig(p=4))
 print(hashlib.sha256(f.tobytes()).hexdigest())

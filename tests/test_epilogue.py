@@ -33,7 +33,6 @@ from cnnadapt.tensor import (
     BatchNormParams,
     FeatureMap,
     FilterBank,
-    IntFeatureMap,
     concat,
     conv2d,
     leaky_relu,
@@ -104,7 +103,7 @@ def test_float_epilogue_validates_its_arguments(rng):
 def test_int_epilogue_equals_separate_leaky_pass(rng, scratch, p_alpha, p):
     # full-range inputs, and filters 0-5 with full-range weights: at p = 0 their
     # tiles saturate the int32 accumulator and int16; filters 6-11 stay small
-    x = IntFeatureMap(rng.integers(INT16_MIN, INT16_MAX + 1, size=(9, 9, 5)))
+    x = FeatureMap(rng.integers(INT16_MIN, INT16_MAX + 1, size=(9, 9, 5)))
     w = rng.integers(-4, 5, size=(3, 3, 5, 12))
     w[..., :6] = rng.integers(INT16_MIN, INT16_MAX + 1, size=(3, 3, 5, 6))
     w = w.astype(np.int16)
@@ -121,7 +120,7 @@ def test_int_epilogue_equals_separate_leaky_pass(rng, scratch, p_alpha, p):
 
 
 def test_int_epilogue_rejects_negative_shift(rng):
-    x = IntFeatureMap(np.zeros((2, 2, 1), dtype=np.int16))
+    x = FeatureMap(np.zeros((2, 2, 1), dtype=np.int16))
     w = np.zeros((1, 1, 1, 1), dtype=np.int16)
     with pytest.raises(ValueError, match="p_alpha"):
         int_conv_forward(x, w, np.zeros(1, dtype=np.int16), 1, "same", QuantConfig(),
@@ -148,7 +147,7 @@ def _requantize_in_old_order(x, w, b, p):
 
 def _assert_requantize_matches_old_order(x, w, b, p):
     want, want_acc, want_16 = _requantize_in_old_order(x, w, b, p)
-    got, n_acc, n16 = int_conv_forward(IntFeatureMap(x), w, b, 1, "same",
+    got, n_acc, n16 = int_conv_forward(FeatureMap(x), w, b, 1, "same",
                                        QuantConfig(p=p))
     np.testing.assert_array_equal(got.data, want)
     assert (n_acc, n16) == (want_acc, want_16)
@@ -213,26 +212,26 @@ def test_requantize_matches_old_step_order_on_extreme_operands(p, depth, pixels,
 def test_int_map_stores_its_declared_width(width, dtype):
     info = np.iinfo(dtype)
     for src in (np.int8, np.int16, np.int32, np.int64, np.uint8):
-        assert IntFeatureMap(np.ones((2, 2, 1), dtype=src)).data.dtype == dtype
+        assert FeatureMap(np.ones((2, 2, 1), dtype=src)).data.dtype == dtype
     edges = np.array([[[info.min, info.max]]], dtype=np.int64)
-    np.testing.assert_array_equal(IntFeatureMap(edges).data, edges)
+    np.testing.assert_array_equal(FeatureMap(edges).data, edges)
     for bad in (info.min - 1, info.max + 1):
         with pytest.raises(ValueError, match=f"int{width} range"):
-            IntFeatureMap(np.array([[[0, bad]]], dtype=np.int64))
+            FeatureMap(np.array([[[0, bad]]], dtype=np.int64))
     with pytest.raises(ValueError, match=f"int{width} range"):
-        IntFeatureMap(np.array([[[np.iinfo(np.uint64).max]]], dtype=np.uint64))
+        FeatureMap(np.array([[[np.iinfo(np.uint64).max]]], dtype=np.uint64))
 
 
 def test_int_map_ops_keep_the_storage_dtype(tmp_path):
     low = INT16_MIN
-    fm = IntFeatureMap(np.full((3, 3, 2), low, dtype=np.int16))
+    fm = FeatureMap(np.full((3, 3, 2), low, dtype=np.int16))
     pooled = maxpool(fm, 2, 1)
     assert pooled.data.dtype == np.int16 and (pooled.data == low).all()
     assert upsample_nearest(fm, 2).data.dtype == np.int16
     assert concat(fm, fm).data.dtype == np.int16
     save_tensor(tmp_path / "m.tnsr", fm)
     loaded = load_tensor(tmp_path / "m.tnsr")
-    assert isinstance(loaded, IntFeatureMap) and loaded.data.dtype == np.int16
+    assert loaded.data.dtype == np.int16
     assert quantize_input(FeatureMap(np.ones((2, 2, 1), dtype=np.float32))).data.dtype \
         == np.int16
 

@@ -37,8 +37,8 @@ from util import bank, chain_model, conv_spec, feature_map, identity_bank, rando
 
 def _single_conv_model(fb, **spec_kwargs):
     layers = (
-        LayerSpec(id="input", kind="input", height=4, width=4, channels=fb.in_channels),
-        conv_spec("conv_1", "input", fb.num_filters, fb.kernel_h, **spec_kwargs),
+        LayerSpec(id="input", kind="input", height=4, width=4, channels=fb.weights.shape[2]),
+        conv_spec("conv_1", "input", fb.num_filters, fb.weights.shape[0], **spec_kwargs),
     )
     return Model(layers, {"conv_1": ConvParams(fb, None)})
 

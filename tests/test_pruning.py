@@ -204,7 +204,7 @@ def test_no_prune_layer_keeps_filters_but_shrinks_inputs(rng):
     pruned, removed = prune_below(model, table, 1.0, config)
     assert removed == {"conv_1": [0, 2], "conv_2": []}
     assert pruned.layer("conv_2").num_filters == 3
-    assert pruned.params["conv_2"].filters.in_channels == 2
+    assert pruned.params["conv_2"].filters.weights.shape[2] == 2
 
 
 def test_min_filters_floor_keeps_strongest(rng):
@@ -284,7 +284,7 @@ def _reference_prune_below(model, metrics, threshold, config):
                                                config.min_filters_per_layer))
             keep_f = [i for i in range(fb.num_filters) if i not in set(removed_idx)]
             w = fb.weights
-            if len(kept_in) < fb.in_channels:
+            if len(kept_in) < fb.weights.shape[2]:
                 w = w.take(kept_in, axis=2)
             if len(keep_f) < fb.num_filters:
                 w = w.take(keep_f, axis=3)

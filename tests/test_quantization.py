@@ -43,7 +43,6 @@ from cnnadapt.tensor import (
     INT16_MIN,
     FeatureMap,
     FilterBank,
-    IntFeatureMap,
 )
 from util import chain_model, feature_map
 
@@ -336,7 +335,7 @@ def test_quantize_input_examples():
 # ---------------------------------------------------------------------------
 
 def _one_cell(value):
-    return IntFeatureMap(np.array([[[value]]], dtype=np.int64))
+    return FeatureMap(np.array([[[value]]], dtype=np.int64))
 
 
 def test_int_conv_single_tap_example():
@@ -351,7 +350,7 @@ def test_int_conv_single_tap_example():
 def test_int_conv_zero_input_broadcasts_bias():
     w = np.zeros((1, 1, 2, 3), dtype=np.int16)
     b = np.array([5, -7, 0], dtype=np.int16)
-    x = IntFeatureMap(np.zeros((2, 2, 2), dtype=np.int64))
+    x = FeatureMap(np.zeros((2, 2, 2), dtype=np.int64))
     out, _, _ = int_conv_forward(x, w, b, 1, "same", QuantConfig())
     np.testing.assert_array_equal(out.data, np.broadcast_to([5, -7, 0], (2, 2, 3)))
 
@@ -360,7 +359,7 @@ def test_int_conv_identity_weight(rng):
     # w = 1.0 -> 256; (X * 256) >> 8 == X exactly
     w = np.array([[[[256]]]], dtype=np.int16)
     b = np.zeros(1, dtype=np.int16)
-    x = IntFeatureMap(rng.integers(-256, 257, size=(3, 3, 1)))
+    x = FeatureMap(rng.integers(-256, 257, size=(3, 3, 1)))
     out, n_acc, n16 = int_conv_forward(x, w, b, 1, "same", QuantConfig())
     np.testing.assert_array_equal(out.data, x.data)
     assert n_acc == 0 and n16 == 0
@@ -381,7 +380,7 @@ def test_int_conv_channel_mismatch():
 
 
 def test_quant_leaky_examples():
-    z = IntFeatureMap(np.array([[[100, -32, -17, 0]]], dtype=np.int64))
+    z = FeatureMap(np.array([[[100, -32, -17, 0]]], dtype=np.int64))
     out = quant_leaky_relu(z, 4)
     np.testing.assert_array_equal(out.data[0, 0], [100, -2, -2, 0])
     with pytest.raises(ValueError):
@@ -389,7 +388,7 @@ def test_quant_leaky_examples():
 
 
 def test_quant_leaky_zero_exponent_is_identity_on_negatives():
-    z = IntFeatureMap(np.array([[[-5, 7]]], dtype=np.int64))
+    z = FeatureMap(np.array([[[-5, 7]]], dtype=np.int64))
     np.testing.assert_array_equal(quant_leaky_relu(z, 0).data[0, 0], [-5, 7])
 
 
@@ -411,7 +410,7 @@ def test_int_infer_runs_and_is_deterministic(rng):
 def test_int_infer_validates_input(rng):
     model = chain_model(rng, [2], hw=4, in_channels=1)
     qmodel = quantize_model(model)
-    wrong_shape = IntFeatureMap(np.zeros((3, 3, 1), dtype=np.int64))
+    wrong_shape = FeatureMap(np.zeros((3, 3, 1), dtype=np.int64))
     with pytest.raises(ShapeError, match="input shape"):
         int_infer(qmodel, wrong_shape)
 

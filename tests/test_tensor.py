@@ -12,7 +12,6 @@ from cnnadapt.tensor import (
     BatchNormParams,
     FeatureMap,
     FilterBank,
-    IntFeatureMap,
     batchnorm_forward,
     concat,
     conv2d,
@@ -254,7 +253,7 @@ def test_maxpool_size1_stride1_idempotent(rng):
 
 def test_maxpool_int_matches_float_semantics(rng):
     vals = rng.integers(-1000, 1000, size=(5, 5, 2))
-    got = maxpool(IntFeatureMap(vals), 2, 2)
+    got = maxpool(FeatureMap(vals), 2, 2)
     want = maxpool(FeatureMap(vals.astype(np.float32)), 2, 2)
     np.testing.assert_array_equal(got.data.astype(np.float32), want.data)
 
@@ -308,18 +307,18 @@ def test_concat_spatial_mismatch_raises():
 
 @pytest.mark.parametrize("width", [16])
 def test_map_ops_keep_the_integer_map_type(rng, width):
-    fm = IntFeatureMap(rng.integers(-1000, 1000, size=(4, 4, 2)))
+    fm = FeatureMap(rng.integers(-1000, 1000, size=(4, 4, 2)))
     results = [maxpool(fm, 2, 2), upsample_nearest(fm, 2), concat(fm, fm),
                *split_batch(fm, 2)]
     for out in results:
-        assert isinstance(out, IntFeatureMap) and out.data.dtype == np.dtype(f"int{width}")
+        assert out.data.dtype == np.dtype(f"int{width}")
     assert [out.shape for out in results] == [(2, 2, 2), (8, 8, 2), (4, 4, 4),
                                               (2, 4, 2), (2, 4, 2)]
 
 
 def test_concat_rejects_operands_of_different_dtypes():
     f = FeatureMap(np.zeros((2, 2, 1), dtype=np.float32))
-    i16 = IntFeatureMap(np.zeros((2, 2, 1), dtype=np.int16))
+    i16 = FeatureMap(np.zeros((2, 2, 1), dtype=np.int16))
     for a, b in ((f, i16), (i16, f)):
         with pytest.raises(ValueError, match="dtype mismatch"):
             concat(a, b)
@@ -342,11 +341,9 @@ def test_feature_map_validation():
 
 
 def test_int_feature_map_range_checks():
-    IntFeatureMap(np.array([[[32767, -32768]]]))
+    FeatureMap(np.array([[[32767, -32768]]]))
     with pytest.raises(ValueError):
-        IntFeatureMap(np.array([[[32768]]]))
-    with pytest.raises(ValueError):
-        IntFeatureMap(np.array([[[1.5]]]).astype(np.float64))
+        FeatureMap(np.array([[[32768]]]))
 
 
 def test_filter_bank_validation():
@@ -355,7 +352,7 @@ def test_filter_bank_validation():
     with pytest.raises(ShapeError):
         FilterBank(np.zeros((3, 3, 2, 4), dtype=np.float32), np.zeros(3, dtype=np.float32))
     fb = FilterBank(np.zeros((3, 3, 2, 4), dtype=np.float32), np.zeros(4, dtype=np.float32))
-    assert (fb.kernel_h, fb.kernel_w, fb.in_channels, fb.num_filters) == (3, 3, 2, 4)
+    assert (*fb.weights.shape[:3], fb.num_filters) == (3, 3, 2, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -372,11 +369,11 @@ def test_tensor_container_roundtrip_float(tmp_path, rng):
 
 
 def test_tensor_container_roundtrip_int(tmp_path, rng):
-    fm = IntFeatureMap(rng.integers(-30000, 30000, size=(3, 3, 2)))
+    fm = FeatureMap(rng.integers(-30000, 30000, size=(3, 3, 2)))
     path = tmp_path / "x.tnsr"
     save_tensor(path, fm)
     back = load_tensor(path)
-    assert isinstance(back, IntFeatureMap) and back.data.dtype == np.int16
+    assert back.data.dtype == np.int16
     np.testing.assert_array_equal(back.data, fm.data)
 
 
@@ -449,7 +446,7 @@ def test_freezing_a_map_leaves_nothing_allocated():
 
 
 @pytest.mark.parametrize("fm", [FeatureMap(np.zeros((4, 4, 0), np.float32)),
-                                IntFeatureMap(np.zeros((4, 4, 0), np.int16))],
+                                FeatureMap(np.zeros((4, 4, 0), np.int16))],
                          ids=["float", "int16"])
 def test_zero_channel_map_roundtrips(tmp_path, fm):
     save_tensor(tmp_path / "t.tnsr", fm)
