@@ -441,14 +441,20 @@ def record_chunks(records: Iterable[tuple[str, np.ndarray]],
         yield memoryview(np.ascontiguousarray(arr, dtype=dtype).reshape(-1)).cast("B")
 
 
+def conv_records(layer_id: str, filters: FilterBank, batchnorm: Optional[BatchNormParams] = None
+                 ) -> Iterator[tuple[str, np.ndarray]]:
+    """A conv layer's (name, array) weight records in blob order."""
+    yield f"{layer_id}.W", filters.weights
+    yield f"{layer_id}.b", filters.biases
+    if batchnorm is not None:
+        for suffix in _BN_SUFFIXES:
+            yield f"{layer_id}.{suffix}", getattr(batchnorm, suffix)
+
+
 def _weight_records(model: Model) -> Iterator[tuple[str, np.ndarray]]:
     for layer in model.conv_layers():
         p = model.params[layer.id]
-        yield f"{layer.id}.W", p.filters.weights
-        yield f"{layer.id}.b", p.filters.biases
-        if p.batchnorm is not None:
-            for suffix in _BN_SUFFIXES:
-                yield f"{layer.id}.{suffix}", getattr(p.batchnorm, suffix)
+        yield from conv_records(layer.id, p.filters, p.batchnorm)
 
 
 def manifest_dict(model: Model, weights_rel: str) -> dict:
@@ -499,23 +505,23 @@ def save_model(model: Model, manifest_path) -> None:
 
 
 def read_model_files(manifest_path, dtype_code: int
-                     ) -> tuple[dict, tuple[LayerSpec, ...], dict[str, dict[str, np.ndarray]]]:
+                     ) -> tuple[dict, tuple[LayerSpec, ...], dict[str, ConvParams]]:
     """Read a manifest and its weights blob; returns (manifest, layers,
-    {conv id: {suffix: array}}).
+    {conv id: ConvParams}).
 
     The manifest must be quantized (carry a ``quantization`` block) exactly
     when ``dtype_code`` is int16, and its layers must form a ``LayerGraph``;
     both are checked before the blob is opened. The blob is read record by
     record, each payload straight into its array once its header gives
     ``dtype_code`` and its size fits in the rest of the file. A conv layer's
-    records are W and b, plus gamma, beta, mu and sigma2 if it has
-    batchnorm: each must be present, any other record is stray, and a name
-    may name one record only. These rules of the file container raise
-    ModelFormatError without the manifest path, which the loaders'
-    ``file_content`` adds; a blob fault, a missing or unreadable blob
-    included, is prefixed by the blob's name as the manifest gives it. The
-    arrays' shapes and values are left to the constructors the loaders build
-    from them.
+    records are those ``conv_records`` writes: each must be present, any
+    other record is stray, and a name may name one record only. These rules
+    of the file container raise ModelFormatError without the manifest path,
+    which the loaders' ``file_content`` adds; a blob fault, a missing or
+    unreadable blob included, is prefixed by the blob's name as the manifest
+    gives it. Once every record is placed, each conv's ``ConvParams`` is
+    built from its records, whose shapes and values its constructors check;
+    a fault there is prefixed by the layer.
     """
     manifest_path = os.fspath(manifest_path)
     try:
@@ -596,24 +602,21 @@ def read_model_files(manifest_path, dtype_code: int
                 arrays[layer.id][suffix] = records.pop(name)
         if records:
             raise ModelFormatError(f"records for unknown layers: {sorted(records)}")
-    return manifest, graph.layers, arrays
+    params = {}
+    for layer in graph.conv_layers():
+        a = arrays[layer.id]
+        with file_content(f"layer {layer.id!r}"):
+            bn = BatchNormParams(a["mu"], a["sigma2"], a["gamma"], a["beta"],
+                                 layer.bn_epsilon) if layer.has_batchnorm else None
+            params[layer.id] = ConvParams(FilterBank(a["W"], a["b"]), bn)
+    return manifest, graph.layers, params
 
 
 def load_model(manifest_path) -> Model:
     """Load a float model; load(save(m)) round-trips every bit. A refusal
     names the manifest, and also the layer for a fault in one conv's arrays."""
     with file_content(manifest_path):
-        _, layers, arrays = read_model_files(manifest_path, DTYPE_FLOAT32)
-        params = {}
-        for layer in layers:
-            if layer.kind == "conv":
-                a = arrays[layer.id]
-                with file_content(f"layer {layer.id!r}"):
-                    bn = None
-                    if layer.has_batchnorm:
-                        bn = BatchNormParams(a["mu"], a["sigma2"], a["gamma"], a["beta"],
-                                             layer.bn_epsilon)
-                    params[layer.id] = ConvParams(FilterBank(a["W"], a["b"]), bn)
+        _, layers, params = read_model_files(manifest_path, DTYPE_FLOAT32)
         return Model(layers, params)
 
 

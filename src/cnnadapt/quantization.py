@@ -25,6 +25,7 @@ from .errors import ModelFormatError, PipelineError, file_content
 from .model import (
     LayerGraph,
     Model,
+    conv_records,
     execute,
     model_digest,
     read_model_files,
@@ -281,10 +282,8 @@ def int_infer(qmodel: QuantizedModel, input: FeatureMap,
 
 def save_quantized_model(qmodel: QuantizedModel, manifest_path) -> None:
     """Write the manifest, with its quantization block, and the int16 weights blob."""
-    records = []
-    for layer in qmodel.conv_layers():
-        qp = qmodel.qparams[layer.id]
-        records += [(f"{layer.id}.W", qp.weights), (f"{layer.id}.b", qp.biases)]
+    records = (r for layer in qmodel.conv_layers()
+               for r in conv_records(layer.id, qmodel.qparams[layer.id]))
     write_model_files(qmodel, manifest_path, records, DTYPE_INT16,
                       quantization={"p": qmodel.config.p, "source_digest": qmodel.source_digest})
 
@@ -297,7 +296,7 @@ def load_quantized_model(manifest_path) -> QuantizedModel:
     Refusals are worded as in ``load_model``.
     """
     with file_content(manifest_path):
-        manifest, layers, arrays = read_model_files(manifest_path, DTYPE_INT16)
+        manifest, layers, params = read_model_files(manifest_path, DTYPE_INT16)
         quant = manifest["quantization"]
         if not isinstance(quant, dict):
             raise ModelFormatError("quantization block must be a JSON object")
@@ -312,9 +311,5 @@ def load_quantized_model(manifest_path) -> QuantizedModel:
         source_digest = quant.get("source_digest", "")
         if not isinstance(source_digest, str):
             raise ModelFormatError("source_digest must be a string")
-        qparams = {}
-        for lid, a in arrays.items():
-            with file_content(f"layer {lid!r}"):
-                qparams[lid] = FilterBank(a["W"], a["b"])
-        return QuantizedModel(layers, qparams, QuantConfig(p=quant["p"]),
-                              source_digest=source_digest)
+        return QuantizedModel(layers, {lid: p.filters for lid, p in params.items()},
+                              QuantConfig(p=quant["p"]), source_digest=source_digest)
