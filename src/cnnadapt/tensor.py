@@ -164,8 +164,9 @@ class FilterBank:
         Every kernel position's channels x filters block comes from one take
         over a (kh*kw, c_in*nf) view, or over (kh*kw, c_in, nf) when every
         filter stays in order; a bank that keeps both whole is returned as
-        is. The result skips the constructor's finite scan: it holds values
-        of this bank, which passed it."""
+        is. The indices are checked here, so the takes clip rather than check
+        each one again. The result skips the constructor's finite scan: it
+        holds values of this bank, which passed it."""
         kh, kw, c_in, nf = self.weights.shape
         channels, filters = np.asarray(channels, np.intp), np.asarray(filters, np.intp)
         for idx, size, what in ((channels, c_in, "input channel"), (filters, nf, "filter")):
@@ -178,10 +179,10 @@ class FilterBank:
         if all_in and all_f:
             return self
         if all_f:
-            w = self.weights.reshape(kh * kw, c_in, nf).take(channels, axis=1)
+            w = self.weights.reshape(kh * kw, c_in, nf).take(channels, axis=1, mode="clip")
         else:
             w = self.weights.reshape(kh * kw, c_in * nf).take(
-                np.add.outer(channels * nf, filters).reshape(-1), axis=1)
+                np.add.outer(channels * nf, filters).reshape(-1), axis=1, mode="clip")
         bank = object.__new__(FilterBank)
         object.__setattr__(bank, "weights", _freeze(w.reshape(kh, kw, len(channels), len(filters))))
         object.__setattr__(bank, "biases", _freeze(self.biases[filters]))
@@ -447,6 +448,12 @@ def leaky_step(acc: np.ndarray, dst: np.ndarray, op, k) -> None:
     np.maximum(dst, scaled, out=dst)
 
 
+def _check_float(fm: FeatureMap, op: str) -> None:
+    """Refuse a map that is not float32 in a float-engine op, before its work."""
+    if fm.data.dtype != np.float32:
+        raise ValueError(f"{op} takes a float32 feature map, got {fm.data.dtype}")
+
+
 def conv2d(input: FeatureMap, filters: FilterBank, stride: int = 1,
            padding: str = "same", batch: int = 1, *,
            leaky_alpha: float | None = None) -> FeatureMap:
@@ -460,6 +467,7 @@ def conv2d(input: FeatureMap, filters: FilterBank, stride: int = 1,
     activation runs on each finished tile in float32 and gives the bits of
     ``leaky_relu`` on the whole map; an output beyond float32 raises NumericalError.
     """
+    _check_float(input, "conv2d")
     if leaky_alpha is not None:
         if not 0 <= leaky_alpha <= 1:
             raise ValueError(f"fused leaky slope must lie in [0, 1], got {leaky_alpha}")
@@ -482,6 +490,7 @@ def conv2d(input: FeatureMap, filters: FilterBank, stride: int = 1,
 def batchnorm_forward(z: FeatureMap, params: BatchNormParams) -> FeatureMap:
     """Per-channel normalization: gamma * (z - mu) / sqrt(sigma2 + eps) + beta
     in float32; an output beyond the float32 range raises NumericalError."""
+    _check_float(z, "batchnorm_forward")
     if z.channels != params.num_filters:
         raise ShapeError(
             f"feature map has {z.channels} channels but batchnorm has {params.num_filters}")
@@ -495,6 +504,7 @@ def batchnorm_forward(z: FeatureMap, params: BatchNormParams) -> FeatureMap:
 
 def leaky_relu(z: FeatureMap, alpha: float) -> FeatureMap:
     """z for positive entries, alpha * z otherwise."""
+    _check_float(z, "leaky_relu")
     if alpha < 0:
         raise ValueError(f"negative slope must be >= 0, got {alpha}")
     out = np.where(z.data > 0, z.data, np.float32(alpha) * z.data)

@@ -191,6 +191,23 @@ def test_prune_pipeline_with_report(tmp_path, rng, fused_model_path, caplog):
     assert all(l.num_filters == 1 for l in pruned.conv_layers())
 
 
+def test_prune_that_accepts_no_threshold_saves_the_input_model(tmp_path, rng, fused_model_path,
+                                                               caplog, monkeypatch):
+    # the first candidate scores below the initial score by more than any
+    # --delta-map allows, so the sweep stops there
+    def build_evaluator(args, model):
+        scores = iter([1.0, 0.0])
+        return lambda candidate: next(scores)
+    monkeypatch.setattr("cnnadapt.cli._build_evaluator", build_evaluator)
+    out = tmp_path / "pruned.json"
+    with caplog.at_level(logging.INFO, logger="cnnadapt"):
+        assert run(["prune", "-i", str(fused_model_path), "-o", str(out),
+                    "--data", str(_write_dataset(tmp_path / "data", rng))]) == 0
+    assert any("no threshold accepted; model unchanged" in r.getMessage()
+               for r in caplog.records)
+    assert model_digest(load_model(out)) == model_digest(load_model(fused_model_path))
+
+
 def test_prune_of_a_conv_less_model_reports_no_reduction(tmp_path, rng):
     model_path = _save_conv_less_model(tmp_path / "pool.json")
     report = tmp_path / "prune.json"

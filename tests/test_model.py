@@ -314,6 +314,15 @@ def test_batchnorm_epsilon_must_match_the_layer_epsilon(rng):
         Model(layers, {"conv_1": ConvParams(fb, random_bn(rng, 3, epsilon=0.0))})
 
 
+def test_graph_lookups_and_batchnorm_lengths_are_checked(rng):
+    model = chain_model(rng, [3], hw=4, bn=True)
+    with pytest.raises(KeyError, match="conv_9"):
+        model.layer("conv_9")
+    fb = model.params["conv_1"].filters
+    with pytest.raises(ShapeError, match="batchnorm length 2 != 3 filters"):
+        Model(model.layers, {"conv_1": ConvParams(fb, random_bn(rng, 2))})
+
+
 def test_load_error_names_missing_record(tmp_path, rng):
     model = chain_model(rng, [2, 3], hw=4)
     save_model(model, tmp_path / "m.json")

@@ -214,6 +214,21 @@ def test_leaky_relu_branches():
         leaky_relu(z, -0.1)
 
 
+@pytest.mark.parametrize("op,run", [
+    ("conv2d", lambda z: conv2d(z, FilterBank(np.ones((1, 1, 2, 3), np.int16),
+                                              np.zeros(3, np.int16)))),
+    ("batchnorm_forward", lambda z: batchnorm_forward(
+        z, BatchNormParams(mu=[0, 0], sigma2=[1, 1], gamma=[1, 1], beta=[0, 0]))),
+    ("leaky_relu", lambda z: leaky_relu(z, 0.125)),
+], ids=["conv2d", "batchnorm_forward", "leaky_relu"])
+def test_float_only_ops_refuse_an_int16_map_before_any_work(op, run, monkeypatch):
+    def no_gemm(*args):
+        raise AssertionError("conv_gemm ran")
+    monkeypatch.setattr("cnnadapt.tensor.conv_gemm", no_gemm)
+    with pytest.raises(ValueError, match=f"{op} takes a float32 feature map, got int16"):
+        run(FeatureMap(np.full((2, 2, 2), 3, np.int16)))
+
+
 # ---------------------------------------------------------------------------
 # maxpool / upsample / concat
 # ---------------------------------------------------------------------------
@@ -453,3 +468,30 @@ def test_zero_channel_map_roundtrips(tmp_path, fm):
     back = load_tensor(tmp_path / "t.tnsr")
     assert type(back) is type(fm)
     assert back.shape == (4, 4, 0) and back.data.dtype == fm.data.dtype
+
+
+_MAP = FeatureMap(np.zeros((2, 2, 1), np.float32))
+
+
+@pytest.mark.parametrize("call,error,match", [
+    (lambda tmp: BatchNormParams(mu=[[0]], sigma2=[1], gamma=[1], beta=[0]),
+     ShapeError, "batchnorm mu must be a vector"),
+    (lambda tmp: BatchNormParams(mu=[0], sigma2=[0], gamma=[1], beta=[0], epsilon=0.0),
+     ValueError, r"variance \+ epsilon must be positive"),
+    (lambda tmp: conv_output_shape(4, 4, 3, 3, 1, "full"),
+     ValueError, "padding must be 'same' or 'valid'"),
+    (lambda tmp: split_batch(FeatureMap(np.zeros((5, 2, 1), np.float32)), 2),
+     ShapeError, "5 rows do not split into 2 stacked maps"),
+    (lambda tmp: conv2d(_MAP, identity_bank(1), stride=0),
+     ValueError, "stride must be positive"),
+    (lambda tmp: maxpool(_MAP, 0, 1), ValueError, "pool size and stride must be positive"),
+    (lambda tmp: maxpool(FeatureMap(np.zeros((2, 2, 0), np.float32)), 2, 2),
+     ShapeError, "zero-channel"),
+    (lambda tmp: upsample_nearest(_MAP, 0), ValueError, "upsample factor must be positive"),
+    (lambda tmp: save_tensor(tmp / "x.tnsr", _MAP.data), TypeError, "cannot serialize ndarray"),
+], ids=["bn_not_a_vector", "bn_variance_plus_epsilon", "conv_padding", "uneven_batch",
+        "conv_stride", "pool_size", "pool_zero_channels", "upsample_factor", "save_non_map"])
+def test_primitives_refuse_bad_arguments(tmp_path, call, error, match):
+    with pytest.raises(error, match=match):
+        call(tmp_path)
+    assert not list(tmp_path.iterdir())
