@@ -248,6 +248,8 @@ def predict_class(model: Model, fm: FeatureMap) -> int:
 def accuracy_evaluator(samples: Iterable[Sample]) -> Callable[[Model], float]:
     """Top-1 accuracy over {"class": int} labels."""
     samples = list(samples)
+    if not samples:
+        raise ValueError("accuracy_evaluator needs at least one sample")
     bad = [s.name for s in samples if "class" not in s.label]
     if bad:
         raise ModelFormatError(f"samples without class labels: {bad}")
@@ -290,6 +292,8 @@ def map_evaluator(samples: Iterable[Sample], iou_threshold: float = 0.5,
     """mAP over {"boxes": [...]} labels, decoding raw head outputs with
     ``decode_regression_head``."""
     samples = list(samples)
+    if not samples:
+        raise ValueError("map_evaluator needs at least one sample")
     bad = [s.name for s in samples if "boxes" not in s.label]
     if bad:
         raise ModelFormatError(f"samples without box labels: {bad}")

@@ -31,7 +31,6 @@ from .tensor import (
     conv_output_shape,
     leaky_relu,
     maxpool,
-    maxpool_output_shape,
     split_batch,
     upsample_nearest,
 )
@@ -306,7 +305,7 @@ def shape_infer(graph: LayerGraph) -> dict[str, tuple[int, int, int]]:
             shapes[layer.id] = (oh, ow, layer.num_filters)
         elif layer.kind == "maxpool":
             h, w, c = shapes[layer.inputs[0]]
-            oh, ow = maxpool_output_shape(h, w, layer.stride)
+            oh, ow = conv_output_shape(h, w, layer.size, layer.size, layer.stride, "same")
             shapes[layer.id] = (oh, ow, c)
         elif layer.kind == "upsample":
             h, w, c = shapes[layer.inputs[0]]

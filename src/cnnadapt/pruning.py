@@ -114,11 +114,13 @@ def prune_below(model: Model, metrics: FilterMetricTable, threshold: float,
     """
     if model.has_batchnorm():
         raise PipelineError("model contains batchnorm; run fuse first")
+    filters = {layer.id: layer.num_filters for layer in model.conv_layers()}
     for lid, metric in metrics.items():
-        nf = model.layer(lid).num_filters
-        if len(metric) != nf:
+        if lid not in filters:
+            raise ShapeError(f"metric table for {lid!r} names no conv layer")
+        if len(metric) != filters[lid]:
             raise ShapeError(f"metric table for {lid!r} has {len(metric)} entries, "
-                             f"layer has {nf} filters")
+                             f"layer has {filters[lid]} filters")
     orig_shapes = shape_infer(model)
 
     kept: dict[str, np.ndarray] = {}    # surviving ORIGINAL output-channel indices, sorted

@@ -39,6 +39,7 @@ from .tensor import (
     INT32_MIN,
     FeatureMap,
     FilterBank,
+    _check_float,
     conv_gemm,
     leaky_step,
 )
@@ -183,7 +184,9 @@ def quantize_model(model: Model, config: QuantConfig = QuantConfig()) -> Quantiz
 
 def quantize_input(input: FeatureMap, config: QuantConfig = QuantConfig()) -> FeatureMap:
     """Quantize a (pre-normalized, values ~[0, 1]) input image to int16,
-    logging a warning with the count of values that saturate."""
+    logging a warning with the count of values that saturate; a map that is
+    not float32 is refused, since it is quantized already."""
+    _check_float(input, "quantize_input")
     q, saturated = quantize_tensor(input.data, config.p)
     if saturated:
         log.warning("%d input values saturated during quantization", saturated)

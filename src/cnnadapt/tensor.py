@@ -252,7 +252,7 @@ MAX_EXACT_FLOAT32_SUM = 2**24
 
 
 def _same_padding(in_dim: int, kernel: int, stride: int) -> tuple[int, int]:
-    """Zero-pad amounts (begin, end) so that out = ceil(in / stride)."""
+    """Pad amounts (begin, end) so that out = ceil(in / stride)."""
     out_dim = -(-in_dim // stride)
     total = max((out_dim - 1) * stride + kernel - in_dim, 0)
     return total // 2, total - total // 2
@@ -279,6 +279,20 @@ def _batch_view(data: np.ndarray, batch: int) -> np.ndarray:
     if batch < 1 or rows % batch:
         raise ShapeError(f"{rows} rows do not split into {batch} stacked maps")
     return data.reshape(batch, rows // batch, width, channels)
+
+
+def _pad_maps(maps: np.ndarray, top: int, bottom: int, left: int, right: int,
+              fill) -> np.ndarray:
+    """Each of the (N, h, w, c) ``maps`` bordered by the given amounts of
+    ``fill``, as one new array; the maps themselves when every amount is 0."""
+    if not (top or bottom or left or right):
+        return maps
+    n, h, w, c = maps.shape
+    padded = np.empty((n, top + h + bottom, left + w + right, c), maps.dtype)
+    padded[:, :top] = padded[:, top + h:] = fill
+    padded[:, top:top + h, :left] = padded[:, top:top + h, left + w:] = fill
+    padded[:, top:top + h, left:left + w] = maps
+    return padded
 
 
 def conv_plan(n: int, out_h: int, out_w: int, kh: int, kw: int, c_in: int,
@@ -376,11 +390,8 @@ def conv_gemm(data: np.ndarray, weights: np.ndarray, stride: int, padding: str, 
         raise ShapeError(
             f"input has {c_in} channels but filters expect {weights.shape[2]}")
     out_h, out_w = conv_output_shape(in_h, in_w, kh, kw, stride, padding)
-    if padding == "same":
-        pt, pb = _same_padding(in_h, kh, stride)
-        pl, pr = _same_padding(in_w, kw, stride)
-    else:
-        pt = pb = pl = pr = 0
+    pads = (_same_padding(in_h, kh, stride) + _same_padding(in_w, kw, stride)
+            if padding == "same" else (0, 0, 0, 0))
     (tile_n, tile_h, tile_w), run = conv_plan(n, out_h, out_w, kh, kw, c_in, nf)
     row = kw * c_in
     # runs (r0, r1, q0, q1): kernel rows r0:r1, and q0:q1 of each row's kw*c_in
@@ -399,18 +410,9 @@ def conv_gemm(data: np.ndarray, weights: np.ndarray, stride: int, padding: str, 
     scratch = np.empty(need, acc_dtype)
     wblk = scratch[:w_end].reshape(run, nf)
     acc, partial, cols = scratch[w_end:acc_end], scratch[acc_end:partial_end], scratch[partial_end:]
-    if pt or pb or pl or pr:
-        padded = np.empty((n, in_h + pt + pb, in_w + pl + pr, c_in), dtype=data.dtype)
-        padded[:, :pt] = 0
-        padded[:, pt + in_h:] = 0
-        padded[:, pt:pt + in_h, :pl] = 0
-        padded[:, pt:pt + in_h, pl + in_w:] = 0
-        padded[:, pt:pt + in_h, pl:pl + in_w] = maps
-    else:
-        padded = maps
     # (n, out_h, out_w, kh, kw * c), a view: window element order matches
     # weights.reshape(K, nf)
-    windows = sliding_window_view(padded, (kh, kw), axis=(1, 2))
+    windows = sliding_window_view(_pad_maps(maps, *pads, 0), (kh, kw), axis=(1, 2))
     windows = windows[:, ::stride, ::stride][:, :out_h, :out_w].transpose(0, 1, 2, 4, 5, 3)
     windows = windows.reshape(n, out_h, out_w, kh, row)
     w2d = weights.reshape(kh * row, nf)
@@ -511,10 +513,6 @@ def leaky_relu(z: FeatureMap, alpha: float) -> FeatureMap:
     return FeatureMap(out)
 
 
-def maxpool_output_shape(in_h: int, in_w: int, stride: int) -> tuple[int, int]:
-    return -(-in_h // stride), -(-in_w // stride)
-
-
 def maxpool(input: FeatureMap, size: int, stride: int, batch: int = 1) -> FeatureMap:
     """Channelwise window maximum with ceil-mode output (out = ceil(in / stride)),
     of each of the ``batch`` maps stacked in a float or integer ``input``."""
@@ -524,17 +522,13 @@ def maxpool(input: FeatureMap, size: int, stride: int, batch: int = 1) -> Featur
         raise ShapeError("cannot pool a zero-channel feature map")
     maps = _batch_view(input.data, batch)
     _, in_h, in_w, c = maps.shape
-    out_h, out_w = maxpool_output_shape(in_h, in_w, stride)
-    pad_h = max((out_h - 1) * stride + size - in_h, 0)
-    pad_w = max((out_w - 1) * stride + size - in_w, 0)
-    padded = maps
-    if pad_h or pad_w:
-        # Pad each map's bottom/right with a never-selected sentinel so edge windows
-        # that overhang (stride-1 pooling at the border) only see its own elements.
-        dtype = maps.dtype
-        sentinel = np.iinfo(dtype).min if dtype.kind == "i" else dtype.type(-np.inf)
-        padded = np.full((batch, in_h + pad_h, in_w + pad_w, c), sentinel, dtype=dtype)
-        padded[:, :in_h, :in_w, :] = maps
+    out_h, out_w = conv_output_shape(in_h, in_w, size, size, stride, "same")
+    # Pad each map's bottom/right with a never-selected sentinel so edge windows
+    # that overhang (stride-1 pooling at the border) only see its own elements.
+    dtype = maps.dtype
+    sentinel = np.iinfo(dtype).min if dtype.kind == "i" else dtype.type(-np.inf)
+    padded = _pad_maps(maps, 0, sum(_same_padding(in_h, size, stride)),
+                       0, sum(_same_padding(in_w, size, stride)), sentinel)
     windows = [padded[:, r:r + out_h * stride:stride, s:s + out_w * stride:stride, :]
                for r in range(size) for s in range(size)]
     # windows in row-major order, so equal maxima of opposite sign keep their

@@ -240,6 +240,14 @@ def test_map_evaluator_rejects_class_labels(tmp_path, rng):
         map_evaluator(load_dataset(tmp_path))
 
 
+def test_evaluators_refuse_an_empty_sample_list():
+    # with no samples accuracy would divide by zero and mAP would score every
+    # model 0.0, so a prune sweep would accept every step
+    for factory in (accuracy_evaluator, map_evaluator):
+        with pytest.raises(ValueError, match=f"{factory.__name__} needs at least one sample"):
+            factory([])
+
+
 # ---------------------------------------------------------------------------
 # worker plumbing
 # ---------------------------------------------------------------------------

@@ -225,6 +225,14 @@ def test_missing_metric_entry_raises(rng):
         prune_below(model, {"conv_1": np.array([1.0, 1.0])}, 0.5, PruneConfig())
 
 
+@pytest.mark.parametrize("key", ["ghost", "input"])
+def test_metric_key_that_names_no_conv_layer_raises(rng, key):
+    model = chain_model(rng, [2], hw=4)
+    table = {"conv_1": np.array([1.0, 1.0]), key: np.array([1.0, 1.0])}
+    with pytest.raises(ShapeError, match=f"metric table for '{key}' names no conv layer"):
+        prune_below(model, table, 0.5, PruneConfig())
+
+
 def test_wrong_metric_length_raises(rng):
     model = chain_model(rng, [3], hw=4)
     with pytest.raises(ShapeError, match="entries"):

@@ -1,6 +1,7 @@
 """Numerical primitives: convolution, batchnorm, activations, pooling, container IO."""
 import struct
 import tracemalloc
+from itertools import product
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cnnadapt.errors import ModelFormatError, ShapeError
+from cnnadapt.quantization import quantize_input
 from cnnadapt.tensor import (
     BatchNormParams,
     FeatureMap,
@@ -220,7 +222,8 @@ def test_leaky_relu_branches():
     ("batchnorm_forward", lambda z: batchnorm_forward(
         z, BatchNormParams(mu=[0, 0], sigma2=[1, 1], gamma=[1, 1], beta=[0, 0]))),
     ("leaky_relu", lambda z: leaky_relu(z, 0.125)),
-], ids=["conv2d", "batchnorm_forward", "leaky_relu"])
+    ("quantize_input", quantize_input),
+], ids=["conv2d", "batchnorm_forward", "leaky_relu", "quantize_input"])
 def test_float_only_ops_refuse_an_int16_map_before_any_work(op, run, monkeypatch):
     def no_gemm(*args):
         raise AssertionError("conv_gemm ran")
@@ -256,6 +259,23 @@ def test_maxpool_stride1_edge_padding_never_selected():
     out2 = maxpool(fm2, size=2, stride=1)
     assert out2.shape == (3, 3, 1)
     np.testing.assert_array_equal(out2.data, np.full((3, 3, 1), -5.0, dtype=np.float32))
+
+
+@pytest.mark.parametrize("batch", [1, 2])
+@pytest.mark.parametrize("dtype", [np.float32, np.int16])
+def test_maxpool_size3_stride1_pads_only_bottom_and_right(rng, dtype, batch):
+    # total pad 2 per axis, which a begin/end split would put 1/1
+    h, w, c = 5, 6, 3
+    vals = rng.uniform(-1000, 1000, size=(batch, h, w, c)).astype(dtype)
+    sentinel = np.iinfo(dtype).min if np.issubdtype(dtype, np.integer) else -np.inf
+    border = np.full((batch, h + 2, w + 2, c), sentinel, dtype=dtype)
+    border[:, :h, :w] = vals
+    want = np.empty_like(vals)
+    for m, i, j in product(range(batch), range(h), range(w)):
+        want[m, i, j] = border[m, i:i + 3, j:j + 3].max(axis=(0, 1))
+    got = maxpool(FeatureMap(vals.reshape(batch * h, w, c)), 3, 1, batch)
+    assert got.data.dtype == dtype
+    np.testing.assert_array_equal(got.data, want.reshape(batch * h, w, c))
 
 
 def test_maxpool_size1_stride1_idempotent(rng):
